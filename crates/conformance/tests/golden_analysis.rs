@@ -51,3 +51,28 @@ fn golden_fig2_growth() {
 fn golden_update_failure() {
     assert_golden(&fixture("update_failure"), &report().update_failure);
 }
+
+#[test]
+fn golden_figs567_sweep() {
+    assert_golden(&fixture("figs567"), &report().figs567);
+}
+
+#[test]
+fn golden_cookie_harm() {
+    assert_golden(&fixture("cookie_harm"), &report().cookie_harm);
+}
+
+#[test]
+fn golden_cert_harm() {
+    assert_golden(&fixture("cert_harm"), &report().cert_harm);
+}
+
+#[test]
+fn golden_dbound() {
+    assert_golden(&fixture("dbound"), &report().dbound);
+}
+
+#[test]
+fn golden_category_shift() {
+    assert_golden(&fixture("category_shift"), &report().category_shift);
+}
