@@ -9,6 +9,7 @@
 //! paper's Table 2 story, resolved over time.
 
 use crate::report::downsample;
+use crate::walker::{site_len, walk};
 use psl_core::{MatchOpts, Section};
 use psl_history::History;
 use psl_iana::{RootZoneDb, TldCategory};
@@ -48,9 +49,9 @@ pub fn run(
     opts: MatchOpts,
 ) -> CategoryShiftReport {
     let latest = history.latest_snapshot();
-    let reversed = corpus.reversed_labels();
+    let hosts = corpus.hosts();
 
-    // Per-host: latest site length and the class of the latest suffix.
+    // Per-host: the class of the latest suffix.
     #[derive(Clone, Copy, PartialEq)]
     enum Class {
         Generic,
@@ -58,52 +59,39 @@ pub fn run(
         OtherTld,
         Private,
     }
-    let per_host: Vec<(u32, Class)> = corpus
-        .hosts()
+    let classes: Vec<Class> = hosts
         .iter()
-        .zip(&reversed)
-        .map(|(host, labels)| {
-            let n = labels.len();
-            let disposition = latest.disposition_reversed(labels, opts);
-            let site_len = disposition
-                .map(|d| (d.suffix_len.min(n.saturating_sub(1)) + 1).min(n) as u32)
-                .unwrap_or(n as u32);
-            let class = match disposition.and_then(|d| d.section) {
+        .map(|host| {
+            let labels = host.labels_reversed();
+            match latest.disposition_reversed(&labels, opts).and_then(|d| d.section) {
                 Some(Section::Private) => Class::Private,
-                _ => {
-                    let tld = labels.first().copied().unwrap_or("");
-                    match db.category(tld) {
-                        TldCategory::Generic => Class::Generic,
-                        TldCategory::CountryCode => Class::CountryCode,
-                        _ => Class::OtherTld,
-                    }
-                }
-            };
-            let _ = host;
-            (site_len, class)
+                _ => match db.category(labels.first().copied().unwrap_or("")) {
+                    TldCategory::Generic => Class::Generic,
+                    TldCategory::CountryCode => Class::CountryCode,
+                    _ => Class::OtherTld,
+                },
+            }
         })
         .collect();
 
-    let versions = downsample(history.versions(), sampled_versions);
-    let rows = versions
-        .iter()
-        .map(|&v| {
-            let list = history.snapshot_at(v);
+    let suffix_lens = walk(history, hosts, opts).suffix_lens;
+    let site_len_of =
+        |h: usize, len: Option<u32>| site_len(len.map(|l| l as usize), hosts[h].label_count());
+    let versions: Vec<usize> = (0..history.version_count()).collect();
+    let rows = downsample(&versions, sampled_versions)
+        .into_iter()
+        .map(|v| {
             let mut row = CategoryShiftRow {
-                date: v.to_string(),
+                date: history.versions()[v].to_string(),
                 generic: 0,
                 country_code: 0,
                 other_tld: 0,
                 private: 0,
                 total: 0,
             };
-            for (labels, &(latest_len, class)) in reversed.iter().zip(&per_host) {
-                let n = labels.len();
-                let len = list
-                    .disposition_reversed(labels, opts)
-                    .map(|d| (d.suffix_len.min(n.saturating_sub(1)) + 1).min(n) as u32)
-                    .unwrap_or(n as u32);
-                if len != latest_len {
+            for (h, &class) in classes.iter().enumerate() {
+                let now = site_len_of(h, suffix_lens.at(h, v));
+                if now != site_len_of(h, suffix_lens.latest(h)) {
                     row.total += 1;
                     match class {
                         Class::Generic => row.generic += 1,

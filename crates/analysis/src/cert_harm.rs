@@ -8,7 +8,7 @@
 //! hostname under the suffix. We count, per version, the mis-issued
 //! wildcards and the hostnames they cover.
 
-use crate::walker::{is_public_suffix_reversed, walk_versions};
+use crate::walker::walk;
 use psl_certs::CertName;
 use psl_core::{DomainName, MatchOpts};
 use psl_history::History;
@@ -41,7 +41,7 @@ pub fn run(history: &History, corpus: &WebCorpus, opts: MatchOpts) -> CertHarmRe
     let latest = history.latest_snapshot();
 
     // One wildcard request per latest-list public suffix with customers.
-    let mut by_suffix: HashMap<String, usize> = HashMap::new();
+    let mut by_suffix: HashMap<&str, usize> = HashMap::new();
     for host in corpus.hosts() {
         let Some(suffix) = latest.public_suffix(host, opts) else {
             continue;
@@ -49,43 +49,44 @@ pub fn run(history: &History, corpus: &WebCorpus, opts: MatchOpts) -> CertHarmRe
         if suffix.len() == host.as_str().len() {
             continue;
         }
-        *by_suffix.entry(suffix.to_string()).or_insert(0) += 1;
+        *by_suffix.entry(suffix).or_insert(0) += 1;
     }
-    let mut requests: Vec<(CertName, usize)> = by_suffix
+    let (bases, customers): (Vec<DomainName>, Vec<usize>) = by_suffix
         .into_iter()
         .filter_map(|(suffix, customers)| {
             if customers < 2 {
                 return None;
             }
-            let dom = DomainName::parse(&suffix).ok()?;
+            let dom = DomainName::parse(suffix).ok()?;
             // Only suffixes the latest list refuses are "harm" cases.
             if !latest.is_public_suffix(&dom, opts) {
                 return None;
             }
             let name = CertName::parse(&format!("*.{suffix}")).ok()?;
-            Some((name, customers))
+            Some((name.base().clone(), customers))
         })
-        .collect();
-    requests.sort_by_key(|(n, _)| n.to_string());
+        .unzip();
 
     // A wildcard `*.<base>` is issuable iff its base is not a public
-    // suffix — walk versions with one incremental trie.
-    let request_reversed: Vec<Vec<&str>> =
-        requests.iter().map(|(n, _)| n.base().labels_reversed()).collect();
-    let mut rows = Vec::with_capacity(history.version_count());
-    walk_versions(history, |v, trie| {
-        let mut misissued = 0;
-        let mut covered = 0;
-        for ((_, customers), reversed) in requests.iter().zip(&request_reversed) {
-            if !is_public_suffix_reversed(trie, reversed, opts) {
-                misissued += 1;
-                covered += customers;
-            }
-        }
-        rows.push(CertHarmRow { date: v.to_string(), misissued, covered_hostnames: covered });
-    });
+    // suffix.
+    let suffix_lens = walk(history, &bases, opts).suffix_lens;
+    let versions = history.version_count();
+    let issued = |i: usize, len: Option<u32>| len != Some(bases[i].label_count() as u32);
+    let misissued = suffix_lens.tally(versions, |i, len| u64::from(issued(i, len)));
+    let covered =
+        suffix_lens.tally(versions, |i, len| if issued(i, len) { customers[i] as u64 } else { 0 });
+    let rows = history
+        .versions()
+        .iter()
+        .zip(misissued.iter().zip(&covered))
+        .map(|(v, (&misissued, &covered))| CertHarmRow {
+            date: v.to_string(),
+            misissued: misissued as usize,
+            covered_hostnames: covered as usize,
+        })
+        .collect();
 
-    CertHarmReport { rows, requests: requests.len() }
+    CertHarmReport { rows, requests: bases.len() }
 }
 
 #[cfg(test)]

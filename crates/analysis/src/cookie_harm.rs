@@ -9,22 +9,12 @@
 //! hostname under the suffix can then read it. We count, per version,
 //! the accepted attempts and the exposed hostnames.
 
-use crate::walker::{is_public_suffix_reversed, walk_versions};
+use crate::walker::walk;
 use psl_core::{DomainName, MatchOpts};
 use psl_history::History;
 use psl_webcorpus::WebCorpus;
 use serde::Serialize;
 use std::collections::HashMap;
-
-/// One supercookie attempt, derived from the corpus.
-#[derive(Debug, Clone)]
-struct Attempt {
-    /// The targeted suffix (as a domain).
-    suffix: DomainName,
-    /// Hostnames under the suffix that would see the cookie (the setter
-    /// is any one customer; its identity does not change the decision).
-    exposed: usize,
-}
 
 /// Per-version supercookie results.
 #[derive(Debug, Clone, Serialize)]
@@ -52,7 +42,7 @@ pub fn run(history: &History, corpus: &WebCorpus, opts: MatchOpts) -> CookieHarm
 
     // Group corpus hostnames by their latest-list public suffix; each
     // multi-customer suffix yields one attempt.
-    let mut by_suffix: HashMap<String, (Option<DomainName>, usize)> = HashMap::new();
+    let mut by_suffix: HashMap<&str, usize> = HashMap::new();
     for host in corpus.hosts() {
         let Some(suffix) = latest.public_suffix(host, opts) else {
             continue;
@@ -60,20 +50,19 @@ pub fn run(history: &History, corpus: &WebCorpus, opts: MatchOpts) -> CookieHarm
         if suffix.len() == host.as_str().len() {
             continue;
         }
-        let entry = by_suffix.entry(suffix.to_string()).or_insert((None, 0));
-        entry.1 += 1;
-        if entry.0.is_none() {
-            entry.0 = Some(host.clone());
-        }
+        *by_suffix.entry(suffix).or_insert(0) += 1;
     }
-    let mut attempts: Vec<Attempt> = by_suffix
+    // Each attempt targets a suffix; every customer under it but the
+    // setter is exposed (the setter's identity does not change the
+    // decision).
+    let (targets, readers): (Vec<DomainName>, Vec<usize>) = by_suffix
         .into_iter()
-        .filter_map(|(suffix, (setter, count))| {
+        .filter_map(|(suffix, count)| {
             // Single-customer suffixes expose nobody else.
             if count < 2 {
                 return None;
             }
-            let suffix = DomainName::parse(&suffix).ok()?;
+            let suffix = DomainName::parse(suffix).ok()?;
             // Only target names that the *latest* list recognises as
             // public suffixes. (The public suffix of an exception-rule
             // host is the exception's parent — e.g. `zone.jp` above
@@ -82,32 +71,31 @@ pub fn run(history: &History, corpus: &WebCorpus, opts: MatchOpts) -> CookieHarm
             if !latest.is_public_suffix(&suffix, opts) {
                 return None;
             }
-            let _ = setter;
-            Some(Attempt { suffix, exposed: count - 1 })
+            Some((suffix, count - 1))
+        })
+        .unzip();
+
+    // An attempt succeeds at a version iff the target is NOT a public
+    // suffix there: the setter is a strict subdomain (so the host-only
+    // carve-out never applies) and domain-matching holds by construction.
+    let suffix_lens = walk(history, &targets, opts).suffix_lens;
+    let versions = history.version_count();
+    let succeeds = |i: usize, len: Option<u32>| len != Some(targets[i].label_count() as u32);
+    let accepted = suffix_lens.tally(versions, |i, len| u64::from(succeeds(i, len)));
+    let exposed =
+        suffix_lens.tally(versions, |i, len| if succeeds(i, len) { readers[i] as u64 } else { 0 });
+    let rows = history
+        .versions()
+        .iter()
+        .zip(accepted.iter().zip(&exposed))
+        .map(|(v, (&accepted, &exposed))| CookieHarmRow {
+            date: v.to_string(),
+            accepted: accepted as usize,
+            exposed_hostnames: exposed as usize,
         })
         .collect();
-    attempts.sort_by(|a, b| a.suffix.cmp(&b.suffix));
 
-    // Walk versions with one incremental trie. An attempt succeeds at a
-    // version iff the target is NOT a public suffix there: the setter is
-    // a strict subdomain (so the host-only carve-out never applies) and
-    // domain-matching holds by construction.
-    let attempt_reversed: Vec<Vec<&str>> =
-        attempts.iter().map(|a| a.suffix.labels_reversed()).collect();
-    let mut rows = Vec::with_capacity(history.version_count());
-    walk_versions(history, |v, trie| {
-        let mut accepted = 0;
-        let mut exposed = 0;
-        for (attempt, reversed) in attempts.iter().zip(&attempt_reversed) {
-            if !is_public_suffix_reversed(trie, reversed, opts) {
-                accepted += 1;
-                exposed += attempt.exposed;
-            }
-        }
-        rows.push(CookieHarmRow { date: v.to_string(), accepted, exposed_hostnames: exposed });
-    });
-
-    CookieHarmReport { rows, attempts: attempts.len() }
+    CookieHarmReport { rows, attempts: targets.len() }
 }
 
 #[cfg(test)]

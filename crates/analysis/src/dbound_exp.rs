@@ -87,16 +87,16 @@ pub fn run(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sweep::{sweep, SweepConfig};
+    use crate::sweep_stream::{sweep_stream, StreamSweepConfig};
     use psl_history::{generate, GeneratorConfig};
-    use psl_webcorpus::{generate_corpus, CorpusConfig};
+    use psl_webcorpus::{build_stream, CorpusConfig};
 
     #[test]
     fn dbound_beats_every_stale_list() {
         let h = generate(&GeneratorConfig::small(411));
-        let c = generate_corpus(&h, &CorpusConfig::small(41));
-        let stats = sweep(&h, &c, &SweepConfig::default());
-        let report = run(&h, &c, &stats, MatchOpts::default());
+        let stream = build_stream(&h, &CorpusConfig::small(41));
+        let stats = sweep_stream(&h, &stream, &StreamSweepConfig::default()).stats;
+        let report = run(&h, &stream.materialize(), &stats, MatchOpts::default());
 
         assert_eq!(report.rows.len(), h.version_count());
         // DBOUND against the live zone agrees with the latest list

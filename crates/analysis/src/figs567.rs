@@ -1,11 +1,8 @@
 //! Figures 5–7: per-version site formation, third-party classification,
 //! and hostname misclassification — thin serialisable views over the
-//! [`mod@crate::sweep`] results.
+//! [`crate::sweep_stream::sweep_stream`] results.
 
-use crate::sweep::{sweep, SweepConfig, VersionStats};
-use crate::sweep_stream::{sweep_stream, StreamSweepConfig};
-use psl_history::History;
-use psl_webcorpus::{StreamCorpus, WebCorpus};
+use crate::sweep::VersionStats;
 use serde::Serialize;
 
 /// One per-version row shared by Figures 5, 6 and 7.
@@ -39,34 +36,9 @@ pub struct SweepReport {
     pub total_requests: usize,
 }
 
-/// Run the sweep and package Figures 5–7.
-pub fn run(history: &History, corpus: &WebCorpus, config: &SweepConfig) -> SweepReport {
-    let stats = sweep(history, corpus, config);
-    package(&stats, corpus)
-}
-
-/// Run the *streaming* sweep — the corpus is never materialized — and
-/// package the same report shape as [`run`]. In exact counting mode the
-/// output is byte-identical to the materialized path for any shard
-/// count.
-pub fn run_streaming(
-    history: &History,
-    stream: &StreamCorpus,
-    config: &StreamSweepConfig,
-) -> SweepReport {
-    let out = sweep_stream(history, stream, config);
-    package_totals(&out.stats, stream.host_count(), out.total_requests as usize)
-}
-
-/// Package precomputed sweep stats (lets callers reuse one sweep for all
-/// three figures).
-pub fn package(stats: &[VersionStats], corpus: &WebCorpus) -> SweepReport {
-    package_totals(stats, corpus.host_count(), corpus.request_count())
-}
-
-/// [`package`] with explicit corpus totals, for callers that streamed
-/// the corpus instead of holding it.
-pub fn package_totals(
+/// Package per-version sweep stats with the corpus totals (one sweep
+/// serves all three figures).
+pub fn package(
     stats: &[VersionStats],
     unique_hostnames: usize,
     total_requests: usize,
@@ -92,14 +64,17 @@ pub fn package_totals(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sweep_stream::{sweep_stream, StreamSweepConfig};
     use psl_history::{generate, GeneratorConfig};
-    use psl_webcorpus::{generate_corpus, CorpusConfig};
+    use psl_webcorpus::{build_stream, CorpusConfig};
 
     #[test]
     fn report_shapes_match_paper() {
         let h = generate(&GeneratorConfig::small(151));
-        let c = generate_corpus(&h, &CorpusConfig::small(15));
-        let report = run(&h, &c, &SweepConfig::default());
+        let stream = build_stream(&h, &CorpusConfig::small(15));
+        let out = sweep_stream(&h, &stream, &StreamSweepConfig::default());
+        let report = package(&out.stats, stream.host_count(), out.total_requests as usize);
+        let c = stream.materialize();
 
         assert_eq!(report.rows.len(), h.version_count());
         // Figure 5 headline: the latest list forms many more sites than

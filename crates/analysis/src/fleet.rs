@@ -16,9 +16,10 @@
 //! Scale comes from the same three ingredients as the streaming sweep:
 //!
 //! 1. **Precomputation.** Everything list-dependent is computed once per
-//!    `(host, version)`: the dense site id and the parent-scope cookie
-//!    verdict ([`ListView`]). Session execution is then pure integer
-//!    compares.
+//!    `(host, sampled version)`: the dense site id (read off one
+//!    [`crate::walker::walk`] over all versions) and the parent-scope
+//!    cookie verdict ([`ListView`]). Session execution is then pure
+//!    integer compares.
 //! 2. **Sharded generation.** Shard `s` of `K` owns sessions `s, s+K, …`;
 //!    scripts derive from per-session seeds, so any worker can run any
 //!    shard and produce identical events.
@@ -32,8 +33,9 @@
 //! count, which only determines how long the fleet runs.
 
 use crate::report::downsample;
-use crate::sweep::{resolved_threads, site_suffix_lens_ids};
-use crate::sweep_stream::{dense_site_ids, SiteCounter, SiteSet};
+use crate::sweep::resolved_threads;
+use crate::sweep_stream::{SiteCounter, SiteSet};
+use crate::walker::{dense_ids, site_ids, walk};
 use psl_browser::{ListView, SessionEngine, SessionHarm};
 use psl_core::cookie::{evaluate_set_cookie, CookieDecision};
 use psl_core::{Date, DomainName, MatchOpts};
@@ -181,45 +183,34 @@ pub fn execute_session(
 }
 
 /// Build the per-version [`ListView`]s and parent-domain ids for a host
-/// population: dense site ids from the compiled arena, parent-scope
-/// cookie verdicts from the faithful string jar (`evaluate_set_cookie`
-/// against each version's snapshot — hosts × versions is cheap; sessions
-/// never touch strings).
+/// population: site ids at the sampled version indices from one version
+/// walk (ids hold across versions, and the engine only compares ids
+/// within one view), parent-scope cookie verdicts from the faithful
+/// string jar (`evaluate_set_cookie` against each sampled version's
+/// snapshot — hosts × versions is cheap; sessions never touch strings).
 fn build_views(
     history: &History,
     stream: &StreamCorpus,
-    sampled_dates: &[Date],
+    sampled: &[usize],
     opts: MatchOpts,
+    threads: usize,
 ) -> (Vec<ListView>, Vec<u32>) {
-    let mut compiled = history.compiled_versions();
-    let host_ids: Vec<Box<[u32]>> =
-        stream.hosts().iter().map(|h| compiled.intern_reversed(&h.labels_reversed())).collect();
+    let hosts = stream.hosts();
+    let (sites, _) = site_ids(&walk(history, hosts, opts), hosts);
+    // Parent domain: the host minus its leftmost label.
+    let parents =
+        dense_ids(hosts.iter().map(|h| h.suffix_of_len(h.label_count() - 1).unwrap_or("")));
 
-    // Parent-domain dense ids: the parent is the reversed-id prefix
-    // dropping the leftmost label, so it reuses the site-key interning
-    // with `len = label_count - 1`.
-    let parent_lens: Vec<u32> =
-        stream.hosts().iter().map(|h| h.label_count().saturating_sub(1) as u32).collect();
-    let parents = dense_site_ids(&host_ids, &parent_lens);
-
-    let frozen_by_date: std::collections::HashMap<Date, &psl_core::FrozenList> =
-        compiled.versions().iter().map(|(d, f)| (*d, f)).collect();
-
-    let mut views: Vec<Option<ListView>> = vec![None; sampled_dates.len()];
-    let threads = resolved_threads(0, sampled_dates.len());
-    let chunk = sampled_dates.len().div_ceil(threads.max(1));
+    let mut views: Vec<Option<ListView>> = vec![None; sampled.len()];
+    let chunk = sampled.len().div_ceil(resolved_threads(threads, sampled.len()));
     crossbeam::thread::scope(|scope| {
-        for (slots, dates) in views.chunks_mut(chunk).zip(sampled_dates.chunks(chunk)) {
-            let host_ids = &host_ids;
-            let frozen_by_date = &frozen_by_date;
+        for (slots, versions) in views.chunks_mut(chunk).zip(sampled.chunks(chunk)) {
+            let sites = &sites;
             scope.spawn(move |_| {
-                for (slot, date) in slots.iter_mut().zip(dates) {
-                    let frozen = frozen_by_date[date];
-                    let lens = site_suffix_lens_ids(frozen, host_ids, opts);
-                    let site_id = dense_site_ids(host_ids, &lens);
-                    let list = history.snapshot_at(*date);
-                    let scope_refused = stream
-                        .hosts()
+                for (slot, &v) in slots.iter_mut().zip(versions) {
+                    let site_id = (0..hosts.len()).map(|h| sites.at(h, v)).collect();
+                    let list = history.snapshot_at(history.versions()[v]);
+                    let scope_refused = hosts
                         .iter()
                         .map(|h| {
                             let n = h.label_count();
@@ -254,10 +245,11 @@ fn build_views(
 /// scripts derive from per-session seeds).
 pub fn run_fleet(history: &History, stream: &StreamCorpus, config: &FleetConfig) -> FleetOutcome {
     let max_v = if config.max_versions == 0 { DEFAULT_MAX_VERSIONS } else { config.max_versions };
-    let sampled_dates: Vec<Date> = downsample(history.versions(), max_v);
+    let sampled = downsample(&(0..history.version_count()).collect::<Vec<_>>(), max_v);
+    let sampled_dates: Vec<Date> = sampled.iter().map(|&v| history.versions()[v]).collect();
     let ref_date = *sampled_dates.last().expect("history non-empty");
 
-    let (views, parents) = build_views(history, stream, &sampled_dates, config.opts);
+    let (views, parents) = build_views(history, stream, &sampled, config.opts, config.threads);
     let ref_view = views.last().expect("reference view exists");
 
     let threads = resolved_threads(config.threads, usize::MAX);

@@ -13,9 +13,11 @@
 //! | [`table2`] | Table 2 — largest missing eTLDs |
 //! | [`table3`] | Table 3 — per-project harm |
 //!
-//! [`mod@sweep`] is the shared hot path (parallel per-version corpus
-//! interpretation); [`pipeline`] glues substrate generation and all
-//! experiments together; [`report`] renders text tables and CSV.
+//! [`walker`] is the shared hot path: one walk over the list versions
+//! gives every hostname's disposition timeline, which the Figs. 5–7
+//! engine ([`sweep_stream()`]), the fleet and the harm extensions read;
+//! [`pipeline`] glues substrate generation and all experiments together;
+//! [`report`] renders text tables and CSV.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -34,7 +36,6 @@ pub mod markdown;
 pub mod pipeline;
 pub mod report;
 pub mod sweep;
-pub mod sweep_incremental;
 pub mod sweep_stream;
 pub mod table1;
 pub mod table2;
@@ -47,10 +48,7 @@ pub use fleet::{
 };
 pub use markdown::render_markdown;
 pub use pipeline::{build_substrates, run_all, FullReport, PipelineConfig, Substrates};
-pub use sweep::{
-    resolved_threads, stats_for_single_list, sweep, sweep_rebuild, SweepConfig, VersionStats,
-};
-pub use sweep_incremental::sweep_incremental;
+pub use sweep::{resolved_threads, stats_for_single_list, sweep_rebuild, VersionStats};
 pub use sweep_stream::{
     sweep_stream, ShardAccumulator, SiteCounter, SiteSet, StreamSweepConfig, StreamSweepOutcome,
 };

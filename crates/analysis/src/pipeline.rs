@@ -3,8 +3,7 @@
 //! [`run_all`] is what the CLI and the integration tests drive: one seed in,
 //! the full set of paper artifacts out.
 
-use crate::sweep::SweepConfig;
-use crate::sweep_incremental::sweep_incremental;
+use crate::sweep_stream::{sweep_stream, StreamSweepConfig};
 use crate::{
     browser_replay, category_shift, cert_harm, cookie_harm, dbound_exp, fig2, fig3, fig4, figs567,
     table1, table2, table3, update_failure,
@@ -12,7 +11,7 @@ use crate::{
 use psl_history::{DatingIndex, GeneratorConfig, History};
 use psl_iana::RootZoneDb;
 use psl_repocorpus::{DetectorConfig, RepoCorpus, RepoGenConfig};
-use psl_webcorpus::{CorpusConfig, WebCorpus};
+use psl_webcorpus::{CorpusConfig, StreamCorpus, WebCorpus};
 use serde::Serialize;
 
 /// Top-level pipeline configuration.
@@ -26,8 +25,8 @@ pub struct PipelineConfig {
     pub repos: RepoGenConfig,
     /// Detector thresholds.
     pub detector: DetectorConfig,
-    /// Sweep options.
-    pub sweep: SweepConfig,
+    /// Sweep options (Figures 5–7).
+    pub sweep: StreamSweepConfig,
     /// Rows reported in Table 2.
     pub table2_top: usize,
 }
@@ -39,7 +38,7 @@ impl Default for PipelineConfig {
             corpus: CorpusConfig::default(),
             repos: RepoGenConfig::default(),
             detector: DetectorConfig::default(),
-            sweep: SweepConfig::default(),
+            sweep: StreamSweepConfig::default(),
             table2_top: 15,
         }
     }
@@ -61,7 +60,9 @@ impl PipelineConfig {
 pub struct Substrates {
     /// The versioned list history.
     pub history: History,
-    /// The web request corpus.
+    /// The web request corpus as a stream (what the sweep reads).
+    pub stream: StreamCorpus,
+    /// The same corpus materialized.
     pub corpus: WebCorpus,
     /// The repository corpus.
     pub repos: RepoCorpus,
@@ -72,9 +73,10 @@ pub struct Substrates {
 /// Generate all substrates for a pipeline config.
 pub fn build_substrates(config: &PipelineConfig) -> Substrates {
     let history = psl_history::generate(&config.history);
-    let corpus = psl_webcorpus::generate_corpus(&history, &config.corpus);
+    let stream = psl_webcorpus::build_stream(&history, &config.corpus);
+    let corpus = stream.materialize();
     let repos = psl_repocorpus::generate_repos(&history, &config.repos);
-    Substrates { history, corpus, repos, iana: RootZoneDb::embedded() }
+    Substrates { history, stream, corpus, repos, iana: RootZoneDb::embedded() }
 }
 
 /// Every paper artifact in one bundle.
@@ -112,16 +114,15 @@ pub struct FullReport {
 pub fn run_all(subs: &Substrates, config: &PipelineConfig) -> FullReport {
     let index = DatingIndex::build(&subs.history);
     let reference = subs.history.latest_snapshot();
-    // One sweep serves Figures 5-7 and the DBOUND baseline. The
-    // incremental engine is used here; tests pin its equality to the
-    // naive parallel sweep.
-    let stats = sweep_incremental(&subs.history, &subs.corpus, &config.sweep);
+    // One sweep serves Figures 5-7 and the DBOUND baseline.
+    let sweep = sweep_stream(&subs.history, &subs.stream, &config.sweep);
+    let stats = &sweep.stats;
     FullReport {
         fig2: fig2::run(&subs.history, &subs.iana),
         table1: table1::run(&subs.repos, &reference, &index, &config.detector),
         fig3: fig3::run(&subs.repos, &reference, &index, &config.detector),
         fig4: fig4::run(&subs.repos, &reference, &index, &config.detector),
-        figs567: figs567::package(&stats, &subs.corpus),
+        figs567: figs567::package(stats, subs.stream.host_count(), sweep.total_requests as usize),
         table2: table2::run(
             &subs.history,
             &subs.corpus,
@@ -132,7 +133,7 @@ pub fn run_all(subs: &Substrates, config: &PipelineConfig) -> FullReport {
         ),
         table3: table3::run(&subs.history, &subs.corpus, &subs.repos, &index, &config.detector),
         cookie_harm: cookie_harm::run(&subs.history, &subs.corpus, config.sweep.opts),
-        dbound: dbound_exp::run(&subs.history, &subs.corpus, &stats, config.sweep.opts),
+        dbound: dbound_exp::run(&subs.history, &subs.corpus, stats, config.sweep.opts),
         cert_harm: cert_harm::run(&subs.history, &subs.corpus, config.sweep.opts),
         update_failure: update_failure::run(
             &subs.history,

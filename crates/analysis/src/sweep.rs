@@ -1,4 +1,5 @@
-//! The per-version corpus sweep — the pipeline's hot path.
+//! Per-version corpus statistics for Figures 5–7, and the slow oracle
+//! the sweep engine is checked against.
 //!
 //! The paper's §5 methodology: "determine the suffix for each *unique*
 //! domain name in the dataset using each version of the PSL", then group
@@ -7,20 +8,17 @@
 //! (Figure 6), and the number of hostnames mapped to a different site than
 //! under the most recent list (Figure 7).
 //!
-//! Hostname label splits are computed **and interned** once: the history is
-//! compiled into per-version [`FrozenList`] arenas through a shared
-//! [`psl_core::LabelInterner`] ([`History::compiled_versions`]), each
-//! hostname becomes a `Box<[u32]>` of label ids, and every version is then
-//! matched by zero-allocation arena walks over those id slices. Versions
-//! are swept in parallel with crossbeam scoped threads. The pre-compilation
-//! rebuild-per-version implementation survives as [`sweep_rebuild`] for the
-//! ablation bench.
+//! The engine is [`crate::sweep_stream::sweep_stream`] (one version walk
+//! plus one streamed pass). [`sweep_rebuild`] computes the same numbers
+//! the obvious way — a full [`List`] snapshot per version, every hostname
+//! matched as string labels — and is kept only as its oracle.
 
-use psl_core::{Date, FrozenList, List, MatchOpts};
+use crate::walker::{site_len, site_of};
+use psl_core::{Date, List, MatchOpts};
 use psl_history::History;
 use psl_webcorpus::WebCorpus;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::collections::HashSet;
 
 /// Per-version sweep results.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -37,201 +35,25 @@ pub struct VersionStats {
     pub hosts_in_different_site_vs_latest: usize,
 }
 
-/// Sweep configuration.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SweepConfig {
-    /// Matching options (browsers: defaults).
-    pub opts: MatchOpts,
-    /// Worker threads (0 = available parallelism).
-    pub threads: usize,
-}
-
-/// Compute each host's site string under `list`. The site of host `h` is
-/// its registrable domain, or `h` itself when `h` is a bare public suffix
-/// (or unmatched in strict mode).
-fn site_suffix_lens(list: &List, reversed: &[Vec<&str>], opts: MatchOpts) -> Vec<u32> {
-    reversed
-        .iter()
-        .map(|labels| {
-            let n = labels.len();
-            match list.disposition_reversed(labels, opts) {
-                Some(d) => {
-                    // Site = suffix + 1 label, clamped to the whole host.
-                    (d.suffix_len.min(n.saturating_sub(1)) + 1).min(n) as u32
-                }
-                None => n as u32,
-            }
-        })
-        .collect()
-}
-
-/// [`site_suffix_lens`] over pre-interned id slices and a compiled arena:
-/// the per-version hot loop of the sweep (shared with the streaming
-/// pipeline in [`crate::sweep_stream`]).
-pub(crate) fn site_suffix_lens_ids(
-    frozen: &FrozenList,
-    host_ids: &[Box<[u32]>],
-    opts: MatchOpts,
-) -> Vec<u32> {
-    host_ids
-        .iter()
-        .map(|ids| {
-            let n = ids.len();
-            match frozen.disposition_by_ids(ids, opts) {
-                Some(d) => (d.suffix_len.min(n.saturating_sub(1)) + 1).min(n) as u32,
-                None => n as u32,
-            }
-        })
-        .collect()
-}
-
-/// Dense site ids for each host, given per-host site lengths (in labels,
-/// counted from the right). Hosts share a site id iff their site strings
-/// are equal.
-fn site_ids(corpus: &WebCorpus, site_lens: &[u32]) -> (Vec<u32>, usize) {
-    let mut interner: HashMap<&str, u32> = HashMap::with_capacity(corpus.host_count());
-    let mut ids = Vec::with_capacity(corpus.host_count());
-    for (host, &len) in corpus.hosts().iter().zip(site_lens) {
-        let site = host.suffix_of_len(len as usize).unwrap_or_else(|| host.as_str());
-        let next = interner.len() as u32;
-        let id = *interner.entry(site).or_insert(next);
-        ids.push(id);
-    }
-    let count = interner.len();
-    (ids, count)
-}
-
-/// Statistics for a single list against the corpus, given the latest
-/// grouping for comparison.
-fn stats_for_list(
-    corpus: &WebCorpus,
-    reversed: &[Vec<&str>],
-    list: &List,
-    latest_lens: Option<&[u32]>,
-    opts: MatchOpts,
-) -> (usize, u64, usize) {
-    stats_from_lens(corpus, &site_suffix_lens(list, reversed, opts), latest_lens)
-}
-
-/// As [`stats_for_list`], but over the compiled arena and pre-interned ids.
-fn stats_for_frozen(
-    corpus: &WebCorpus,
-    host_ids: &[Box<[u32]>],
-    frozen: &FrozenList,
-    latest_lens: Option<&[u32]>,
-    opts: MatchOpts,
-) -> (usize, u64, usize) {
-    stats_from_lens(corpus, &site_suffix_lens_ids(frozen, host_ids, opts), latest_lens)
-}
-
-fn stats_from_lens(
-    corpus: &WebCorpus,
-    lens: &[u32],
-    latest_lens: Option<&[u32]>,
-) -> (usize, u64, usize) {
-    let (ids, sites) = site_ids(corpus, lens);
-    let third_party = corpus
-        .requests()
-        .iter()
-        .filter(|r| ids[r.page as usize] != ids[r.request as usize])
-        .count() as u64;
-    // A host's site is always one of its own suffixes, so the site string
-    // changes iff the suffix length does.
-    let moved = match latest_lens {
-        Some(l_lens) => lens.iter().zip(l_lens).filter(|(a, b)| a != b).count(),
-        None => 0,
-    };
-    (sites, third_party, moved)
-}
-
-/// Run the sweep over every version of the history.
-///
-/// The production path: the history is compiled once (incrementally,
-/// through a shared interner) into per-version [`FrozenList`] arenas, the
-/// corpus's reversed label splits are interned once into id slices, and
-/// every `(version, host)` resolution is then a zero-allocation arena
-/// walk. [`sweep_rebuild`] computes the same numbers the pre-compilation
-/// way; the tests hold them exactly equal.
-pub fn sweep(history: &History, corpus: &WebCorpus, config: &SweepConfig) -> Vec<VersionStats> {
-    let opts = config.opts;
-
-    let mut compiled = history.compiled_versions();
-    let reversed = corpus.reversed_labels();
-    // Intern every corpus hostname once; labels absent from all rules get
-    // fresh ids that match no arena edge, which is exactly how the string
-    // path treats unknown labels.
-    let host_ids: Vec<Box<[u32]>> =
-        reversed.iter().map(|labels| compiled.intern_reversed(labels)).collect();
-
-    // The latest grouping, for the Figure 7 comparison. Two hostnames are
-    // "in a different site" when their site *string* changes; since a
-    // host's site is always one of its own suffixes, comparing suffix
-    // lengths is equivalent and cheaper.
-    let versions = compiled.versions();
-    let latest_frozen = &versions.last().expect("history non-empty").1;
-    let latest_lens = site_suffix_lens_ids(latest_frozen, &host_ids, opts);
-
-    let threads = thread_count(config, versions.len());
-    let mut out: Vec<Option<VersionStats>> = vec![None; versions.len()];
-    let chunk = versions.len().div_ceil(threads);
-    crossbeam::thread::scope(|scope| {
-        for (slot_chunk, version_chunk) in out.chunks_mut(chunk).zip(versions.chunks(chunk)) {
-            let host_ids = &host_ids;
-            let latest_lens = &latest_lens;
-            scope.spawn(move |_| {
-                for (slot, (vdate, frozen)) in slot_chunk.iter_mut().zip(version_chunk) {
-                    let (sites, third_party, moved) =
-                        stats_for_frozen(corpus, host_ids, frozen, Some(latest_lens), opts);
-                    *slot = Some(VersionStats {
-                        date: *vdate,
-                        rule_count: frozen.len(),
-                        sites,
-                        third_party_requests: third_party,
-                        hosts_in_different_site_vs_latest: moved,
-                    });
-                }
-            });
-        }
-    })
-    .expect("sweep worker panicked");
-
-    out.into_iter().map(|s| s.expect("every slot filled")).collect()
-}
-
-/// The pre-compilation sweep: build a full [`List`] snapshot per version
-/// and match hostnames as string labels. Kept as the ablation baseline the
-/// bench suite (and `pslharm bench`) measures the compiled path against;
-/// results are identical to [`sweep`].
-pub fn sweep_rebuild(
-    history: &History,
-    corpus: &WebCorpus,
-    config: &SweepConfig,
-) -> Vec<VersionStats> {
-    let reversed = corpus.reversed_labels();
-    let opts = config.opts;
-
+/// The rebuild oracle: every version's full [`List`] snapshot through
+/// [`stats_for_single_list`] against the latest list.
+/// O(versions × (rules + hosts + requests)); versions run in parallel on
+/// the machine's cores.
+pub fn sweep_rebuild(history: &History, corpus: &WebCorpus, opts: MatchOpts) -> Vec<VersionStats> {
     let latest = history.latest_snapshot();
-    let latest_lens = site_suffix_lens(&latest, &reversed, opts);
-
     let versions = history.versions();
-    let threads = thread_count(config, versions.len());
+    let threads = resolved_threads(0, versions.len());
     let mut out: Vec<Option<VersionStats>> = vec![None; versions.len()];
     let chunk = versions.len().div_ceil(threads);
     crossbeam::thread::scope(|scope| {
-        for (slot_chunk, version_chunk) in out.chunks_mut(chunk).zip(versions.chunks(chunk)) {
-            let reversed = &reversed;
-            let latest_lens = &latest_lens;
+        for (slots, dates) in out.chunks_mut(chunk).zip(versions.chunks(chunk)) {
+            let latest = &latest;
             scope.spawn(move |_| {
-                for (slot, &vdate) in slot_chunk.iter_mut().zip(version_chunk) {
-                    let list = history.snapshot_at(vdate);
-                    let (sites, third_party, moved) =
-                        stats_for_list(corpus, reversed, &list, Some(latest_lens), opts);
+                for (slot, &date) in slots.iter_mut().zip(dates) {
+                    let list = history.snapshot_at(date);
                     *slot = Some(VersionStats {
-                        date: vdate,
-                        rule_count: list.len(),
-                        sites,
-                        third_party_requests: third_party,
-                        hosts_in_different_site_vs_latest: moved,
+                        date,
+                        ..stats_for_single_list(corpus, &list, latest, opts)
                     });
                 }
             });
@@ -240,10 +62,6 @@ pub fn sweep_rebuild(
     .expect("sweep worker panicked");
 
     out.into_iter().map(|s| s.expect("every slot filled")).collect()
-}
-
-fn thread_count(config: &SweepConfig, versions: usize) -> usize {
-    resolved_threads(config.threads, versions)
 }
 
 /// Resolve a `threads` setting (0 = auto) to the actual worker count: the
@@ -258,8 +76,10 @@ pub fn resolved_threads(threads: usize, work_items: usize) -> usize {
     }
 }
 
-/// Stats for one specific list (used by Table 3's per-project counts and
-/// by tests).
+/// Stats for one specific list, with moved hosts counted against
+/// `latest` (Table 3's per-project counts, the benchmark's oracle, and
+/// each version of [`sweep_rebuild`]). Every host is matched as string
+/// labels.
 pub fn stats_for_single_list(
     corpus: &WebCorpus,
     list: &List,
@@ -267,13 +87,29 @@ pub fn stats_for_single_list(
     opts: MatchOpts,
 ) -> VersionStats {
     let reversed = corpus.reversed_labels();
-    let latest_lens = site_suffix_lens(latest, &reversed, opts);
-    let (sites, third_party, moved) =
-        stats_for_list(corpus, &reversed, list, Some(&latest_lens), opts);
+    let suffix_lens = |list: &List| -> Vec<Option<usize>> {
+        reversed
+            .iter()
+            .map(|labels| list.disposition_reversed(labels, opts).map(|d| d.suffix_len))
+            .collect()
+    };
+    let (lens, latest_lens) = (suffix_lens(list), suffix_lens(latest));
+    let hosts = corpus.hosts();
+    let sites: Vec<&str> = hosts.iter().zip(&lens).map(|(h, &len)| site_of(h, len)).collect();
+    let third_party = corpus
+        .requests()
+        .iter()
+        .filter(|r| sites[r.page as usize] != sites[r.request as usize])
+        .count() as u64;
+    let moved = hosts
+        .iter()
+        .zip(lens.iter().zip(&latest_lens))
+        .filter(|(h, (&a, &b))| site_len(a, h.label_count()) != site_len(b, h.label_count()))
+        .count();
     VersionStats {
         date: Date::from_days_since_epoch(0),
         rule_count: list.len(),
-        sites,
+        sites: sites.iter().collect::<HashSet<_>>().len(),
         third_party_requests: third_party,
         hosts_in_different_site_vs_latest: moved,
     }
@@ -282,19 +118,24 @@ pub fn stats_for_single_list(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sweep_stream::{sweep_stream, StreamSweepConfig};
     use psl_history::{generate, GeneratorConfig};
-    use psl_webcorpus::{generate_corpus, CorpusConfig};
+    use psl_webcorpus::{build_stream, CorpusConfig, StreamCorpus};
 
-    fn fixture() -> (History, WebCorpus) {
+    fn fixture() -> (History, StreamCorpus) {
         let h = generate(&GeneratorConfig::small(101));
-        let c = generate_corpus(&h, &CorpusConfig::small(13));
+        let c = build_stream(&h, &CorpusConfig::small(13));
         (h, c)
+    }
+
+    fn sweep(h: &History, c: &StreamCorpus) -> Vec<VersionStats> {
+        sweep_stream(h, c, &StreamSweepConfig::default()).stats
     }
 
     #[test]
     fn sweep_covers_every_version() {
         let (h, c) = fixture();
-        let stats = sweep(&h, &c, &SweepConfig::default());
+        let stats = sweep(&h, &c);
         assert_eq!(stats.len(), h.version_count());
         for (s, &v) in stats.iter().zip(h.versions()) {
             assert_eq!(s.date, v);
@@ -304,7 +145,7 @@ mod tests {
     #[test]
     fn newer_lists_form_more_sites() {
         let (h, c) = fixture();
-        let stats = sweep(&h, &c, &SweepConfig::default());
+        let stats = sweep(&h, &c);
         let first = stats.first().unwrap();
         let last = stats.last().unwrap();
         assert!(last.sites > first.sites + 100, "sites {} -> {}", first.sites, last.sites);
@@ -313,7 +154,7 @@ mod tests {
     #[test]
     fn latest_version_has_zero_moved_hosts() {
         let (h, c) = fixture();
-        let stats = sweep(&h, &c, &SweepConfig::default());
+        let stats = sweep(&h, &c);
         assert_eq!(stats.last().unwrap().hosts_in_different_site_vs_latest, 0);
         // And older versions move more hosts than newer ones, broadly.
         let first = stats.first().unwrap().hosts_in_different_site_vs_latest;
@@ -327,7 +168,7 @@ mod tests {
         // Figure 6: early drop (exception formalisation), later rise
         // (private-suffix splits).
         let (h, c) = fixture();
-        let stats = sweep(&h, &c, &SweepConfig::default());
+        let stats = sweep(&h, &c);
         let first = stats.first().unwrap().third_party_requests;
         let last = stats.last().unwrap().third_party_requests;
         let min = stats.iter().map(|s| s.third_party_requests).min().unwrap();
@@ -338,24 +179,27 @@ mod tests {
     #[test]
     fn single_thread_matches_parallel() {
         let (h, c) = fixture();
-        let par = sweep(&h, &c, &SweepConfig::default());
-        let ser = sweep(&h, &c, &SweepConfig { threads: 1, ..Default::default() });
-        assert_eq!(par, ser);
+        let par = sweep(&h, &c);
+        let ser = sweep_stream(&h, &c, &StreamSweepConfig { threads: 1, ..Default::default() });
+        assert_eq!(par, ser.stats);
     }
 
+    /// The engine in its default shape (auto threads and shards, as
+    /// `run_all` runs it) against the rebuild oracle under every
+    /// match-option case.
     #[test]
     fn compiled_sweep_matches_rebuild_exactly() {
         let (h, c) = fixture();
+        let corpus = c.materialize();
         for opts in [
             MatchOpts::default(),
             MatchOpts { include_private: false, implicit_wildcard: true },
             MatchOpts { include_private: true, implicit_wildcard: false },
         ] {
-            let config = SweepConfig { opts, ..Default::default() };
-            let compiled = sweep(&h, &c, &config);
-            let rebuilt = sweep_rebuild(&h, &c, &config);
-            assert_eq!(compiled.len(), rebuilt.len());
-            for (a, b) in compiled.iter().zip(&rebuilt) {
+            let engine = sweep_stream(&h, &c, &StreamSweepConfig { opts, ..Default::default() });
+            let rebuilt = sweep_rebuild(&h, &corpus, opts);
+            assert_eq!(engine.stats.len(), rebuilt.len());
+            for (a, b) in engine.stats.iter().zip(&rebuilt) {
                 assert_eq!(a, b, "diverged at {}", a.date);
             }
         }
@@ -364,18 +208,19 @@ mod tests {
     #[test]
     fn single_list_stats_agree_with_sweep_endpoints() {
         let (h, c) = fixture();
-        let stats = sweep(&h, &c, &SweepConfig::default());
+        let stats = sweep(&h, &c);
+        let corpus = c.materialize();
         let latest = h.latest_snapshot();
         let first = h.snapshot_at(h.first_version());
         let opts = MatchOpts::default();
-        let s_first = stats_for_single_list(&c, &first, &latest, opts);
+        let s_first = stats_for_single_list(&corpus, &first, &latest, opts);
         assert_eq!(s_first.sites, stats.first().unwrap().sites);
         assert_eq!(s_first.third_party_requests, stats.first().unwrap().third_party_requests);
         assert_eq!(
             s_first.hosts_in_different_site_vs_latest,
             stats.first().unwrap().hosts_in_different_site_vs_latest
         );
-        let s_last = stats_for_single_list(&c, &latest, &latest, opts);
+        let s_last = stats_for_single_list(&corpus, &latest, &latest, opts);
         assert_eq!(s_last.hosts_in_different_site_vs_latest, 0);
     }
 }

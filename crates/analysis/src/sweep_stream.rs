@@ -1,52 +1,39 @@
-//! The streaming paper-scale sweep: sharded generation, mergeable
-//! accumulators, bounded memory.
+//! The Figures 5–7 sweep: one version walk plus one streamed pass over
+//! the requests.
 //!
-//! The materialized sweep ([`crate::sweep::sweep`]) holds the whole
-//! request list in memory, which caps it three orders of magnitude short
-//! of the paper's 498M-request HTTP Archive snapshot. This pipeline
-//! never materializes the corpus:
+//! 1. **Walk.** [`walk`] gives every host's disposition timeline across
+//!    all versions in O(hosts + changes); [`site_ids`] turns it into site
+//!    timelines whose ids hold across versions (equal ids iff equal site
+//!    strings).
+//! 2. **Sites and moved hosts.** Per-version site counts come from one
+//!    reference count per site id, moved along each host's site changes in
+//!    version order (Figure 5); hosts whose site differs from the latest
+//!    are a difference array over their timelines (Figure 7).
+//! 3. **One pass over the stream.** A [`StreamCorpus`] yields each shard's
+//!    `(page, request)` pairs on demand, so the corpus is never
+//!    materialized. Workers drain shards off an atomic counter; for each
+//!    request they merge the two hosts' site timelines and add the version
+//!    intervals where the sites differ to a per-version difference array
+//!    (Figure 6). The arrays merge by addition, so the counts are exact
+//!    and identical for any thread or shard count.
 //!
-//! 1. **Sharded generation.** A [`StreamCorpus`] yields each shard's
-//!    `(page, request)` pairs on demand from per-page derived RNG seeds,
-//!    so shard `s` of `K` produces the same pairs no matter how many
-//!    shards exist or which worker runs it.
-//! 2. **Mergeable accumulators.** Each `(shard, version)` pair owns a
-//!    [`ShardAccumulator`]: a site set (exact id set or HyperLogLog
-//!    sketch), a third-party request count, a moved-host count, and a
-//!    request count. [`ShardAccumulator::merge`] is associative,
-//!    commutative, and — in exact mode — provably equal to the
-//!    single-pass counters (the tests pin K-shard output byte-identical
-//!    to the legacy sweep for several K).
-//! 3. **Version-blocked pipeline.** Versions are processed in blocks
-//!    sized so the per-block `site_id`/`len` arrays fit a fixed memory
-//!    budget; within a block a scoped-thread worker pool drains shards
-//!    from an atomic counter and merges into the master accumulators.
-//!    Peak RSS is `O(hosts × block + shards × sites)` — independent of
-//!    the request count, which only affects how long the stream runs.
-//!
-//! Site identity without strings: under any version, a host's site is a
-//! *suffix of itself*, so the site string is fully determined by the
-//! host's reversed interned-label ids and the site length. The prefix
-//! `ids[..len]` is therefore a perfect site key (the shared interner is
-//! injective), and dense per-version site ids come from one hash of that
-//! borrowed slice — no allocation per host.
+//! Memory is O(hosts + changes + threads × versions), independent of the
+//! request count, which only sets how long the pass runs.
 
-use crate::sweep::{resolved_threads, site_suffix_lens_ids, VersionStats};
+use crate::sweep::{resolved_threads, VersionStats};
+use crate::walker::{add_interval, prefix_sums, site_ids, walk, Timelines};
 use psl_core::MatchOpts;
 use psl_history::History;
 use psl_stats::HyperLogLog;
 use psl_webcorpus::{Request, StreamCorpus};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 
-/// How distinct sites are counted per `(shard, version)`.
+/// How a [`SiteSet`] counts distinct ids.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SiteCounter {
-    /// Exact: a hash set of dense site ids. Memory grows with the number
-    /// of distinct sites (not requests); the right mode for laptop-scale
-    /// host populations and the reference the sketch is validated
-    /// against.
+    /// Exact: a hash set of dense ids. Memory grows with the number of
+    /// distinct ids.
     Exact,
     /// Approximate: a HyperLogLog sketch with `2^precision` registers
     /// (fixed memory; standard error `1.04 / sqrt(2^precision)`).
@@ -57,14 +44,13 @@ pub enum SiteCounter {
 }
 
 impl SiteCounter {
-    /// The default sketch mode: 0.81% standard error, 16 KiB per
-    /// accumulator.
+    /// The default sketch mode: 0.81% standard error, 16 KiB per set.
     pub const DEFAULT_SKETCH: SiteCounter =
         SiteCounter::Sketch { precision: HyperLogLog::DEFAULT_PRECISION };
 }
 
 /// Configuration for [`sweep_stream`].
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct StreamSweepConfig {
     /// Matching options (browsers: defaults).
     pub opts: MatchOpts,
@@ -73,34 +59,14 @@ pub struct StreamSweepConfig {
     /// Shard count (0 = auto: 4 × threads, so the atomic work queue
     /// load-balances uneven shards).
     pub shards: usize,
-    /// Site counting mode.
-    pub counter: SiteCounter,
-    /// Memory budget in bytes for the per-block `len`/`site_id` arrays
-    /// (0 = 256 MiB). Determines how many versions are in flight at
-    /// once; the request stream is replayed once per block.
-    pub block_bytes: usize,
 }
 
-impl Default for StreamSweepConfig {
-    fn default() -> Self {
-        StreamSweepConfig {
-            opts: MatchOpts::default(),
-            threads: 0,
-            shards: 0,
-            counter: SiteCounter::Exact,
-            block_bytes: 0,
-        }
-    }
-}
-
-const DEFAULT_BLOCK_BYTES: usize = 256 << 20;
-
-/// A per-`(shard, version)` set of distinct sites.
+/// A mergeable set of distinct dense ids (the fleet's victim sets).
 #[derive(Debug, Clone, PartialEq)]
 pub enum SiteSet {
-    /// Exact dense-site-id set.
+    /// Exact dense-id set.
     Exact(HashSet<u32>),
-    /// HyperLogLog sketch over mixed site ids.
+    /// HyperLogLog sketch over mixed ids.
     Sketch(HyperLogLog),
 }
 
@@ -113,10 +79,9 @@ impl SiteSet {
         }
     }
 
-    /// Observe a dense site id. Dense ids are assigned globally per
-    /// version (in host order), so the same site hashes identically in
-    /// every shard — the property that makes register-max merging count
-    /// the union.
+    /// Observe a dense id. Ids must be assigned globally (not per shard),
+    /// so the same element hashes identically in every shard — the
+    /// property that makes register-max merging count the union.
     pub fn insert(&mut self, site_id: u32) {
         match self {
             SiteSet::Exact(set) => {
@@ -126,7 +91,7 @@ impl SiteSet {
         }
     }
 
-    /// Number of distinct sites observed (exact or estimated).
+    /// Number of distinct ids observed (exact or estimated).
     pub fn count(&self) -> usize {
         match self {
             SiteSet::Exact(set) => set.len(),
@@ -149,8 +114,10 @@ impl SiteSet {
     }
 }
 
-/// Mergeable per-`(shard, version)` counter state for the Figs. 5–7
-/// metrics.
+/// Mergeable per-shard counters for one version's Figs. 5–7 metrics.
+/// Its one caller is the benchmark's merge probe (`perfbench`), which
+/// times [`ShardAccumulator::merge`]; [`sweep_stream`] counts with
+/// difference arrays instead.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardAccumulator {
     /// Distinct sites among this shard's hosts (Figure 5).
@@ -158,11 +125,10 @@ pub struct ShardAccumulator {
     /// Requests in this shard whose page and resource fall in different
     /// sites (Figure 6).
     pub third_party_requests: u64,
-    /// This shard's hosts whose site length differs from the latest
-    /// version's (Figure 7).
+    /// This shard's hosts whose site differs from the latest version's
+    /// (Figure 7).
     pub hosts_moved: u64,
-    /// Requests this shard streamed (version-independent; summing over
-    /// shards recovers the corpus size without materializing it).
+    /// Requests this shard streamed.
     pub requests: u64,
 }
 
@@ -178,8 +144,7 @@ impl ShardAccumulator {
     }
 
     /// Merge another shard's state into this one. Associative and
-    /// commutative (set union / register max / addition), so shards can
-    /// finish — and merge — in any order.
+    /// commutative (set union / register max / addition).
     pub fn merge(&mut self, other: &ShardAccumulator) {
         self.sites.merge(&other.sites);
         self.third_party_requests += other.third_party_requests;
@@ -191,7 +156,7 @@ impl ShardAccumulator {
 /// Everything [`sweep_stream`] learned, plus the shape of the run.
 #[derive(Debug, Clone)]
 pub struct StreamSweepOutcome {
-    /// Per-version stats, same shape as [`crate::sweep::sweep`].
+    /// Per-version stats, one row per history version.
     pub stats: Vec<VersionStats>,
     /// Total requests streamed (counted, not materialized).
     pub total_requests: u64,
@@ -199,163 +164,198 @@ pub struct StreamSweepOutcome {
     pub threads: usize,
     /// Shards actually used.
     pub shards: usize,
-    /// Number of version blocks the memory budget induced.
+    /// Passes over the request stream: always 1.
     pub version_blocks: usize,
 }
 
-/// Run the streaming sweep over every version of the history.
-///
-/// Equivalent to `sweep(history, &stream.materialize(), …)` in exact
-/// mode — byte-identical [`VersionStats`] for any shard count, thread
-/// count, or block size (property-tested below) — without ever holding
-/// the request list in memory.
+/// Run the sweep over every version of the history, streaming the corpus
+/// once. The stats equal [`crate::sweep::sweep_rebuild`] over
+/// `stream.materialize()` for any thread and shard count (tested below).
 pub fn sweep_stream(
     history: &History,
     stream: &StreamCorpus,
     config: &StreamSweepConfig,
 ) -> StreamSweepOutcome {
-    let opts = config.opts;
-    let mut compiled = history.compiled_versions();
-    // Intern the host population once; labels absent from all rules get
-    // fresh ids that match no arena edge, exactly like the string path.
-    let host_ids: Vec<Box<[u32]>> =
-        stream.hosts().iter().map(|h| compiled.intern_reversed(&h.labels_reversed())).collect();
-    let versions = compiled.versions();
-    let n_hosts = host_ids.len();
+    let hosts = stream.hosts();
+    let versions = history.version_count();
+    let walked = walk(history, hosts, config.opts);
+    let (sites, site_count) = site_ids(&walked, hosts);
 
-    let latest_frozen = &versions.last().expect("history non-empty").1;
-    let latest_lens = site_suffix_lens_ids(latest_frozen, &host_ids, opts);
+    let site_counts = count_sites(&sites, site_count, versions);
+    let moved = sites.tally(versions, |h, site| u64::from(site != sites.latest(h)));
 
     let threads = resolved_threads(config.threads, usize::MAX);
     let shards = if config.shards == 0 { (threads * 4).max(1) } else { config.shards };
-    // Versions per block: the lens + site_id arrays cost 8 bytes per
-    // (version, host); fit them in the budget.
-    let budget = if config.block_bytes == 0 { DEFAULT_BLOCK_BYTES } else { config.block_bytes };
-    let block = (budget / (8 * n_hosts.max(1))).clamp(1, versions.len().max(1));
+    let (third_party, total_requests) = third_party_pass(&sites, stream, versions, threads, shards);
 
-    let mut stats: Vec<VersionStats> = Vec::with_capacity(versions.len());
-    let mut total_requests: u64 = 0;
-    let mut version_blocks = 0usize;
-
-    for chunk in versions.chunks(block) {
-        version_blocks += 1;
-
-        // ---- Per-version site lengths and dense site ids (parallel). ----
-        let mut per_version: Vec<Option<(Vec<u32>, Vec<u32>)>> = vec![None; chunk.len()];
-        let vchunk = chunk.len().div_ceil(threads.min(chunk.len()).max(1));
-        crossbeam::thread::scope(|scope| {
-            for (slots, vers) in per_version.chunks_mut(vchunk).zip(chunk.chunks(vchunk)) {
-                let host_ids = &host_ids;
-                scope.spawn(move |_| {
-                    for (slot, (_, frozen)) in slots.iter_mut().zip(vers) {
-                        let lens = site_suffix_lens_ids(frozen, host_ids, opts);
-                        *slot = Some((dense_site_ids(host_ids, &lens), lens));
-                    }
-                });
-            }
+    let stats = history
+        .versions()
+        .iter()
+        .enumerate()
+        .map(|(v, &date)| VersionStats {
+            date,
+            rule_count: walked.rule_counts[v],
+            sites: site_counts[v],
+            third_party_requests: third_party[v],
+            hosts_in_different_site_vs_latest: moved[v] as usize,
         })
-        .expect("site-id worker panicked");
-        let per_version: Vec<(Vec<u32>, Vec<u32>)> =
-            per_version.into_iter().map(|s| s.expect("every version computed")).collect();
+        .collect();
+    StreamSweepOutcome { stats, total_requests, threads, shards, version_blocks: 1 }
+}
 
-        // ---- Shard pass: workers drain shards from an atomic queue. ------
-        let master: Mutex<Vec<ShardAccumulator>> =
-            Mutex::new(chunk.iter().map(|_| ShardAccumulator::new(config.counter)).collect());
-        let next_shard = AtomicU64::new(0);
-        crossbeam::thread::scope(|scope| {
-            for _ in 0..threads {
-                let per_version = &per_version;
-                let latest_lens = &latest_lens;
-                let master = &master;
+/// Distinct sites at each version: one reference count per site id,
+/// moved along each host's site changes in version order.
+fn count_sites(sites: &Timelines<u32>, site_count: usize, versions: usize) -> Vec<usize> {
+    let mut refs = vec![0u32; site_count];
+    let mut live = 0usize;
+    let mut moves: Vec<(u32, u32, u32)> = Vec::new();
+    for h in 0..sites.names() {
+        let steps = sites.steps(h);
+        let first = steps[0].1 as usize;
+        refs[first] += 1;
+        live += usize::from(refs[first] == 1);
+        moves.extend(steps.windows(2).map(|w| (w[1].0, w[0].1, w[1].1)));
+    }
+    moves.sort_unstable_by_key(|m| m.0);
+    let mut moves = moves.into_iter().peekable();
+    (0..versions as u32)
+        .map(|v| {
+            while let Some((_, from, to)) = moves.next_if(|m| m.0 == v) {
+                refs[from as usize] -= 1;
+                live -= usize::from(refs[from as usize] == 0);
+                refs[to as usize] += 1;
+                live += usize::from(refs[to as usize] == 1);
+            }
+            live
+        })
+        .collect()
+}
+
+/// Third-party requests at each version and the request total, from one
+/// sharded pass over the stream.
+fn third_party_pass(
+    sites: &Timelines<u32>,
+    stream: &StreamCorpus,
+    versions: usize,
+    threads: usize,
+    shards: usize,
+) -> (Vec<u64>, u64) {
+    let next_shard = AtomicU64::new(0);
+    let parts: Vec<(Vec<u64>, u64)> = crossbeam::thread::scope(|scope| {
+        let workers: Vec<_> = (0..threads)
+            .map(|_| {
                 let next_shard = &next_shard;
                 scope.spawn(move |_| {
+                    let mut diff = vec![0u64; versions + 1];
+                    let mut requests = 0u64;
                     let mut buf: Vec<Request> = Vec::new();
                     loop {
                         let s = next_shard.fetch_add(1, Ordering::Relaxed);
                         if s >= shards as u64 {
                             break;
                         }
-                        let mut accs: Vec<ShardAccumulator> = per_version
-                            .iter()
-                            .map(|_| ShardAccumulator::new(config.counter))
-                            .collect();
-                        // Host slice: site membership + moved-vs-latest.
-                        for h in (s as usize..n_hosts).step_by(shards) {
-                            for (acc, (site_ids, lens)) in accs.iter_mut().zip(per_version) {
-                                acc.sites.insert(site_ids[h]);
-                                if lens[h] != latest_lens[h] {
-                                    acc.hosts_moved += 1;
-                                }
-                            }
-                        }
-                        // Page slice: stream this shard's requests once,
-                        // classifying against every version in the block.
                         for page in stream.shard_pages(s, shards as u64) {
                             stream.page_requests(page, &mut buf);
+                            requests += buf.len() as u64;
                             for r in &buf {
-                                let (p, q) = (r.page as usize, r.request as usize);
-                                for (acc, (site_ids, _)) in accs.iter_mut().zip(per_version) {
-                                    if site_ids[p] != site_ids[q] {
-                                        acc.third_party_requests += 1;
-                                    }
-                                }
+                                let page = sites.steps(r.page as usize);
+                                let target = sites.steps(r.request as usize);
+                                add_cross_site(&mut diff, page, target, versions);
                             }
-                            let n = buf.len() as u64;
-                            for acc in &mut accs {
-                                acc.requests += n;
-                            }
-                        }
-                        let mut m = master.lock().expect("master accumulators poisoned");
-                        for (mv, a) in m.iter_mut().zip(&accs) {
-                            mv.merge(a);
                         }
                     }
-                });
-            }
-        })
-        .expect("shard worker panicked");
+                    (diff, requests)
+                })
+            })
+            .collect();
+        workers.into_iter().map(|w| w.join().expect("sweep worker panicked")).collect()
+    })
+    .expect("sweep worker panicked");
 
-        // ---- Package this block. -----------------------------------------
-        let master = master.into_inner().expect("master accumulators poisoned");
-        if version_blocks == 1 {
-            total_requests = master.first().map(|m| m.requests).unwrap_or(0);
+    let mut diff = vec![0u64; versions + 1];
+    let mut total = 0u64;
+    for (part, requests) in parts {
+        for (d, p) in diff.iter_mut().zip(part) {
+            *d = d.wrapping_add(p);
         }
-        for ((vdate, frozen), acc) in chunk.iter().zip(&master) {
-            stats.push(VersionStats {
-                date: *vdate,
-                rule_count: frozen.len(),
-                sites: acc.sites.count(),
-                third_party_requests: acc.third_party_requests,
-                hosts_in_different_site_vs_latest: acc.hosts_moved as usize,
-            });
-        }
+        total += requests;
     }
-
-    StreamSweepOutcome { stats, total_requests, threads, shards, version_blocks }
+    (prefix_sums(&diff), total)
 }
 
-/// Dense site ids for the host population under one version: hosts share
-/// an id iff their site strings are equal. Keys are borrowed id-slice
-/// prefixes (`ids[..len]`); assignment order is host order, so the ids
-/// are deterministic and shard-independent.
-pub(crate) fn dense_site_ids(host_ids: &[Box<[u32]>], lens: &[u32]) -> Vec<u32> {
-    let mut interner: HashMap<&[u32], u32> = HashMap::with_capacity(host_ids.len());
-    let mut out = Vec::with_capacity(host_ids.len());
-    for (ids, &len) in host_ids.iter().zip(lens) {
-        let key = &ids[..(len as usize).min(ids.len())];
-        let next = interner.len() as u32;
-        out.push(*interner.entry(key).or_insert(next));
+/// Add the versions at which two hosts with site timelines `a` and `b`
+/// are in different sites to a difference array.
+fn add_cross_site(diff: &mut [u64], a: &[(u32, u32)], b: &[(u32, u32)], versions: usize) {
+    let (mut i, mut j, mut from) = (0, 0, 0);
+    loop {
+        let end_a = a.get(i + 1).map_or(versions, |s| s.0 as usize);
+        let end_b = b.get(j + 1).map_or(versions, |s| s.0 as usize);
+        let to = end_a.min(end_b);
+        if a[i].1 != b[j].1 {
+            add_interval(diff, from, to, 1);
+        }
+        if to == versions {
+            return;
+        }
+        from = to;
+        i += usize::from(end_a == to);
+        j += usize::from(end_b == to);
     }
-    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sweep::{sweep, SweepConfig};
+    use crate::figs567;
+    use crate::sweep::sweep_rebuild;
     use proptest::prelude::*;
     use psl_history::{generate, GeneratorConfig};
     use psl_webcorpus::{build_stream, CorpusConfig};
+
+    /// The engine's table-driven differential test: the streamed engine in
+    /// every thread × shard shape under every match-option case, on two
+    /// worlds, against the rebuild oracle over the materialized corpus —
+    /// the stats exactly, and the packaged Figures 5–7 rows byte for byte.
+    #[test]
+    fn streamed_rows_are_byte_identical_to_materialized_rows() {
+        for (history_seed, corpus_seed) in [(101, 13), (601, 101)] {
+            let h = generate(&GeneratorConfig::small(history_seed));
+            let sc = build_stream(&h, &CorpusConfig::small(corpus_seed));
+            let corpus = sc.materialize();
+            for opts in [
+                MatchOpts::default(),
+                MatchOpts { include_private: false, implicit_wildcard: true },
+                MatchOpts { include_private: true, implicit_wildcard: false },
+            ] {
+                let oracle = sweep_rebuild(&h, &corpus, opts);
+                let rows = serde_json::to_string(&figs567::package(
+                    &oracle,
+                    corpus.host_count(),
+                    corpus.request_count(),
+                ))
+                .unwrap();
+                for threads in [1usize, 4, 8] {
+                    for shards in [1usize, 4, 13] {
+                        let shape = format!("seed {history_seed} {opts:?} {threads}x{shards}");
+                        let out =
+                            sweep_stream(&h, &sc, &StreamSweepConfig { opts, threads, shards });
+                        assert_eq!(out.stats, oracle, "{shape}");
+                        assert_eq!(out.total_requests, corpus.request_count() as u64, "{shape}");
+                        assert_eq!(
+                            (out.threads, out.shards, out.version_blocks),
+                            (threads, shards, 1)
+                        );
+                        let streamed = figs567::package(
+                            &out.stats,
+                            sc.host_count(),
+                            out.total_requests as usize,
+                        );
+                        assert_eq!(serde_json::to_string(&streamed).unwrap(), rows, "{shape}");
+                    }
+                }
+            }
+        }
+    }
 
     fn fixture() -> (History, StreamCorpus) {
         let h = generate(&GeneratorConfig::small(101));
@@ -363,12 +363,15 @@ mod tests {
         (h, sc)
     }
 
+    /// Counts are always exact, for shard counts beyond the table's too —
+    /// uneven splits and many more shards than the auto default — against
+    /// the rebuild oracle (the per-version legacy sweep).
     #[test]
     fn exact_mode_matches_legacy_sweep_for_any_shard_count() {
         let (h, sc) = fixture();
         let corpus = sc.materialize();
-        let legacy = sweep(&h, &corpus, &SweepConfig::default());
-        for shards in [1usize, 2, 3, 7] {
+        let legacy = sweep_rebuild(&h, &corpus, MatchOpts::default());
+        for shards in [1usize, 2, 3, 7, 64] {
             let out = sweep_stream(&h, &sc, &StreamSweepConfig { shards, ..Default::default() });
             assert_eq!(out.stats, legacy, "shards={shards}");
             assert_eq!(out.total_requests, corpus.request_count() as u64, "shards={shards}");
@@ -376,18 +379,9 @@ mod tests {
         }
     }
 
-    #[test]
-    fn streamed_rows_are_byte_identical_to_materialized_rows() {
-        let (h, sc) = fixture();
-        let corpus = sc.materialize();
-        let materialized = crate::figs567::run(&h, &corpus, &SweepConfig::default());
-        let streamed = crate::figs567::run_streaming(&h, &sc, &StreamSweepConfig::default());
-        assert_eq!(
-            serde_json::to_string(&streamed).unwrap(),
-            serde_json::to_string(&materialized).unwrap(),
-        );
-    }
-
+    /// One thread draining an odd shard count gives the default shape's
+    /// numbers, and no shape splits the versions into blocks: every run
+    /// reads the stream once.
     #[test]
     fn single_thread_and_block_splits_change_nothing() {
         let (h, sc) = fixture();
@@ -398,35 +392,8 @@ mod tests {
             &StreamSweepConfig { threads: 1, shards: 5, ..Default::default() },
         );
         assert_eq!(one_thread.stats, reference.stats);
-        // A 1-byte budget forces one version per block: every version
-        // replays the stream alone, exercising the block boundary logic.
-        let tiny_blocks =
-            sweep_stream(&h, &sc, &StreamSweepConfig { block_bytes: 1, ..Default::default() });
-        assert_eq!(tiny_blocks.stats, reference.stats);
-        assert_eq!(tiny_blocks.version_blocks, h.version_count());
-        assert_eq!(reference.total_requests, tiny_blocks.total_requests);
-    }
-
-    #[test]
-    fn sketch_mode_stays_within_error_bound_and_touches_nothing_else() {
-        let (h, sc) = fixture();
-        let exact = sweep_stream(&h, &sc, &StreamSweepConfig::default());
-        let sketch = sweep_stream(
-            &h,
-            &sc,
-            &StreamSweepConfig { counter: SiteCounter::DEFAULT_SKETCH, ..Default::default() },
-        );
-        assert_eq!(exact.stats.len(), sketch.stats.len());
-        for (e, s) in exact.stats.iter().zip(&sketch.stats) {
-            // Only the site cardinality is estimated; every other column
-            // is computed exactly in both modes.
-            assert_eq!(e.date, s.date);
-            assert_eq!(e.rule_count, s.rule_count);
-            assert_eq!(e.third_party_requests, s.third_party_requests);
-            assert_eq!(e.hosts_in_different_site_vs_latest, s.hosts_in_different_site_vs_latest);
-            let err = (s.sites as f64 - e.sites as f64).abs() / e.sites.max(1) as f64;
-            assert!(err <= 0.01, "{}: exact {} sketch {} err {err:.4}", e.date, e.sites, s.sites);
-        }
+        assert_eq!(one_thread.total_requests, reference.total_requests);
+        assert_eq!((reference.version_blocks, one_thread.version_blocks), (1, 1));
     }
 
     /// Build an accumulator from scripted observations.

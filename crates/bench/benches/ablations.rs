@@ -2,12 +2,11 @@
 //!
 //! - trie vs. linear rule matching (why the reversed-label trie exists);
 //! - exact-fingerprint vs. subset-scan dating (why the index keeps both);
-//! - sweep parallelism (why versions are swept with scoped threads);
+//! - sweep parallelism (the request pass drains shards on scoped threads);
 //! - corpus scale (how the per-version cost grows with hostnames).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use psl_analysis::sweep::{sweep, sweep_rebuild, SweepConfig};
-use psl_analysis::sweep_incremental::sweep_incremental;
+use psl_analysis::{sweep_rebuild, sweep_stream, StreamSweepConfig};
 use psl_bench::{scaled_corpus, world};
 use psl_core::trie::disposition_linear;
 use psl_core::MatchOpts;
@@ -66,8 +65,10 @@ fn ablation_sweep_threads(c: &mut Criterion) {
     g.sample_size(10);
     for threads in [1usize, 2, 4] {
         g.bench_with_input(BenchmarkId::from_parameter(threads), &threads, |b, &t| {
-            let config = SweepConfig { threads: t, ..Default::default() };
-            b.iter(|| std::hint::black_box(sweep(&w.history, &w.corpus, &config).len()))
+            let config = StreamSweepConfig { threads: t, ..Default::default() };
+            b.iter(|| {
+                std::hint::black_box(sweep_stream(&w.history, &w.stream, &config).stats.len())
+            })
         });
     }
     g.finish();
@@ -101,17 +102,13 @@ fn ablation_sweep_impl(c: &mut Criterion) {
     let w = world();
     let mut g = c.benchmark_group("ablation_sweep_impl");
     g.sample_size(10);
-    g.bench_function("naive_rebuild", |b| {
-        let config = SweepConfig { threads: 1, ..Default::default() };
-        b.iter(|| std::hint::black_box(sweep_rebuild(&w.history, &w.corpus, &config).len()))
+    g.bench_function("rebuild_oracle", |b| {
+        let opts = MatchOpts::default();
+        b.iter(|| std::hint::black_box(sweep_rebuild(&w.history, &w.corpus, opts).len()))
     });
-    g.bench_function("incremental", |b| {
-        let config = SweepConfig { threads: 1, ..Default::default() };
-        b.iter(|| std::hint::black_box(sweep_incremental(&w.history, &w.corpus, &config).len()))
-    });
-    g.bench_function("compiled", |b| {
-        let config = SweepConfig { threads: 1, ..Default::default() };
-        b.iter(|| std::hint::black_box(sweep(&w.history, &w.corpus, &config).len()))
+    g.bench_function("walk_engine", |b| {
+        let config = StreamSweepConfig { threads: 1, ..Default::default() };
+        b.iter(|| std::hint::black_box(sweep_stream(&w.history, &w.stream, &config).stats.len()))
     });
     g.finish();
 }

@@ -2,7 +2,7 @@
 //! derivation, and DMARC discovery.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use psl_analysis::sweep::{sweep, SweepConfig};
+use psl_analysis::{sweep_stream, StreamSweepConfig};
 use psl_bench::world;
 use psl_core::{DomainName, MatchOpts};
 use psl_dns::{discover, publish_list, site_of, ZoneStore};
@@ -41,7 +41,7 @@ fn bench_dbound(c: &mut Criterion) {
         })
     });
     g.bench_function("full_comparison", |b| {
-        let stats = sweep(&w.history, &w.corpus, &SweepConfig::default());
+        let stats = sweep_stream(&w.history, &w.stream, &StreamSweepConfig::default()).stats;
         b.iter(|| {
             let report =
                 psl_analysis::dbound_exp::run(&w.history, &w.corpus, &stats, MatchOpts::default());

@@ -2,7 +2,7 @@
 //! data series, timed.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use psl_analysis::{figs567, stats_for_single_list, sweep::SweepConfig};
+use psl_analysis::{figs567, stats_for_single_list, sweep_stream, StreamSweepConfig};
 use psl_bench::world;
 use psl_core::MatchOpts;
 use psl_history::{DatingIndex, GrowthSeries};
@@ -98,7 +98,9 @@ fn bench_figs567_full_sweep(c: &mut Criterion) {
     g.sample_size(10);
     g.bench_function("all_versions", |b| {
         b.iter(|| {
-            let report = figs567::run(&w.history, &w.corpus, &SweepConfig::default());
+            let out = sweep_stream(&w.history, &w.stream, &StreamSweepConfig::default());
+            let report =
+                figs567::package(&out.stats, w.stream.host_count(), out.total_requests as usize);
             std::hint::black_box(report.rows.len())
         })
     });

@@ -10,7 +10,7 @@
 
 use psl_history::{GeneratorConfig, History};
 use psl_repocorpus::{RepoCorpus, RepoGenConfig};
-use psl_webcorpus::{CorpusConfig, WebCorpus};
+use psl_webcorpus::{CorpusConfig, StreamCorpus, WebCorpus};
 use std::sync::OnceLock;
 
 /// The benchmark world: a small-scale history, web corpus, and repo
@@ -18,7 +18,9 @@ use std::sync::OnceLock;
 pub struct World {
     /// Versioned list history.
     pub history: History,
-    /// Web request corpus.
+    /// Web request corpus as a stream (what the sweep reads).
+    pub stream: StreamCorpus,
+    /// The same corpus materialized.
     pub corpus: WebCorpus,
     /// Repository corpus.
     pub repos: RepoCorpus,
@@ -29,12 +31,13 @@ pub fn world() -> &'static World {
     static CELL: OnceLock<World> = OnceLock::new();
     CELL.get_or_init(|| {
         let history = psl_history::generate(&GeneratorConfig::small(0xBEEF));
-        let corpus = psl_webcorpus::generate_corpus(&history, &CorpusConfig::small(0xF00D));
+        let stream = psl_webcorpus::build_stream(&history, &CorpusConfig::small(0xF00D));
+        let corpus = stream.materialize();
         let repos = psl_repocorpus::generate_repos(
             &history,
             &RepoGenConfig { seed: 0xCAFE, ..Default::default() },
         );
-        World { history, corpus, repos }
+        World { history, stream, corpus, repos }
     })
 }
 

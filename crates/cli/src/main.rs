@@ -11,7 +11,7 @@
 //! pslharm query   [--addr A] CMD [ARGS...]                   one protocol command
 //! pslharm loadgen [--addr A] [--requests N] [--check]        replay load, report throughput
 //! pslharm bench   [--seed N] [--json PATH]                   quick perf report + agreement gate
-//! pslharm sweep   [--requests N] [--shards auto] [--sketch]  streaming Figs 5-7 at paper scale
+//! pslharm sweep   [--requests N] [--shards auto]            streaming Figs 5-7 at paper scale
 //! pslharm fleet   [--sessions N] [--shards auto] [--sketch]  executed per-version-age harms
 //! ```
 //!
@@ -75,7 +75,7 @@ const USAGE: &str = "usage: pslharm <all|fig2..fig7|table1..table3|cookieharm|db
        pslharm loadgen [--addr HOST:PORT] [--requests N] [--connections N] [--batch N] [--check | --pipeline [--window N]]
        pslharm fuzz <hostname|dat|cookie|service|snapshot|all> [--seed N] [--iters N] [--time-budget SECS] [--write-corpus]
        pslharm bench [--seed N] [--threads N] [--requests N] [--scale-max E] [--json PATH]
-       pslharm sweep [--seed N] [--requests N] [--shards N|auto] [--threads N] [--sketch] [--json PATH]
+       pslharm sweep [--seed N] [--requests N] [--shards N|auto] [--threads N] [--json PATH]
        pslharm compile [LIST.dat] --out PATH [--embedded | --history [--checkpoint-every N]] [--seed N]
        pslharm inspect PATH";
 
@@ -276,6 +276,7 @@ fn config_for(flags: &Flags) -> PipelineConfig {
         PipelineConfig::small(flags.seed)
     };
     config.sweep.threads = flags.threads;
+    config.sweep.shards = flags.shards;
     config
 }
 
@@ -768,16 +769,17 @@ struct ColdstartBench {
     peak_rss_bytes: Option<u64>,
 }
 
-/// Full-history sweep wall clock: per-version rebuild vs. compiled arenas.
+/// Full-history sweep wall clock: the per-version rebuild oracle vs. the
+/// engine.
 #[derive(serde::Serialize)]
 struct SweepBench {
     versions: usize,
     hosts: usize,
-    /// Worker threads actually used (the configured `0` placeholder is
+    /// The engine's worker threads (the configured `0` placeholder is
     /// resolved to the machine's parallelism before recording).
     threads: usize,
     rebuild_ms: f64,
-    compiled_ms: f64,
+    engine_ms: f64,
     speedup: f64,
     peak_rss_bytes: Option<u64>,
 }
@@ -792,9 +794,7 @@ struct SweepScaleBench {
     points: Vec<SweepScalePoint>,
 }
 
-/// One point on the streaming-sweep scale curve. Each point runs the
-/// sweep twice — exact site sets and HyperLogLog sketches — and records
-/// the worst per-version cardinality error between them (gated at 1%).
+/// One point on the streaming-sweep scale curve.
 #[derive(serde::Serialize)]
 struct SweepScalePoint {
     requests_target: u64,
@@ -802,13 +802,10 @@ struct SweepScalePoint {
     versions: usize,
     threads: usize,
     shards: usize,
-    version_blocks: usize,
     wall_seconds: f64,
     requests_per_s: f64,
     peak_rss_bytes: Option<u64>,
-    sites_latest_exact: usize,
-    sites_latest_sketch: usize,
-    sketch_max_rel_error: f64,
+    sites_latest: usize,
 }
 
 /// Fleet scale curve: 10^4 → 10^`max_exponent` sessions executed against
@@ -917,7 +914,8 @@ fn cmd_bench(args: &[String]) -> Result<(), String> {
     let config = config_for(&flags);
     eprintln!("generating history + corpus (seed {}) ...", flags.seed);
     let history = psl_history::generate(&config.history);
-    let corpus = psl_webcorpus::generate_corpus(&history, &config.corpus);
+    let stream = psl_webcorpus::build_stream(&history, &config.corpus);
+    let corpus = stream.materialize();
     let latest = history.latest_snapshot();
 
     // 1. Engine micro-bench: the same 1,000-host batch through the three
@@ -1033,30 +1031,31 @@ fn cmd_bench(args: &[String]) -> Result<(), String> {
         agreement.shipped_vectors, agreement.sweep_comparisons, agreement.divergences
     );
 
-    // 4. Full-history sweep wall clock: snapshot-rebuild ablation vs. the
-    //    compiled production path, same thread budget.
+    // 4. Full-history sweep wall clock: the snapshot-rebuild oracle vs.
+    //    the engine (version walk + one streamed pass). Any difference in
+    //    the per-version stats fails the bench.
     psl_stats::reset_peak_rss();
     let t = std::time::Instant::now();
-    let rebuild = psl_analysis::sweep_rebuild(&history, &corpus, &config.sweep);
+    let rebuild = psl_analysis::sweep_rebuild(&history, &corpus, config.sweep.opts);
     let rebuild_ms = t.elapsed().as_secs_f64() * 1e3;
     let t = std::time::Instant::now();
-    let compiled = psl_analysis::sweep(&history, &corpus, &config.sweep);
-    let compiled_ms = t.elapsed().as_secs_f64() * 1e3;
-    if rebuild != compiled {
-        return Err("bench: compiled sweep disagrees with rebuild sweep".into());
+    let walked = psl_analysis::sweep_stream(&history, &stream, &config.sweep);
+    let engine_ms = t.elapsed().as_secs_f64() * 1e3;
+    if rebuild != walked.stats {
+        return Err("bench: the sweep engine disagrees with the rebuild oracle".into());
     }
     let sweep = SweepBench {
-        versions: compiled.len(),
+        versions: walked.stats.len(),
         hosts: corpus.host_count(),
-        threads: psl_analysis::resolved_threads(config.sweep.threads, compiled.len()),
+        threads: walked.threads,
         rebuild_ms,
-        compiled_ms,
-        speedup: rebuild_ms / compiled_ms.max(f64::EPSILON),
+        engine_ms,
+        speedup: rebuild_ms / engine_ms.max(f64::EPSILON),
         peak_rss_bytes: psl_stats::peak_rss_bytes(),
     };
     eprintln!(
-        "sweep: {} versions x {} hosts: rebuild {:.0} ms, compiled {:.0} ms ({:.2}x)",
-        sweep.versions, sweep.hosts, sweep.rebuild_ms, sweep.compiled_ms, sweep.speedup
+        "sweep: {} versions x {} hosts: rebuild {:.0} ms, engine {:.0} ms ({:.2}x)",
+        sweep.versions, sweep.hosts, sweep.rebuild_ms, sweep.engine_ms, sweep.speedup
     );
 
     // 5. Loopback server + load generator: end-to-end lookups/s over TCP.
@@ -1224,68 +1223,30 @@ fn cmd_bench(args: &[String]) -> Result<(), String> {
     };
 
     // 7. Streaming sweep scale curve: 10^5 → 10^scale_max requests through
-    //    every list version, exact and sketch site counting. The host
-    //    population is fixed by the corpus configuration, so peak RSS must
-    //    plateau as the request count grows — that flat line is the
-    //    "paper scale is a non-event" claim in one number.
+    //    every list version. The host population is fixed by the corpus
+    //    configuration, so peak RSS must plateau as the request count
+    //    grows — that flat line is the "paper scale is a non-event" claim
+    //    in one number.
     let sweep_scale = {
         let mut points = Vec::new();
         for exp in 5..=flags.scale_max {
             let target = 10u64.pow(exp);
             let corpus_cfg = config.corpus.clone().with_target_requests(target);
             let stream = psl_webcorpus::build_stream(&bench_history, &corpus_cfg);
-            let base = psl_analysis::StreamSweepConfig {
-                opts: config.sweep.opts,
-                threads: flags.threads,
-                ..Default::default()
-            };
             psl_stats::reset_peak_rss();
             let t = std::time::Instant::now();
-            let exact = psl_analysis::sweep_stream(&bench_history, &stream, &base);
+            let out = psl_analysis::sweep_stream(&bench_history, &stream, &config.sweep);
             let wall = t.elapsed().as_secs_f64();
-            let peak = psl_stats::peak_rss_bytes();
-            // Precision 16 (64 KiB/accumulator) rather than the default 14:
-            // the bench gates the sketch at 1% relative error *maximised
-            // over every version and scale point*, and p=14's 0.81%
-            // standard error leaves no margin for that max — a ~1.3σ tail
-            // draw fails the run. At this corpus's site counts p=16 is in
-            // the linear-counting regime with ~0.1% expected error.
-            let sketch = psl_analysis::sweep_stream(
-                &bench_history,
-                &stream,
-                &psl_analysis::StreamSweepConfig {
-                    counter: psl_analysis::SiteCounter::Sketch { precision: 16 },
-                    ..base
-                },
-            );
-            let mut max_err = 0f64;
-            for (e, s) in exact.stats.iter().zip(&sketch.stats) {
-                if e.third_party_requests != s.third_party_requests
-                    || e.hosts_in_different_site_vs_latest != s.hosts_in_different_site_vs_latest
-                {
-                    return Err("bench: sketch mode diverged on an exactly-counted column".into());
-                }
-                let err = (s.sites as f64 - e.sites as f64).abs() / e.sites.max(1) as f64;
-                max_err = max_err.max(err);
-            }
-            if max_err > 0.01 {
-                return Err(format!(
-                    "bench: sketch cardinality error {max_err:.4} exceeds the 1% bound"
-                ));
-            }
             let point = SweepScalePoint {
                 requests_target: target,
-                requests_streamed: exact.total_requests,
-                versions: exact.stats.len(),
-                threads: exact.threads,
-                shards: exact.shards,
-                version_blocks: exact.version_blocks,
+                requests_streamed: out.total_requests,
+                versions: out.stats.len(),
+                threads: out.threads,
+                shards: out.shards,
                 wall_seconds: wall,
-                requests_per_s: exact.total_requests as f64 / wall.max(f64::EPSILON),
-                peak_rss_bytes: peak,
-                sites_latest_exact: exact.stats.last().map_or(0, |s| s.sites),
-                sites_latest_sketch: sketch.stats.last().map_or(0, |s| s.sites),
-                sketch_max_rel_error: max_err,
+                requests_per_s: out.total_requests as f64 / wall.max(f64::EPSILON),
+                peak_rss_bytes: psl_stats::peak_rss_bytes(),
+                sites_latest: out.stats.last().map_or(0, |s| s.sites),
             };
             eprintln!(
                 "sweep_scale 10^{exp}: {} requests in {:.2} s ({:.2}M req/s, {} shards x {} \
@@ -1419,10 +1380,8 @@ struct SweepRunReport {
     seed: u64,
     requests_target: u64,
     requests_streamed: u64,
-    mode: &'static str,
     threads: usize,
     shards: usize,
-    version_blocks: usize,
     wall_seconds: f64,
     requests_per_s: f64,
     peak_rss_bytes: Option<u64>,
@@ -1438,6 +1397,9 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
     if !flags.extra.is_empty() {
         return Err(format!("sweep: unexpected arguments {:?}", flags.extra));
     }
+    if flags.sketch {
+        return Err("sweep: --sketch was removed; sweep counts are always exact".into());
+    }
     let config = config_for(&flags);
     eprintln!(
         "generating history + corpus population (seed {}, target {} requests) ...",
@@ -1446,17 +1408,6 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
     let history = psl_history::generate(&config.history);
     let corpus_cfg = config.corpus.clone().with_target_requests(flags.requests);
     let stream = psl_webcorpus::build_stream(&history, &corpus_cfg);
-    let sweep_cfg = psl_analysis::StreamSweepConfig {
-        opts: config.sweep.opts,
-        threads: flags.threads,
-        shards: flags.shards,
-        counter: if flags.sketch {
-            psl_analysis::SiteCounter::DEFAULT_SKETCH
-        } else {
-            psl_analysis::SiteCounter::Exact
-        },
-        ..Default::default()
-    };
     eprintln!(
         "sweeping {} versions x {} hosts, ~{} streamed requests ...",
         history.version_count(),
@@ -1465,10 +1416,10 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
     );
     psl_stats::reset_peak_rss();
     let t = std::time::Instant::now();
-    let out = psl_analysis::sweep_stream(&history, &stream, &sweep_cfg);
+    let out = psl_analysis::sweep_stream(&history, &stream, &config.sweep);
     let wall = t.elapsed().as_secs_f64();
     let peak = psl_stats::peak_rss_bytes();
-    let report = psl_analysis::figs567::package_totals(
+    let report = psl_analysis::figs567::package(
         &out.stats,
         stream.host_count(),
         out.total_requests as usize,
@@ -1502,24 +1453,20 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
         seed: flags.seed,
         requests_target: flags.requests,
         requests_streamed: out.total_requests,
-        mode: if flags.sketch { "sketch" } else { "exact" },
         threads: out.threads,
         shards: out.shards,
-        version_blocks: out.version_blocks,
         wall_seconds: wall,
         requests_per_s: out.total_requests as f64 / wall.max(f64::EPSILON),
         peak_rss_bytes: peak,
         report,
     };
     eprintln!(
-        "sweep: {} requests in {:.2} s ({:.2}M req/s) on {} shards x {} threads, {} version \
-         block(s){}",
+        "sweep: {} requests in {:.2} s ({:.2}M req/s) on {} shards x {} threads{}",
         run.requests_streamed,
         run.wall_seconds,
         run.requests_per_s / 1e6,
         run.shards,
         run.threads,
-        run.version_blocks,
         run.peak_rss_bytes.map(|b| format!(", peak rss {} MiB", b >> 20)).unwrap_or_default()
     );
     if let Some(path) = &flags.json {

@@ -7,14 +7,15 @@
 //! cargo run --example boundary_shift
 //! ```
 
-use psl_analysis::{stats_for_single_list, sweep, SweepConfig};
+use psl_analysis::{stats_for_single_list, sweep_stream, StreamSweepConfig};
 use psl_core::MatchOpts;
 use psl_history::{generate, GeneratorConfig};
-use psl_webcorpus::{generate_corpus, CorpusConfig};
+use psl_webcorpus::{build_stream, CorpusConfig};
 
 fn main() {
     let history = generate(&GeneratorConfig::small(11));
-    let corpus = generate_corpus(&history, &CorpusConfig::small(3));
+    let stream = build_stream(&history, &CorpusConfig::small(3));
+    let corpus = stream.materialize();
     println!(
         "history: {} versions ({} .. {}); corpus: {} unique hostnames, {} requests\n",
         history.version_count(),
@@ -24,8 +25,9 @@ fn main() {
         corpus.request_count(),
     );
 
-    // Full sweep (parallel), then print a sample of versions.
-    let stats = sweep(&history, &corpus, &SweepConfig::default());
+    // Full sweep (one version walk, one pass over the requests), then
+    // print a sample of versions.
+    let stats = sweep_stream(&history, &stream, &StreamSweepConfig::default()).stats;
     println!(
         "{:>12} {:>7} {:>8} {:>12} {:>12}",
         "version", "rules", "sites", "3rd-party", "moved-hosts"

@@ -110,3 +110,12 @@ fn all_with_json_export_writes_file() {
     assert!(value.get("table2").is_some());
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn sweep_refuses_the_removed_sketch_flag() {
+    let out =
+        pslharm().args(["sweep", "--requests", "1000", "--sketch"]).output().expect("binary runs");
+    assert!(!out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("--sketch") && stderr.contains("exact"), "stderr: {stderr}");
+}
