@@ -4,30 +4,41 @@
 //! The sweeps count how many hosts a stale list would misjudge; the fleet
 //! measures what those misjudgements *do* to simulated users. Each
 //! session (a deterministic script from
-//! [`psl_webcorpus::SessionStream`]) is replayed once per sampled
-//! version, simultaneously under that version `V` and the reference
-//! (latest) version `R`, by the allocation-free
+//! [`psl_webcorpus::SessionStream`]) is answered for every sampled
+//! version `V`, executed simultaneously under `V` and the reference
+//! (latest) version `R` by the allocation-free
 //! [`psl_browser::SessionEngine`]. Every divergence — a platform-wide
 //! supercookie accepted, a cookie attached cross-customer, a same-site
 //! judgement flipped, a credential offered to the wrong store, a storage
 //! partition merged — folds into a [`SessionHarm`] as it happens; no
 //! decision log is ever materialized.
 //!
-//! Scale comes from the same three ingredients as the streaming sweep:
+//! A fleet call does work in proportion to what list changes can affect:
 //!
 //! 1. **Precomputation.** Everything list-dependent is computed once per
-//!    `(host, sampled version)`: the dense site id (read off one
-//!    [`crate::walker::walk`] over all versions) and the parent-scope
-//!    cookie verdict ([`ListView`]). Session execution is then pure
-//!    integer compares.
-//! 2. **Sharded generation.** Shard `s` of `K` owns sessions `s, s+K, …`;
+//!    `(host, sampled version)` ([`ListView`]) from two
+//!    [`crate::walker::walk`]s over all versions: the dense site id from
+//!    the hosts' walk, and the parent-scope cookie verdict from a walk
+//!    over the hosts' distinct parent domains (a `Domain=parent` cookie is
+//!    refused exactly when the parent is a public suffix). Each host also
+//!    gets a bitmask of the sampled versions whose view differs from the
+//!    reference's at that host. Session execution is then pure integer
+//!    compares.
+//! 2. **Reference reuse.** Each session replays the pairing `(R, R)` once,
+//!    and a version `V` only when a host the session touches has `V`'s bit
+//!    set. For every other version the `(V, R)` replay would read the
+//!    reference's values at every step, so it *is* the reference replay
+//!    (see `answer_session`). At paper scale about a fifth of the
+//!    `(session, version)` pairs are replayed.
+//! 3. **Sharded generation.** Shard `s` of `K` owns sessions `s, s+K, …`;
 //!    scripts derive from per-session seeds, so any worker can run any
 //!    shard and produce identical events.
-//! 3. **Mergeable accumulators.** Each `(shard, version)` owns a
+//! 4. **Mergeable accumulators.** Each `(shard, version)` owns a
 //!    [`FleetAccumulator`] — summed [`SessionHarm`], session count, and a
-//!    distinct-victim [`SiteSet`] (exact set or HyperLogLog). Merging is
-//!    associative and commutative, so the fleet's output is byte-identical
-//!    for any thread or shard count (property-tested below).
+//!    distinct-victim [`SiteSet`] (a bitset over dense host ids, or a
+//!    HyperLogLog). Merging is associative and commutative, so the fleet's
+//!    output is byte-identical for any thread or shard count
+//!    (property-tested below).
 //!
 //! Memory is `O(hosts × sampled versions + shards)` — flat in the session
 //! count, which only determines how long the fleet runs.
@@ -37,7 +48,6 @@ use crate::sweep::resolved_threads;
 use crate::sweep_stream::{SiteCounter, SiteSet};
 use crate::walker::{dense_ids, site_ids, walk};
 use psl_browser::{ListView, SessionEngine, SessionHarm};
-use psl_core::cookie::{evaluate_set_cookie, CookieDecision};
 use psl_core::{Date, DomainName, MatchOpts};
 use psl_history::History;
 use psl_webcorpus::{SessionEvent, StreamCorpus};
@@ -57,8 +67,8 @@ pub struct FleetConfig {
     /// Shard count (0 = auto: 4 × threads, so the atomic work queue
     /// load-balances uneven shards).
     pub shards: usize,
-    /// Distinct-victim counting mode (exact host-id sets, or HyperLogLog
-    /// for fixed memory at any population size).
+    /// Distinct-victim counting mode (exact host-id bitsets, or
+    /// HyperLogLog for fixed memory at any population size).
     pub counter: SiteCounter,
     /// Sample at most this many history versions, evenly spaced and
     /// always including the earliest and the latest (0 = 12). The latest
@@ -89,7 +99,8 @@ pub struct FleetAccumulator {
     /// Summed harm over those sessions.
     pub harm: SessionHarm,
     /// Distinct harmed hosts (dense host ids — globally assigned, so the
-    /// same victim hashes identically in every shard).
+    /// same victim sets the same bit, or hashes identically, in every
+    /// shard).
     pub victims: SiteSet,
 }
 
@@ -151,6 +162,11 @@ pub struct FleetOutcome {
     pub rows: Vec<FleetRow>,
     /// Sessions executed per version.
     pub sessions: u64,
+    /// `(session, version)` pairs replayed under `(V, R)`: those whose
+    /// session touches a host `V` moved. The other pairs of the
+    /// `sessions × versions_sampled` answered took the session's one
+    /// reference replay.
+    pub replayed_pairs: u64,
     /// Worker threads actually used.
     pub threads: usize,
     /// Shards actually used.
@@ -182,59 +198,163 @@ pub fn execute_session(
     engine.finish()
 }
 
-/// Build the per-version [`ListView`]s and parent-domain ids for a host
-/// population: site ids at the sampled version indices from one version
-/// walk (ids hold across versions, and the engine only compares ids
-/// within one view), parent-scope cookie verdicts from the faithful
-/// string jar (`evaluate_set_cookie` against each sampled version's
-/// snapshot — hosts × versions is cheap; sessions never touch strings).
+/// Everything list-dependent a session reads, per host of the population.
+struct Views {
+    /// One view per sampled version, ascending; the last is the reference.
+    views: Vec<ListView>,
+    /// Dense parent-domain id per host (version-independent).
+    parents: Vec<u32>,
+    /// `u64` words per host in `moved`: ⌈sampled versions / 64⌉.
+    words: usize,
+    /// Host `h` owns `moved[h * words..][..words]`, in which bit `v` is set
+    /// iff view `v` differs from the reference at `h` (site id or cookie
+    /// verdict).
+    moved: Vec<u64>,
+}
+
+impl Views {
+    /// Wrap per-version views (the last is the reference) and mark, per
+    /// host, the versions that differ from the reference there.
+    fn new(views: Vec<ListView>, parents: Vec<u32>) -> Self {
+        let words = views.len().div_ceil(64);
+        let mut moved = vec![0u64; parents.len() * words];
+        let r = views.last().expect("at least one version is sampled");
+        for (v, view) in views.iter().enumerate() {
+            for h in 0..parents.len() {
+                if view.site_id[h] != r.site_id[h] || view.scope_refused[h] != r.scope_refused[h] {
+                    moved[h * words + v / 64] |= 1 << (v % 64);
+                }
+            }
+        }
+        Views { views, parents, words, moved }
+    }
+
+    fn reference(&self) -> &ListView {
+        self.views.last().expect("at least one version is sampled")
+    }
+
+    fn moved(&self, host: u32) -> &[u64] {
+        &self.moved[host as usize * self.words..][..self.words]
+    }
+}
+
+/// Build the per-version [`ListView`]s of a host population at the
+/// sampled version indices, from two version walks. Site ids come from
+/// the hosts' walk; they hold across versions, so a host whose id equals
+/// the reference's is in the same site. Cookie verdicts come from a walk
+/// over the distinct parent domains: a `Domain=parent` Set-Cookie is
+/// refused exactly when the parent is a public suffix, which is
+/// `evaluate_set_cookie`'s verdict, since a host always domain-matches
+/// its parent and never equals it (the string jar is the test oracle).
 fn build_views(
     history: &History,
     stream: &StreamCorpus,
     sampled: &[usize],
     opts: MatchOpts,
-    threads: usize,
-) -> (Vec<ListView>, Vec<u32>) {
+) -> Views {
     let hosts = stream.hosts();
     let (sites, _) = site_ids(&walk(history, hosts, opts), hosts);
     // Parent domain: the host minus its leftmost label.
     let parents =
         dense_ids(hosts.iter().map(|h| h.suffix_of_len(h.label_count() - 1).unwrap_or("")));
-
-    let mut views: Vec<Option<ListView>> = vec![None; sampled.len()];
-    let chunk = sampled.len().div_ceil(resolved_threads(threads, sampled.len()));
-    crossbeam::thread::scope(|scope| {
-        for (slots, versions) in views.chunks_mut(chunk).zip(sampled.chunks(chunk)) {
-            let sites = &sites;
-            scope.spawn(move |_| {
-                for (slot, &v) in slots.iter_mut().zip(versions) {
-                    let site_id = (0..hosts.len()).map(|h| sites.at(h, v)).collect();
-                    let list = history.snapshot_at(history.versions()[v]);
-                    let scope_refused = hosts
-                        .iter()
-                        .map(|h| {
-                            let n = h.label_count();
-                            if n < 2 {
-                                return true;
-                            }
-                            let parent = DomainName::parse(
-                                h.suffix_of_len(n - 1).expect("n-1 labels exist"),
-                            )
-                            .expect("suffix of a valid name is valid");
-                            !matches!(
-                                evaluate_set_cookie(&list, h, &parent, opts),
-                                CookieDecision::Allow
-                            )
-                        })
-                        .collect();
-                    *slot = Some(ListView { site_id, scope_refused });
-                }
-            });
+    // The parents to walk, indexed by parent id (ids number the parents
+    // in order of first appearance). A single-label host has none, and
+    // its cookie is always refused.
+    let mut named: Vec<DomainName> = Vec::new();
+    let mut walked: Vec<Option<usize>> = Vec::new();
+    for (h, &p) in hosts.iter().zip(&parents) {
+        if p as usize == walked.len() {
+            walked.push(h.parent().map(|parent| {
+                named.push(parent);
+                named.len() - 1
+            }));
         }
-    })
-    .expect("view worker panicked");
+    }
+    let public = walk(history, &named, opts)
+        .suffix_lens
+        .map(|p, len| len == Some(named[p].label_count() as u32));
 
-    (views.into_iter().map(|v| v.expect("every view computed")).collect(), parents)
+    let views = sampled
+        .iter()
+        .map(|&v| ListView {
+            site_id: (0..hosts.len()).map(|h| sites.at(h, v)).collect(),
+            scope_refused: parents
+                .iter()
+                .map(|&p| walked[p as usize].is_none_or(|p| public.at(p, v)))
+                .collect(),
+        })
+        .collect();
+    Views::new(views, parents)
+}
+
+/// Answer one session for every sampled version into `accs` (one per
+/// view), with `touched` as scratch (one word per mask word). The
+/// reference pairing `(R, R)` is replayed once, and a version `V` only
+/// when a host the session touches has `V`'s moved bit set. Otherwise
+/// the `(V, R)` replay is the reference replay: the engine reads views
+/// only at the hosts the events name ([`SessionEvent::hosts`]), where
+/// `V` then holds the reference's values, and the parent ids do not
+/// depend on the version — so it executes the same events with no
+/// divergence and no victims. Returns the number of versions replayed.
+fn answer_session(
+    engine: &mut SessionEngine<'_>,
+    events: &[SessionEvent],
+    views: &Views,
+    touched: &mut [u64],
+    accs: &mut [FleetAccumulator],
+) -> u64 {
+    touched.fill(0);
+    for h in events.iter().flat_map(|ev| ev.hosts()) {
+        for (t, m) in touched.iter_mut().zip(views.moved(h)) {
+            *t |= m;
+        }
+    }
+    let r = views.reference();
+    let reference = execute_session(engine, events, r, r);
+    let mut replayed = 0;
+    for (v, (view, acc)) in views.views.iter().zip(accs).enumerate() {
+        acc.sessions += 1;
+        if touched[v / 64] & (1 << (v % 64)) == 0 {
+            acc.harm.absorb(&reference);
+            continue;
+        }
+        replayed += 1;
+        acc.harm.absorb(&execute_session(engine, events, view, r));
+        for &victim in engine.victims() {
+            acc.victims.insert(victim);
+        }
+    }
+    replayed
+}
+
+/// The sampled history version indices: at most `max_versions` (0 = 12),
+/// evenly spaced, the earliest and the latest included.
+fn sample_versions(history: &History, max_versions: usize) -> Vec<usize> {
+    let max_v = if max_versions == 0 { DEFAULT_MAX_VERSIONS } else { max_versions };
+    downsample(&(0..history.version_count()).collect::<Vec<_>>(), max_v)
+}
+
+/// The harm table: one row per sampled version from its accumulator.
+fn table(history: &History, sampled: &[usize], accs: &[FleetAccumulator]) -> Vec<FleetRow> {
+    let date = |v: usize| history.versions()[v];
+    let ref_date = date(*sampled.last().expect("at least one version is sampled"));
+    sampled
+        .iter()
+        .zip(accs)
+        .map(|(&v, acc)| FleetRow {
+            date: date(v),
+            age_days: i64::from(ref_date.days_since_epoch() - date(v).days_since_epoch()),
+            sessions: acc.sessions,
+            events: acc.harm.events,
+            cookie_set_flips: acc.harm.cookie_set_flips,
+            leaked_cookies: acc.harm.leaked_cookies,
+            same_site_flips: acc.harm.same_site_flips,
+            wrong_autofill: acc.harm.wrong_autofill,
+            merged_partitions: acc.harm.merged_partitions,
+            split_partitions: acc.harm.split_partitions,
+            distinct_victims: acc.victims.count(),
+        })
+        .collect()
 }
 
 /// Execute the fleet: `config.sessions` scripted sessions per sampled
@@ -244,54 +364,47 @@ fn build_views(
 /// any shard count (the accumulator merges are order-independent and the
 /// scripts derive from per-session seeds).
 pub fn run_fleet(history: &History, stream: &StreamCorpus, config: &FleetConfig) -> FleetOutcome {
-    let max_v = if config.max_versions == 0 { DEFAULT_MAX_VERSIONS } else { config.max_versions };
-    let sampled = downsample(&(0..history.version_count()).collect::<Vec<_>>(), max_v);
-    let sampled_dates: Vec<Date> = sampled.iter().map(|&v| history.versions()[v]).collect();
-    let ref_date = *sampled_dates.last().expect("history non-empty");
-
-    let (views, parents) = build_views(history, stream, &sampled, config.opts, config.threads);
-    let ref_view = views.last().expect("reference view exists");
+    let sampled = sample_versions(history, config.max_versions);
+    let views = build_views(history, stream, &sampled, config.opts);
 
     let threads = resolved_threads(config.threads, usize::MAX);
     let shards = if config.shards == 0 { (threads * 4).max(1) } else { config.shards };
     let session_stream = stream.sessions(config.sessions);
 
     // Work queue: shards drained off one atomic counter. Each worker
-    // generates a shard's scripts once and executes every script against
-    // all sampled versions before moving on — the script derivation (RNG
-    // streams, Zipf draws) is the expensive part, the paired integer
-    // replay is nearly free.
+    // generates a shard's scripts once and answers every sampled version
+    // for a script before moving on: one reference replay, plus a replay
+    // per version that moved a host the script touches.
     let master: Mutex<Vec<FleetAccumulator>> =
-        Mutex::new(views.iter().map(|_| FleetAccumulator::new(config.counter)).collect());
+        Mutex::new(sampled.iter().map(|_| FleetAccumulator::new(config.counter)).collect());
     let next = AtomicU64::new(0);
+    let replayed = AtomicU64::new(0);
     crossbeam::thread::scope(|scope| {
         for _ in 0..threads {
             let views = &views;
-            let parents = &parents;
             let master = &master;
             let next = &next;
+            let replayed = &replayed;
             let session_stream = &session_stream;
             scope.spawn(move |_| {
-                let mut engine = SessionEngine::new(parents);
+                let mut engine = SessionEngine::new(&views.parents);
                 let mut events: Vec<SessionEvent> = Vec::new();
+                let mut touched = vec![0u64; views.words];
                 loop {
                     let s = next.fetch_add(1, Ordering::Relaxed);
                     if s >= shards as u64 {
                         break;
                     }
                     let mut accs: Vec<FleetAccumulator> =
-                        views.iter().map(|_| FleetAccumulator::new(config.counter)).collect();
+                        views.views.iter().map(|_| FleetAccumulator::new(config.counter)).collect();
+                    let mut shard_replayed = 0;
                     for i in session_stream.shard_sessions(s, shards as u64) {
                         session_stream.session_events(i, &mut events);
-                        for (v, acc) in views.iter().zip(&mut accs) {
-                            let harm = execute_session(&mut engine, &events, v, ref_view);
-                            acc.sessions += 1;
-                            acc.harm.absorb(&harm);
-                            for &victim in engine.victims() {
-                                acc.victims.insert(victim);
-                            }
-                        }
+                        shard_replayed +=
+                            answer_session(&mut engine, &events, views, &mut touched, &mut accs);
                     }
+                    // A statistic read after the scope joins: no ordering needed.
+                    replayed.fetch_add(shard_replayed, Ordering::Relaxed);
                     let mut m = master.lock().expect("fleet master poisoned");
                     for (mv, a) in m.iter_mut().zip(&accs) {
                         mv.merge(a);
@@ -303,30 +416,13 @@ pub fn run_fleet(history: &History, stream: &StreamCorpus, config: &FleetConfig)
     .expect("fleet worker panicked");
 
     let master = master.into_inner().expect("fleet master poisoned");
-    let rows = sampled_dates
-        .iter()
-        .zip(&master)
-        .map(|(date, acc)| FleetRow {
-            date: *date,
-            age_days: i64::from(ref_date.days_since_epoch() - date.days_since_epoch()),
-            sessions: acc.sessions,
-            events: acc.harm.events,
-            cookie_set_flips: acc.harm.cookie_set_flips,
-            leaked_cookies: acc.harm.leaked_cookies,
-            same_site_flips: acc.harm.same_site_flips,
-            wrong_autofill: acc.harm.wrong_autofill,
-            merged_partitions: acc.harm.merged_partitions,
-            split_partitions: acc.harm.split_partitions,
-            distinct_victims: acc.victims.count(),
-        })
-        .collect();
-
     FleetOutcome {
-        rows,
+        rows: table(history, &sampled, &master),
         sessions: config.sessions,
+        replayed_pairs: replayed.into_inner(),
         threads,
         shards,
-        versions_sampled: sampled_dates.len(),
+        versions_sampled: sampled.len(),
         hosts: stream.host_count(),
     }
 }
@@ -335,8 +431,10 @@ pub fn run_fleet(history: &History, stream: &StreamCorpus, config: &FleetConfig)
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use psl_core::cookie::{evaluate_set_cookie, CookieDecision};
     use psl_history::{generate, GeneratorConfig};
     use psl_webcorpus::{build_stream, CorpusConfig};
+    use std::collections::BTreeSet;
 
     fn fixture() -> (History, StreamCorpus) {
         let h = generate(&GeneratorConfig::small(101));
@@ -363,6 +461,118 @@ mod tests {
             );
             assert_eq!(out.threads, threads);
             assert_eq!(out.shards, shards);
+            assert_eq!(out.replayed_pairs, reference.replayed_pairs, "{threads}x{shards}");
+        }
+    }
+
+    /// The reference-reuse oracle: a plain loop replaying every
+    /// `(session, version)` pair on the same views.
+    fn full_replay(h: &History, sc: &StreamCorpus, config: &FleetConfig) -> Vec<FleetRow> {
+        let sampled = sample_versions(h, config.max_versions);
+        let views = build_views(h, sc, &sampled, config.opts);
+        let mut accs: Vec<FleetAccumulator> =
+            sampled.iter().map(|_| FleetAccumulator::new(config.counter)).collect();
+        let mut engine = SessionEngine::new(&views.parents);
+        let sessions = sc.sessions(config.sessions);
+        let mut events = Vec::new();
+        for i in 0..config.sessions {
+            sessions.session_events(i, &mut events);
+            for (view, acc) in views.views.iter().zip(&mut accs) {
+                acc.sessions += 1;
+                acc.harm.absorb(&execute_session(&mut engine, &events, view, views.reference()));
+                for &victim in engine.victims() {
+                    acc.victims.insert(victim);
+                }
+            }
+        }
+        table(h, &sampled, &accs)
+    }
+
+    #[test]
+    fn skipping_unchanged_versions_matches_full_replay() {
+        let (h, sc) = fixture();
+        // 70 sampled versions need two mask words per host.
+        for max_versions in [5, 70] {
+            let config = FleetConfig { sessions: 600, max_versions, ..Default::default() };
+            let out = run_fleet(&h, &sc, &config);
+            assert_eq!(out.versions_sampled, max_versions);
+            assert_eq!(out.rows, full_replay(&h, &sc, &config), "max_versions={max_versions}");
+            let pairs = out.sessions * max_versions as u64;
+            assert!(
+                0 < out.replayed_pairs && out.replayed_pairs < pairs,
+                "{} of {pairs} pairs replayed",
+                out.replayed_pairs
+            );
+            if max_versions > 64 {
+                // The second word's versions carry harm, so a mask that
+                // dropped them would show above.
+                assert!(out.rows[64..max_versions - 1].iter().any(|r| r.leaked_cookies > 0));
+            }
+        }
+    }
+
+    /// Hand-built: between `V` and `R` only the owner of a framed load's
+    /// iframe moves, so only the frame's bit can send `V` to a replay —
+    /// and the replay matters, since the move flips the load's same-site
+    /// judgement.
+    #[test]
+    fn a_version_moving_only_a_frame_owner_is_replayed() {
+        // Host 0 alice.github.io, host 1 bob.github.io, one parent. Under
+        // `V` bob shares alice's site; under `R` it has its own.
+        let stale = ListView { site_id: vec![0, 0], scope_refused: vec![true, true] };
+        let latest = ListView { site_id: vec![0, 1], scope_refused: vec![true, true] };
+        let views = Views::new(vec![stale, latest], vec![0, 0]);
+        assert_eq!(views.moved, [0, 0b1]);
+        let mut engine = SessionEngine::new(&views.parents);
+        let answer = |engine: &mut SessionEngine<'_>, script: &[SessionEvent]| {
+            let mut accs = vec![FleetAccumulator::new(SiteCounter::Exact); 2];
+            let replayed = answer_session(engine, script, &views, &mut [0], &mut accs);
+            (replayed, accs)
+        };
+
+        let framed = [SessionEvent::Visit(0), SessionEvent::FramedLoad { frame: 1, target: 0 }];
+        let (replayed, accs) = answer(&mut engine, &framed);
+        assert_eq!(replayed, 1, "the stale version is replayed");
+        let full = execute_session(&mut engine, &framed, &views.views[0], views.reference());
+        assert_eq!(full.same_site_flips, 1);
+        assert_eq!(accs[0].harm, full);
+        assert_eq!(accs[0].victims.count(), 1);
+        assert!(accs[1].harm.is_harmless());
+
+        // The same page and target without the frame touch no moved host.
+        let top = [SessionEvent::Visit(0), SessionEvent::Load(0)];
+        let (replayed, accs) = answer(&mut engine, &top);
+        assert_eq!(replayed, 0);
+        assert_eq!(accs[0], accs[1]);
+        assert!(accs[0].harm.is_harmless() && accs[0].harm.events == 2);
+    }
+
+    #[test]
+    fn views_match_the_string_jar_at_every_sampled_version() {
+        let (h, sc) = fixture();
+        let all: Vec<usize> = (0..h.version_count()).collect();
+        let cases: Vec<(MatchOpts, Views)> = [
+            MatchOpts::default(),
+            MatchOpts { include_private: false, implicit_wildcard: true },
+            MatchOpts { include_private: true, implicit_wildcard: false },
+        ]
+        .into_iter()
+        .map(|opts| (opts, build_views(&h, &sc, &all, opts)))
+        .collect();
+        for &v in &all {
+            let date = h.versions()[v];
+            let list = h.snapshot_at(date);
+            for (opts, views) in &cases {
+                for (host, &refused) in sc.hosts().iter().zip(&views.views[v].scope_refused) {
+                    let parent = host.parent().expect("corpus hosts have a parent");
+                    let jar = evaluate_set_cookie(&list, host, &parent, *opts);
+                    assert_eq!(
+                        refused,
+                        jar != CookieDecision::Allow,
+                        "{host} at {date} under {opts:?}"
+                    );
+                }
+            }
         }
     }
 
@@ -469,6 +679,15 @@ mod tests {
             let mut a_e = a.clone();
             a_e.merge(&FleetAccumulator::new(counter));
             prop_assert_eq!(&a_e, &a);
+            // Exact mode counts the distinct ids, merged or not.
+            if counter == SiteCounter::Exact {
+                let distinct = |ids: &[&[u32]]| {
+                    ids.iter().flat_map(|s| s.iter()).collect::<BTreeSet<_>>().len()
+                };
+                prop_assert_eq!(a.victims.count(), distinct(&[&xs]));
+                prop_assert_eq!(ab.victims.count(), distinct(&[&xs, &ys]));
+                prop_assert_eq!(ab_c.victims.count(), distinct(&[&xs, &ys, &zs]));
+            }
         }
     }
 }

@@ -26,14 +26,15 @@ use psl_core::MatchOpts;
 use psl_history::History;
 use psl_stats::HyperLogLog;
 use psl_webcorpus::{Request, StreamCorpus};
-use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// How a [`SiteSet`] counts distinct ids.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SiteCounter {
-    /// Exact: a hash set of dense ids. Memory grows with the number of
-    /// distinct ids.
+    /// Exact: a bitset over the ids, one bit per id up to the largest
+    /// observed. The ids must be dense — small integers numbering a
+    /// population, as every caller's host and site ids are — since memory
+    /// is the largest id / 8 bytes.
     Exact,
     /// Approximate: a HyperLogLog sketch with `2^precision` registers
     /// (fixed memory; standard error `1.04 / sqrt(2^precision)`).
@@ -64,8 +65,9 @@ pub struct StreamSweepConfig {
 /// A mergeable set of distinct dense ids (the fleet's victim sets).
 #[derive(Debug, Clone, PartialEq)]
 pub enum SiteSet {
-    /// Exact dense-id set.
-    Exact(HashSet<u32>),
+    /// Exact bitset: bit `id % 64` of word `id / 64`, with no words past
+    /// the one holding the largest id (so equal sets compare equal).
+    Exact(Vec<u64>),
     /// HyperLogLog sketch over mixed ids.
     Sketch(HyperLogLog),
 }
@@ -74,18 +76,22 @@ impl SiteSet {
     /// Empty set in the given mode.
     pub fn new(counter: SiteCounter) -> Self {
         match counter {
-            SiteCounter::Exact => SiteSet::Exact(HashSet::new()),
+            SiteCounter::Exact => SiteSet::Exact(Vec::new()),
             SiteCounter::Sketch { precision } => SiteSet::Sketch(HyperLogLog::new(precision)),
         }
     }
 
     /// Observe a dense id. Ids must be assigned globally (not per shard),
-    /// so the same element hashes identically in every shard — the
-    /// property that makes register-max merging count the union.
+    /// so the same element lands on the same bit, or hashes identically,
+    /// in every shard — the property that makes merging count the union.
     pub fn insert(&mut self, site_id: u32) {
         match self {
-            SiteSet::Exact(set) => {
-                set.insert(site_id);
+            SiteSet::Exact(words) => {
+                let w = site_id as usize / 64;
+                if w >= words.len() {
+                    words.resize(w + 1, 0);
+                }
+                words[w] |= 1 << (site_id % 64);
             }
             SiteSet::Sketch(hll) => hll.insert_u64(u64::from(site_id)),
         }
@@ -94,7 +100,7 @@ impl SiteSet {
     /// Number of distinct ids observed (exact or estimated).
     pub fn count(&self) -> usize {
         match self {
-            SiteSet::Exact(set) => set.len(),
+            SiteSet::Exact(words) => words.iter().map(|w| w.count_ones() as usize).sum(),
             SiteSet::Sketch(hll) => hll.count() as usize,
         }
     }
@@ -107,7 +113,14 @@ impl SiteSet {
     /// never mix modes, so a mismatch is a programming error.
     pub fn merge(&mut self, other: &SiteSet) {
         match (self, other) {
-            (SiteSet::Exact(a), SiteSet::Exact(b)) => a.extend(b.iter().copied()),
+            (SiteSet::Exact(a), SiteSet::Exact(b)) => {
+                if a.len() < b.len() {
+                    a.resize(b.len(), 0);
+                }
+                for (x, y) in a.iter_mut().zip(b) {
+                    *x |= y;
+                }
+            }
             (SiteSet::Sketch(a), SiteSet::Sketch(b)) => a.merge(b),
             _ => panic!("cannot merge site sets of different modes"),
         }

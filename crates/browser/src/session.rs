@@ -387,6 +387,25 @@ mod tests {
     }
 
     #[test]
+    fn framed_load_flips_when_only_the_frame_moves() {
+        // Alice's page and asset keep their site in both views; only the
+        // frame owner, bob, moves (same site as alice under stale, its own
+        // site under current).
+        let v = stale();
+        let r = current();
+        assert_eq!(v.site_id[0], r.site_id[0]);
+        assert_ne!(v.site_id[1], r.site_id[1]);
+        let mut e = SessionEngine::new(&PARENTS);
+        e.begin();
+        e.visit(0, &v, &r);
+        e.load(0, &v, &r);
+        assert_eq!(e.harm().same_site_flips, 0, "no moved host, no flip");
+        e.framed_load(1, 0, &v, &r);
+        assert_eq!(e.harm().same_site_flips, 1, "the frame's move alone flips the judgement");
+        assert_eq!(e.victims(), &[0]);
+    }
+
+    #[test]
     fn split_partitions_count_the_other_direction() {
         // Early-era exception case inverted: V separates hosts 0 and 1,
         // the reference groups them.

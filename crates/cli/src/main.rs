@@ -830,8 +830,9 @@ struct FleetScalePoint {
     shards: usize,
     wall_seconds: f64,
     sessions_per_s: f64,
-    /// `sessions × versions` paired replays per second — the raw engine
-    /// throughput.
+    /// `(session, version)` pairs answered per second: `sessions ×
+    /// versions`, whether a pair was replayed or took the session's
+    /// reference replay.
     session_executions_per_s: f64,
     peak_rss_bytes: Option<u64>,
     /// Leaked-cookie count for the oldest sampled version (sanity: the
@@ -1309,7 +1310,7 @@ fn cmd_bench(args: &[String]) -> Result<(), String> {
                 &psl_analysis::FleetConfig { sessions, ..base },
             );
             let wall = t.elapsed().as_secs_f64();
-            let executions = out.sessions * out.versions_sampled as u64;
+            let answered = out.sessions * out.versions_sampled as u64;
             let point = FleetScalePoint {
                 sessions,
                 versions: out.versions_sampled,
@@ -1317,7 +1318,7 @@ fn cmd_bench(args: &[String]) -> Result<(), String> {
                 shards: out.shards,
                 wall_seconds: wall,
                 sessions_per_s: sessions as f64 / wall.max(f64::EPSILON),
-                session_executions_per_s: executions as f64 / wall.max(f64::EPSILON),
+                session_executions_per_s: answered as f64 / wall.max(f64::EPSILON),
                 peak_rss_bytes: psl_stats::peak_rss_bytes(),
                 leaked_cookies_oldest: out.rows.first().map_or(0, |r| r.leaked_cookies),
             };
@@ -1492,7 +1493,12 @@ struct FleetRunReport {
     shards: usize,
     wall_seconds: f64,
     sessions_per_s: f64,
+    /// `(session, version)` pairs answered per second (`sessions ×
+    /// versions_sampled` over the wall time), replayed or not.
     session_executions_per_s: f64,
+    /// Pairs replayed under `(V, R)`; the rest took their session's one
+    /// reference replay.
+    replayed_pairs: u64,
     peak_rss_bytes: Option<u64>,
     rows: Vec<psl_analysis::FleetRow>,
 }
@@ -1572,7 +1578,7 @@ fn cmd_fleet(args: &[String]) -> Result<(), String> {
             &rows
         )
     );
-    let executions = out.sessions * out.versions_sampled as u64;
+    let answered = out.sessions * out.versions_sampled as u64;
     let run = FleetRunReport {
         seed: flags.seed,
         sessions: out.sessions,
@@ -1583,15 +1589,17 @@ fn cmd_fleet(args: &[String]) -> Result<(), String> {
         shards: out.shards,
         wall_seconds: wall,
         sessions_per_s: out.sessions as f64 / wall.max(f64::EPSILON),
-        session_executions_per_s: executions as f64 / wall.max(f64::EPSILON),
+        session_executions_per_s: answered as f64 / wall.max(f64::EPSILON),
+        replayed_pairs: out.replayed_pairs,
         peak_rss_bytes: peak,
         rows: out.rows,
     };
     eprintln!(
-        "fleet: {} sessions ({} paired executions) in {:.2} s ({:.2}M sessions/min) on {} shards \
-         x {} threads{}",
+        "fleet: {} sessions ({} pairs answered, {} replayed) in {:.2} s ({:.2}M sessions/min) \
+         on {} shards x {} threads{}",
         run.sessions,
-        executions,
+        answered,
+        run.replayed_pairs,
         run.wall_seconds,
         run.sessions_per_s * 60.0 / 1e6,
         run.shards,

@@ -51,6 +51,22 @@ pub enum SessionEvent {
     },
 }
 
+impl SessionEvent {
+    /// The hosts this event names: the visited page, the load target, or
+    /// both the frame owner and the target of a framed load. Over a whole
+    /// script these are every host whose list facts executing it can read
+    /// (cookie and credential events act on the current page, which a
+    /// `Visit` named).
+    pub fn hosts(self) -> impl Iterator<Item = HostId> {
+        let (first, second) = match self {
+            SessionEvent::Visit(h) | SessionEvent::Load(h) => (Some(h), None),
+            SessionEvent::FramedLoad { frame, target } => (Some(frame), Some(target)),
+            SessionEvent::SetCookie | SessionEvent::SaveCredential => (None, None),
+        };
+        first.into_iter().chain(second)
+    }
+}
+
 /// A deterministic stream of session scripts over a corpus's host
 /// population. Sessions are derived, not stored: memory is independent
 /// of the session count.
@@ -220,16 +236,18 @@ mod tests {
         for i in 0..300 {
             ss.session_events(i, &mut buf);
             assert!(matches!(buf[0], SessionEvent::Visit(_)), "session {i}");
-            for ev in &buf {
-                match *ev {
-                    SessionEvent::Visit(h) | SessionEvent::Load(h) => assert!(h < n_hosts),
-                    SessionEvent::FramedLoad { frame, target } => {
-                        assert!(frame < n_hosts && target < n_hosts)
-                    }
-                    SessionEvent::SetCookie | SessionEvent::SaveCredential => {}
-                }
-            }
+            assert!(buf.iter().flat_map(|ev| ev.hosts()).all(|h| h < n_hosts), "session {i}");
         }
+    }
+
+    #[test]
+    fn event_hosts_name_the_frame_and_the_target() {
+        let hosts = |ev: SessionEvent| ev.hosts().collect::<Vec<_>>();
+        assert_eq!(hosts(SessionEvent::Visit(3)), [3]);
+        assert_eq!(hosts(SessionEvent::Load(5)), [5]);
+        assert_eq!(hosts(SessionEvent::FramedLoad { frame: 7, target: 2 }), [7, 2]);
+        assert!(hosts(SessionEvent::SetCookie).is_empty());
+        assert!(hosts(SessionEvent::SaveCredential).is_empty());
     }
 
     #[test]

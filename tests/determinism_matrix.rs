@@ -125,6 +125,10 @@ fn fleet_harm_table_is_identical_across_threads_and_shards() {
                 ref_json,
                 "threads={threads} shards={shards}"
             );
+            assert_eq!(
+                out.replayed_pairs, reference.replayed_pairs,
+                "threads={threads} shards={shards}"
+            );
         }
     }
 }
