@@ -16,7 +16,7 @@
 //! disposition: the walk's callers and the rebuild oracle
 //! ([`crate::sweep::sweep_rebuild`]) both go through it.
 
-use psl_core::{Date, DomainName, MatchOpts, Rule, SuffixTrie};
+use psl_core::{DomainName, MatchOpts, SuffixTrie};
 use psl_history::History;
 use std::collections::HashMap;
 
@@ -149,15 +149,6 @@ pub struct Walk {
 /// Walk every version of `history` once with one mutable trie, tracking
 /// the disposition of each of `names` under `opts`.
 pub fn walk(history: &History, names: &[DomainName], opts: MatchOpts) -> Walk {
-    let mut events: Vec<(Date, bool, &Rule)> = Vec::new();
-    for span in history.spans() {
-        events.push((span.added, true, &span.rule));
-        if let Some(r) = span.removed {
-            events.push((r, false, &span.rule));
-        }
-    }
-    events.sort_by_key(|e| e.0);
-
     let reversed: Vec<Vec<&str>> = names.iter().map(DomainName::labels_reversed).collect();
     // Sorted by reversed labels, the names under any rule are one run.
     let mut order: Vec<u32> = (0..names.len() as u32).collect();
@@ -169,12 +160,9 @@ pub fn walk(history: &History, names: &[DomainName], opts: MatchOpts) -> Walk {
     let mut dirty: Vec<u32> = Vec::new();
     let mut changes: Vec<(u32, u32, Option<u32>)> = Vec::with_capacity(names.len());
     let mut rule_counts = Vec::with_capacity(history.version_count());
-    let mut ei = 0;
-    for (vi, &v) in history.versions().iter().enumerate() {
+    history.replay_changes(|vi, _, diff| {
         let vi = vi as u32;
-        while ei < events.len() && events[ei].0 <= v {
-            let (_, is_add, rule) = events[ei];
-            ei += 1;
+        for &(is_add, rule) in diff {
             if is_add {
                 trie.insert(rule);
             } else {
@@ -208,7 +196,7 @@ pub fn walk(history: &History, names: &[DomainName], opts: MatchOpts) -> Walk {
             }
         }
         rule_counts.push(trie.len());
-    }
+    });
     Walk { rule_counts, suffix_lens: Timelines::from_changes(names.len(), changes) }
 }
 

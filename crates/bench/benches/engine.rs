@@ -3,7 +3,8 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use psl_bench::world;
 use psl_core::{
-    parse_dat, punycode, DomainName, FrozenList, LabelInterner, List, MatchOpts, SuffixTrie,
+    parse_dat, punycode, DomainName, FrozenList, LabelInterner, List, MatchOpts, SnapshotView,
+    SuffixTrie,
 };
 use psl_history::DatingIndex;
 
@@ -99,6 +100,29 @@ fn bench_frozen_compile(c: &mut Criterion) {
     });
 }
 
+/// Cold start from a compiled snapshot of the same list, at the three
+/// loader tiers (compare `parse_dat_full_list` + `frozen_compile_full_list`
+/// for starting from `.dat` text).
+fn bench_snapshot_load(c: &mut Criterion) {
+    let w = world();
+    let bytes = w.history.latest_snapshot().write_snapshot();
+    let opts = MatchOpts::default();
+    // Parse plus one lookup: the unit is "the process answers its first
+    // query", not just header validation.
+    c.bench_function("snapshot_view_first_query_full_list", |b| {
+        b.iter(|| {
+            let view = SnapshotView::parse(&bytes).expect("own snapshot");
+            std::hint::black_box(view.disposition(&["com", "example"], opts))
+        })
+    });
+    c.bench_function("frozen_load_full_list", |b| {
+        b.iter(|| std::hint::black_box(FrozenList::load(&bytes).expect("own snapshot").1.len()))
+    });
+    c.bench_function("list_load_snapshot_full_list", |b| {
+        b.iter(|| std::hint::black_box(List::load_snapshot(&bytes).expect("own snapshot").len()))
+    });
+}
+
 fn bench_registrable_domain(c: &mut Criterion) {
     let list = List::parse("com\nuk\nco.uk\n*.ck\n!www.ck\ngithub.io\n");
     let opts = MatchOpts::default();
@@ -155,6 +179,7 @@ criterion_group!(
     bench_parse_dat,
     bench_trie_build,
     bench_frozen_compile,
+    bench_snapshot_load,
     bench_lookup,
     bench_registrable_domain,
     bench_punycode,

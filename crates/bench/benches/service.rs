@@ -68,11 +68,7 @@ fn bench_tcp_batch(c: &mut Criterion) {
     let engine = bench_engine(8192);
     let server = Server::bind(
         Arc::clone(&engine),
-        ServerConfig {
-            addr: "127.0.0.1:0".to_string(),
-            read_timeout: Duration::from_millis(50),
-            ..Default::default()
-        },
+        ServerConfig { addr: "127.0.0.1:0".to_string(), ..Default::default() },
     )
     .expect("bind");
     let addr = server.local_addr().expect("addr");

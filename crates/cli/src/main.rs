@@ -1,18 +1,26 @@
 //! `pslharm` — drive the PSL privacy-harms reproduction pipeline.
 //!
 //! ```text
-//! pslharm all     [--seed N] [--paper-scale] [--json PATH]   run everything
+//! pslharm all     [--seed N] [--paper-scale] [--json PATH] [--markdown PATH]
+//!                                                            run everything
 //! pslharm fig2|fig3|fig4|fig5|fig6|fig7                      one figure
 //! pslharm table1|table2|table3                               one table
+//! pslharm cookieharm|dbound|certharm|updatefail|replay|categories
+//!                                                            one extension experiment
 //! pslharm notify  [--seed N]                                 maintainer notifications
+//! pslharm corpus-stats [--seed N]                            web-corpus summary
 //! pslharm conformance [--seed N] [--json PATH]               vector suite + differential oracle
 //! pslharm suffix <domain>...|-                               eTLD / eTLD+1 lookup (- = stdin batch)
 //! pslharm serve   [--addr A] [--threads N] [--watch PATH]    run the query server
 //! pslharm query   [--addr A] CMD [ARGS...]                   one protocol command
 //! pslharm loadgen [--addr A] [--requests N] [--check]        replay load, report throughput
-//! pslharm bench   [--seed N] [--json PATH]                   quick perf report + agreement gate
-//! pslharm sweep   [--requests N] [--shards auto]            streaming Figs 5-7 at paper scale
+//! pslharm sweep   [--requests N] [--shards auto]             streaming Figs 5-7 at paper scale
 //! pslharm fleet   [--sessions N] [--shards auto] [--sketch]  executed per-version-age harms
+//! pslharm compile [LIST.dat] --out PATH [--history]          compiled snapshot / history file
+//! pslharm inspect PATH                                       decode a compiled file's header
+//! pslharm lint    [LIST.dat...]                              rule-hygiene findings
+//! pslharm blame   RULE...                                    when a rule was added / removed
+//! pslharm fuzz    [TARGET] [--seed N] [--iters N]            differential fuzzing
 //! ```
 //!
 //! Scale: the default is a laptop-scale configuration (small history and
@@ -44,7 +52,6 @@ fn main() -> ExitCode {
         "serve" => cmd_serve(rest),
         "query" => cmd_query(rest),
         "loadgen" => cmd_loadgen(rest),
-        "bench" => cmd_bench(rest),
         "sweep" => cmd_sweep(rest),
         "fleet" => cmd_fleet(rest),
         "compile" => cmd_compile(rest),
@@ -68,16 +75,22 @@ fn main() -> ExitCode {
     }
 }
 
-const USAGE: &str = "usage: pslharm <all|fig2..fig7|table1..table3|cookieharm|dbound|certharm|updatefail|replay|notify|conformance|suffix|serve|query|loadgen|bench|sweep|fleet|fuzz> \
-[--seed N] [--paper-scale] [--threads N] [--json PATH] [--addr HOST:PORT] [domains...]
-       pslharm fleet [--seed N] [--sessions N] [--shards N|auto] [--threads N] [--sketch] [--max-versions N] [--json PATH]
-       pslharm serve [--addr HOST:PORT] [--http-addr HOST:PORT] [--max-conns N] [--reactor-workers N] [--watch PATH] [--mmap]
+const USAGE: &str = "usage: pslharm <all|fig2|fig3|fig4|fig5|fig6|fig7|table1|table2|table3|cookieharm|dbound|\
+certharm|updatefail|replay|categories> [--seed N] [--paper-scale] [--threads N] [--json PATH] [--markdown PATH]
+       pslharm notify|corpus-stats [--seed N] [--paper-scale]
+       pslharm conformance [--seed N] [--json PATH]
+       pslharm suffix <domain>...|-
+       pslharm serve [--addr HOST:PORT] [--http-addr HOST:PORT] [--max-conns N] [--reactor-workers N] [--threads N] \
+[--watch PATH [--mmap] | --embedded]
+       pslharm query [--addr HOST:PORT] CMD [ARGS...]
        pslharm loadgen [--addr HOST:PORT] [--requests N] [--connections N] [--batch N] [--check | --pipeline [--window N]]
-       pslharm fuzz <hostname|dat|cookie|service|snapshot|all> [--seed N] [--iters N] [--time-budget SECS] [--write-corpus]
-       pslharm bench [--seed N] [--threads N] [--requests N] [--scale-max E] [--json PATH]
        pslharm sweep [--seed N] [--requests N] [--shards N|auto] [--threads N] [--json PATH]
+       pslharm fleet [--seed N] [--sessions N] [--shards N|auto] [--threads N] [--sketch] [--max-versions N] [--json PATH]
        pslharm compile [LIST.dat] --out PATH [--embedded | --history [--checkpoint-every N]] [--seed N]
-       pslharm inspect PATH";
+       pslharm inspect PATH
+       pslharm lint [LIST.dat...]
+       pslharm blame RULE...
+       pslharm fuzz <hostname|dat|cookie|service|snapshot|all> [--seed N] [--iters N] [--time-budget SECS] [--write-corpus]";
 
 /// Common flags.
 struct Flags {
@@ -106,9 +119,7 @@ struct Flags {
     checkpoint_every: u32,
     shards: usize,
     sketch: bool,
-    scale_max: u32,
     sessions: u64,
-    fleet_max: u32,
     max_versions: usize,
     mmap: bool,
     extra: Vec<String>,
@@ -141,9 +152,7 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
         checkpoint_every: psl_history::DEFAULT_CHECKPOINT_EVERY,
         shards: 0,
         sketch: false,
-        scale_max: 6,
         sessions: 10_000,
-        fleet_max: 6,
         max_versions: 0,
         mmap: false,
         extra: Vec::new(),
@@ -225,23 +234,9 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
                 let v = it.next().ok_or("--sessions needs a value")?;
                 flags.sessions = v.parse().map_err(|_| format!("bad session count {v:?}"))?;
             }
-            "--fleet-max" => {
-                let v = it.next().ok_or("--fleet-max needs an exponent")?;
-                flags.fleet_max = v.parse().map_err(|_| format!("bad --fleet-max {v:?}"))?;
-                if !(4..=8).contains(&flags.fleet_max) {
-                    return Err("--fleet-max must be in 4..=8".into());
-                }
-            }
             "--max-versions" => {
                 let v = it.next().ok_or("--max-versions needs a value")?;
                 flags.max_versions = v.parse().map_err(|_| format!("bad --max-versions {v:?}"))?;
-            }
-            "--scale-max" => {
-                let v = it.next().ok_or("--scale-max needs an exponent")?;
-                flags.scale_max = v.parse().map_err(|_| format!("bad --scale-max {v:?}"))?;
-                if !(5..=9).contains(&flags.scale_max) {
-                    return Err("--scale-max must be in 5..=9".into());
-                }
             }
             "--mmap" => flags.mmap = true,
             "--out" => {
@@ -559,12 +554,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         .map(|p| (std::path::PathBuf::from(p), std::time::Duration::from_millis(500)));
     let server = psl_service::Server::bind_with(
         std::sync::Arc::clone(&engine),
-        psl_service::ServerConfig {
-            addr: flags.addr.clone(),
-            watch,
-            mmap: flags.mmap,
-            ..Default::default()
-        },
+        psl_service::ServerConfig { addr: flags.addr.clone(), watch, mmap: flags.mmap },
         psl_service::ReactorOptions {
             http_addr: flags.http_addr.clone(),
             max_conns: flags.max_conns,
@@ -689,685 +679,6 @@ fn cmd_loadgen(args: &[String]) -> Result<(), String> {
     }
     if flags.check && report.mismatches > 0 {
         return Err(format!("loadgen: {} mismatched answers", report.mismatches));
-    }
-    Ok(())
-}
-
-// ---- Bench ----------------------------------------------------------------
-
-/// The machine-readable output of `pslharm bench --json`.
-#[derive(serde::Serialize)]
-struct BenchReport {
-    seed: u64,
-    environment: BenchEnv,
-    engine: EngineBench,
-    coldstart: ColdstartBench,
-    sweep: SweepBench,
-    sweep_scale: SweepScaleBench,
-    fleet_scale: FleetScaleBench,
-    loadgen: LoadgenBench,
-    reactor: ReactorBench,
-    agreement: AgreementBench,
-}
-
-/// Where the numbers came from: without this block a benchmark file is
-/// uninterpretable once the machine changes.
-#[derive(serde::Serialize)]
-struct BenchEnv {
-    /// Logical CPU count visible to the process.
-    logical_cores: usize,
-    /// Kernel release string (`/proc/sys/kernel/osrelease`).
-    kernel: String,
-    /// Compiler that produced this binary (captured at build time).
-    rustc: String,
-}
-
-impl BenchEnv {
-    fn capture() -> BenchEnv {
-        BenchEnv {
-            logical_cores: std::thread::available_parallelism().map(|n| n.get()).unwrap_or(0),
-            kernel: std::fs::read_to_string("/proc/sys/kernel/osrelease")
-                .map(|s| s.trim().to_string())
-                .unwrap_or_else(|_| "unknown".into()),
-            rustc: env!("PSLHARM_RUSTC_VERSION").to_string(),
-        }
-    }
-}
-
-/// Single-host lookup latency for each matching path.
-#[derive(serde::Serialize)]
-struct EngineBench {
-    hosts: usize,
-    trie_ns_per_lookup: f64,
-    frozen_str_ns_per_lookup: f64,
-    frozen_ids_ns_per_lookup: f64,
-    speedup_ids_vs_trie: f64,
-    peak_rss_bytes: Option<u64>,
-}
-
-/// Cold start: parsing + compiling `.dat` text vs. loading the compiled
-/// binary snapshot of the same list (`pslharm compile`).
-#[derive(serde::Serialize)]
-struct ColdstartBench {
-    rules: usize,
-    snapshot_bytes: usize,
-    /// `.dat` text → rules → compiled arena (`List::parse`).
-    parse_compile_us: f64,
-    /// Snapshot bytes → validated, query-ready zero-copy view
-    /// (`SnapshotView::parse` — answers dispositions straight off the
-    /// mapped bytes, the cold-start fast path).
-    view_parse_us: f64,
-    /// Snapshot bytes → validated owned arena (`FrozenList::load`).
-    arena_load_us: f64,
-    /// Snapshot bytes → full `List` incl. decompiled rule text
-    /// (`List::load_snapshot` — only needed when the rule set itself must
-    /// be re-emitted or diffed).
-    full_load_us: f64,
-    /// `parse_compile_us / view_parse_us`: how much faster a process is
-    /// answering its first query from a snapshot than from `.dat` text.
-    speedup: f64,
-    peak_rss_bytes: Option<u64>,
-}
-
-/// Full-history sweep wall clock: the per-version rebuild oracle vs. the
-/// engine.
-#[derive(serde::Serialize)]
-struct SweepBench {
-    versions: usize,
-    hosts: usize,
-    /// The engine's worker threads (the configured `0` placeholder is
-    /// resolved to the machine's parallelism before recording).
-    threads: usize,
-    rebuild_ms: f64,
-    engine_ms: f64,
-    speedup: f64,
-    peak_rss_bytes: Option<u64>,
-}
-
-/// Streaming-sweep scale curve: 10^5 → 10^`max_exponent` requests driven
-/// through every list version without materializing the corpus. The host
-/// population is fixed by the corpus configuration, so peak RSS must stay
-/// flat as requests grow — the "scale is a non-event" criterion.
-#[derive(serde::Serialize)]
-struct SweepScaleBench {
-    max_exponent: u32,
-    points: Vec<SweepScalePoint>,
-}
-
-/// One point on the streaming-sweep scale curve.
-#[derive(serde::Serialize)]
-struct SweepScalePoint {
-    requests_target: u64,
-    requests_streamed: u64,
-    versions: usize,
-    threads: usize,
-    shards: usize,
-    wall_seconds: f64,
-    requests_per_s: f64,
-    peak_rss_bytes: Option<u64>,
-    sites_latest: usize,
-}
-
-/// Fleet scale curve: 10^4 → 10^`max_exponent` sessions executed against
-/// every sampled version paired with the latest. Sessions are derived
-/// from seeds and harms fold into fixed-size accumulators, so peak RSS
-/// must stay flat as the session count grows while sessions/s holds.
-#[derive(serde::Serialize)]
-struct FleetScaleBench {
-    max_exponent: u32,
-    /// The smallest point was re-run at a different thread and shard
-    /// count and produced a byte-identical harm table.
-    determinism_checked: bool,
-    points: Vec<FleetScalePoint>,
-}
-
-/// One point on the fleet scale curve.
-#[derive(serde::Serialize)]
-struct FleetScalePoint {
-    sessions: u64,
-    versions: usize,
-    threads: usize,
-    shards: usize,
-    wall_seconds: f64,
-    sessions_per_s: f64,
-    /// `(session, version)` pairs answered per second: `sessions ×
-    /// versions`, whether a pair was replayed or took the session's
-    /// reference replay.
-    session_executions_per_s: f64,
-    peak_rss_bytes: Option<u64>,
-    /// Leaked-cookie count for the oldest sampled version (sanity: the
-    /// fleet must execute real harm, not stream zeros quickly).
-    leaked_cookies_oldest: u64,
-}
-
-/// Loopback server throughput under the replayed corpus.
-#[derive(serde::Serialize)]
-struct LoadgenBench {
-    requests: u64,
-    /// Engine worker threads the loopback server ran with.
-    threads: usize,
-    lookups_per_s: f64,
-    cache_hit_ratio: f64,
-    peak_rss_bytes: Option<u64>,
-}
-
-/// Connections-vs-throughput curve for the epoll reactor, measured with
-/// the pipelined load generator (many `BATCH` frames in flight per
-/// connection, a few driver threads multiplexing all sockets).
-#[derive(serde::Serialize)]
-struct ReactorBench {
-    /// The process fd budget the top curve point was derived from.
-    nofile_limit: u64,
-    batch: usize,
-    window: usize,
-    /// Reactor worker threads the child server ran with.
-    server_threads: usize,
-    /// Loadgen driver threads multiplexing the client sockets.
-    driver_threads: usize,
-    points: Vec<ReactorPoint>,
-    /// Client-side peak RSS (the server is a child process).
-    peak_rss_bytes: Option<u64>,
-}
-
-/// One point on the reactor curve.
-#[derive(serde::Serialize)]
-struct ReactorPoint {
-    connections: usize,
-    established: usize,
-    requests: u64,
-    completed: u64,
-    disconnects: u64,
-    elapsed_seconds: f64,
-    lookups_per_s: f64,
-}
-
-/// The four-way executor agreement gate the numbers are only valid under.
-#[derive(serde::Serialize)]
-struct AgreementBench {
-    shipped_vectors: usize,
-    sweep_comparisons: u64,
-    divergences: usize,
-    peak_rss_bytes: Option<u64>,
-}
-
-/// Best-of-`reps` wall clock for `f` after `warmup` discarded runs. The
-/// accumulated return value is black-boxed so the work cannot be elided.
-fn time_best(warmup: u32, reps: u32, mut f: impl FnMut() -> u64) -> std::time::Duration {
-    let mut sink = 0u64;
-    for _ in 0..warmup {
-        sink = sink.wrapping_add(f());
-    }
-    let mut best = std::time::Duration::MAX;
-    for _ in 0..reps {
-        let start = std::time::Instant::now();
-        sink = sink.wrapping_add(f());
-        best = best.min(start.elapsed());
-    }
-    std::hint::black_box(sink);
-    best
-}
-
-fn cmd_bench(args: &[String]) -> Result<(), String> {
-    let flags = parse_flags(args)?;
-    if !flags.extra.is_empty() {
-        return Err(format!("bench: unexpected arguments {:?}", flags.extra));
-    }
-    let config = config_for(&flags);
-    eprintln!("generating history + corpus (seed {}) ...", flags.seed);
-    let history = psl_history::generate(&config.history);
-    let stream = psl_webcorpus::build_stream(&history, &config.corpus);
-    let corpus = stream.materialize();
-    let latest = history.latest_snapshot();
-
-    // 1. Engine micro-bench: the same 1,000-host batch through the three
-    //    lookup paths (pointer-chasing trie, compiled arena from string
-    //    labels, compiled arena from pre-interned ids).
-    psl_stats::reset_peak_rss();
-    let trie = psl_core::SuffixTrie::from_rules(latest.rules());
-    let opts = config.sweep.opts;
-    let hosts_rev: Vec<Vec<&str>> =
-        corpus.hosts().iter().take(1000).map(|h| h.labels_reversed()).collect();
-    let host_ids: Vec<Vec<u32>> = hosts_rev
-        .iter()
-        .map(|h| {
-            let mut ids = Vec::new();
-            latest.reversed_ids(h, &mut ids);
-            ids
-        })
-        .collect();
-    let n = hosts_rev.len();
-    let trie_best = time_best(3, 20, || {
-        hosts_rev.iter().map(|h| trie.disposition(h, opts).map_or(0, |d| d.suffix_len as u64)).sum()
-    });
-    let frozen_str_best = time_best(3, 20, || {
-        hosts_rev
-            .iter()
-            .map(|h| latest.disposition_reversed(h, opts).map_or(0, |d| d.suffix_len as u64))
-            .sum()
-    });
-    let frozen_ids_best = time_best(3, 20, || {
-        host_ids
-            .iter()
-            .map(|ids| latest.disposition_ids(ids, opts).map_or(0, |d| d.suffix_len as u64))
-            .sum()
-    });
-    let per = |d: std::time::Duration| d.as_nanos() as f64 / n as f64;
-    let engine = EngineBench {
-        hosts: n,
-        trie_ns_per_lookup: per(trie_best),
-        frozen_str_ns_per_lookup: per(frozen_str_best),
-        frozen_ids_ns_per_lookup: per(frozen_ids_best),
-        speedup_ids_vs_trie: per(trie_best) / per(frozen_ids_best).max(f64::EPSILON),
-        peak_rss_bytes: psl_stats::peak_rss_bytes(),
-    };
-    eprintln!(
-        "engine: trie {:.1} ns/lookup, frozen(str) {:.1}, frozen(ids) {:.1} ({:.2}x vs trie)",
-        engine.trie_ns_per_lookup,
-        engine.frozen_str_ns_per_lookup,
-        engine.frozen_ids_ns_per_lookup,
-        engine.speedup_ids_vs_trie
-    );
-
-    // 2. Cold start: text parse+compile vs. binary snapshot load for the
-    //    same list — the number that justifies shipping snapshots at all.
-    psl_stats::reset_peak_rss();
-    let dat_text = latest.to_dat();
-    let snap_bytes = latest.write_snapshot();
-    let parse_best = time_best(2, 10, || psl_core::List::parse(&dat_text).len() as u64);
-    let view_parse_best = time_best(2, 10, || {
-        // Parse + one real lookup: the timed unit is "process can answer
-        // its first query", not just header validation.
-        let view = psl_core::SnapshotView::parse(&snap_bytes).expect("own snapshot");
-        let d = view.disposition(&["com", "example"], psl_core::MatchOpts::default());
-        view.rules() as u64 + d.is_some() as u64
-    });
-    let arena_load_best = time_best(2, 10, || {
-        let (_, frozen) = psl_core::FrozenList::load(&snap_bytes).expect("own snapshot");
-        frozen.len() as u64
-    });
-    let full_load_best = time_best(2, 10, || {
-        psl_core::List::load_snapshot(&snap_bytes).expect("own snapshot").len() as u64
-    });
-    let us = |d: std::time::Duration| d.as_nanos() as f64 / 1e3;
-    let coldstart = ColdstartBench {
-        rules: latest.len(),
-        snapshot_bytes: snap_bytes.len(),
-        parse_compile_us: us(parse_best),
-        view_parse_us: us(view_parse_best),
-        arena_load_us: us(arena_load_best),
-        full_load_us: us(full_load_best),
-        speedup: us(parse_best) / us(view_parse_best).max(f64::EPSILON),
-        peak_rss_bytes: psl_stats::peak_rss_bytes(),
-    };
-    eprintln!(
-        "coldstart: {} rules: parse+compile {:.0} us, snapshot view {:.0} us ({:.1}x), \
-         arena load {:.0} us, full list load {:.0} us ({} KiB snapshot)",
-        coldstart.rules,
-        coldstart.parse_compile_us,
-        coldstart.view_parse_us,
-        coldstart.speedup,
-        coldstart.arena_load_us,
-        coldstart.full_load_us,
-        coldstart.snapshot_bytes / 1024
-    );
-
-    // 3. Agreement gate: the shipped vectors plus a four-way differential
-    //    sweep over every history version. Nonzero divergences fail the
-    //    whole bench (numbers from a wrong matcher are worthless).
-    psl_stats::reset_peak_rss();
-    let vectors = psl_conformance::parse_vectors(psl_conformance::SHIPPED_VECTORS)
-        .map_err(|e| e.to_string())?;
-    let shipped =
-        psl_conformance::run_vectors(&psl_core::embedded_list(), &vectors, MatchOpts::default());
-    let probe = psl_conformance::probe_corpus(&history, flags.seed.wrapping_add(3), 2_000);
-    let oracle = psl_conformance::sweep_history(&history, &probe, 0);
-    let agreement = AgreementBench {
-        shipped_vectors: shipped.total,
-        sweep_comparisons: oracle.comparisons as u64,
-        divergences: oracle.divergences.len() + shipped.failures.len(),
-        peak_rss_bytes: psl_stats::peak_rss_bytes(),
-    };
-    eprintln!(
-        "agreement: {} shipped vectors, {} differential comparisons, {} divergences",
-        agreement.shipped_vectors, agreement.sweep_comparisons, agreement.divergences
-    );
-
-    // 4. Full-history sweep wall clock: the snapshot-rebuild oracle vs.
-    //    the engine (version walk + one streamed pass). Any difference in
-    //    the per-version stats fails the bench.
-    psl_stats::reset_peak_rss();
-    let t = std::time::Instant::now();
-    let rebuild = psl_analysis::sweep_rebuild(&history, &corpus, config.sweep.opts);
-    let rebuild_ms = t.elapsed().as_secs_f64() * 1e3;
-    let t = std::time::Instant::now();
-    let walked = psl_analysis::sweep_stream(&history, &stream, &config.sweep);
-    let engine_ms = t.elapsed().as_secs_f64() * 1e3;
-    if rebuild != walked.stats {
-        return Err("bench: the sweep engine disagrees with the rebuild oracle".into());
-    }
-    let sweep = SweepBench {
-        versions: walked.stats.len(),
-        hosts: corpus.host_count(),
-        threads: walked.threads,
-        rebuild_ms,
-        engine_ms,
-        speedup: rebuild_ms / engine_ms.max(f64::EPSILON),
-        peak_rss_bytes: psl_stats::peak_rss_bytes(),
-    };
-    eprintln!(
-        "sweep: {} versions x {} hosts: rebuild {:.0} ms, engine {:.0} ms ({:.2}x)",
-        sweep.versions, sweep.hosts, sweep.rebuild_ms, sweep.engine_ms, sweep.speedup
-    );
-
-    // 5. Loopback server + load generator: end-to-end lookups/s over TCP.
-    psl_stats::reset_peak_rss();
-    let bench_history = std::sync::Arc::new(history);
-    let bench_store = psl_service::owned_store(
-        format!("history:{}", bench_history.latest_version()),
-        Some(bench_history.latest_version()),
-        bench_history.latest_snapshot(),
-    );
-    let loadgen = {
-        use std::sync::Arc;
-        let history = Arc::clone(&bench_history);
-        let store = Arc::clone(&bench_store);
-        let workers = if flags.threads == 0 { 4 } else { flags.threads };
-        let engine = psl_service::Engine::new(
-            store,
-            Some(Arc::clone(&history)),
-            psl_service::EngineConfig { workers, ..Default::default() },
-            psl_service::monotonic_clock(),
-        );
-        let server = psl_service::Server::bind(
-            Arc::clone(&engine),
-            psl_service::ServerConfig {
-                addr: "127.0.0.1:0".to_string(),
-                read_timeout: std::time::Duration::from_millis(50),
-                ..Default::default()
-            },
-        )
-        .map_err(|e| format!("bench: binding loopback server: {e}"))?;
-        let addr = server.local_addr().map_err(|e| e.to_string())?;
-        let stop = server.stop_handle();
-        let join = std::thread::spawn(move || server.run());
-        let hosts: Vec<String> = corpus.hosts().iter().map(|h| h.as_str().to_string()).collect();
-        let report = psl_service::loadgen::run(
-            &psl_service::LoadgenConfig {
-                addr: addr.to_string(),
-                requests: flags.requests,
-                connections: flags.connections,
-                batch: flags.batch,
-                check: false,
-            },
-            &hosts,
-            None,
-        );
-        stop.stop();
-        join.join().map_err(|_| "bench: server thread panicked")?.map_err(|e| e.to_string())?;
-        let report = report?;
-        if report.errors > 0 {
-            return Err(format!("bench: loadgen saw {} protocol errors", report.errors));
-        }
-        LoadgenBench {
-            requests: report.requests,
-            threads: workers,
-            lookups_per_s: report.throughput_rps,
-            cache_hit_ratio: report.cache_hit_ratio,
-            peak_rss_bytes: psl_stats::peak_rss_bytes(),
-        }
-    };
-    eprintln!(
-        "loadgen: {} requests at {:.0} lookups/s (cache hit ratio {:.3})",
-        loadgen.requests, loadgen.lookups_per_s, loadgen.cache_hit_ratio
-    );
-
-    // 6. Reactor curve: established-connection count vs. pipelined
-    //    throughput. The server runs as a child `pslharm serve` process so
-    //    client and server each get a full RLIMIT_NOFILE budget — in one
-    //    process every connection costs two fds and a 20k hard cap (a
-    //    common container ceiling) tops out below 10k connections.
-    let reactor = {
-        psl_stats::reset_peak_rss();
-        let nofile_limit = psl_service::reactor::epoll::raise_nofile_limit(24_000);
-        let top = 10_000.min(nofile_limit.saturating_sub(1_024) as usize).max(1);
-        let exe = std::env::current_exe().map_err(|e| format!("bench: current_exe: {e}"))?;
-        let mut child = std::process::Command::new(exe)
-            .args([
-                "serve",
-                "--addr",
-                "127.0.0.1:0",
-                "--seed",
-                &flags.seed.to_string(),
-                "--threads",
-                &if flags.threads == 0 { 4 } else { flags.threads }.to_string(),
-                "--max-conns",
-                &(top + 64).to_string(),
-            ])
-            .stdout(std::process::Stdio::piped())
-            .stderr(std::process::Stdio::null())
-            .spawn()
-            .map_err(|e| format!("bench: spawning reactor server: {e}"))?;
-        // Kill the child on any error path below; a kill after a clean
-        // shutdown is a harmless no-op.
-        struct ChildGuard(std::process::Child);
-        impl Drop for ChildGuard {
-            fn drop(&mut self) {
-                let _ = self.0.kill();
-                let _ = self.0.wait();
-            }
-        }
-        let stdout = child.stdout.take().expect("stdout piped");
-        let mut guard = ChildGuard(child);
-        let addr = {
-            use std::io::BufRead;
-            let mut lines = std::io::BufReader::new(stdout).lines();
-            loop {
-                let line = lines
-                    .next()
-                    .ok_or("bench: reactor server exited before listening")?
-                    .map_err(|e| format!("bench: reading server output: {e}"))?;
-                if let Some(rest) = line.split("listening on ").nth(1) {
-                    break rest
-                        .split_whitespace()
-                        .next()
-                        .ok_or("bench: malformed listening line")?
-                        .to_string();
-                }
-            }
-        };
-        let hosts: Vec<String> = corpus.hosts().iter().map(|h| h.as_str().to_string()).collect();
-
-        let (batch, window) = (64, flags.window.max(64));
-        let mut points = Vec::new();
-        for &connections in &[1usize, 64, 512, 2_048, top] {
-            if points.iter().any(|p: &ReactorPoint| p.connections == connections) {
-                continue; // top collapsed onto an existing point
-            }
-            let report = psl_service::loadgen::run_pipelined(
-                &psl_service::PipelineConfig {
-                    addr: addr.clone(),
-                    connections,
-                    requests: flags.requests.max(connections as u64 * 20),
-                    batch,
-                    window,
-                    drivers: 2,
-                    ..Default::default()
-                },
-                &hosts,
-            )?;
-            eprintln!(
-                "reactor: {} conns ({} established): {:.0} lookups/s, {} disconnects",
-                connections, report.established, report.throughput_rps, report.disconnects
-            );
-            points.push(ReactorPoint {
-                connections,
-                established: report.established,
-                requests: report.requests,
-                completed: report.completed,
-                disconnects: report.disconnects,
-                elapsed_seconds: report.elapsed_seconds,
-                lookups_per_s: report.throughput_rps,
-            });
-        }
-        psl_service::query_once(&addr, "SHUTDOWN")
-            .map_err(|e| format!("bench: shutting down reactor server: {e}"))?;
-        guard.0.wait().map_err(|e| format!("bench: reaping reactor server: {e}"))?;
-        ReactorBench {
-            nofile_limit,
-            batch,
-            window,
-            server_threads: if flags.threads == 0 { 4 } else { flags.threads },
-            driver_threads: 2,
-            points,
-            peak_rss_bytes: psl_stats::peak_rss_bytes(),
-        }
-    };
-
-    // 7. Streaming sweep scale curve: 10^5 → 10^scale_max requests through
-    //    every list version. The host population is fixed by the corpus
-    //    configuration, so peak RSS must plateau as the request count
-    //    grows — that flat line is the "paper scale is a non-event" claim
-    //    in one number.
-    let sweep_scale = {
-        let mut points = Vec::new();
-        for exp in 5..=flags.scale_max {
-            let target = 10u64.pow(exp);
-            let corpus_cfg = config.corpus.clone().with_target_requests(target);
-            let stream = psl_webcorpus::build_stream(&bench_history, &corpus_cfg);
-            psl_stats::reset_peak_rss();
-            let t = std::time::Instant::now();
-            let out = psl_analysis::sweep_stream(&bench_history, &stream, &config.sweep);
-            let wall = t.elapsed().as_secs_f64();
-            let point = SweepScalePoint {
-                requests_target: target,
-                requests_streamed: out.total_requests,
-                versions: out.stats.len(),
-                threads: out.threads,
-                shards: out.shards,
-                wall_seconds: wall,
-                requests_per_s: out.total_requests as f64 / wall.max(f64::EPSILON),
-                peak_rss_bytes: psl_stats::peak_rss_bytes(),
-                sites_latest: out.stats.last().map_or(0, |s| s.sites),
-            };
-            eprintln!(
-                "sweep_scale 10^{exp}: {} requests in {:.2} s ({:.2}M req/s, {} shards x {} \
-                 threads{})",
-                point.requests_streamed,
-                point.wall_seconds,
-                point.requests_per_s / 1e6,
-                point.shards,
-                point.threads,
-                point
-                    .peak_rss_bytes
-                    .map(|b| format!(", peak rss {} MiB", b >> 20))
-                    .unwrap_or_default()
-            );
-            points.push(point);
-        }
-        SweepScaleBench { max_exponent: flags.scale_max, points }
-    };
-
-    // 8. Fleet scale curve: 10^4 → 10^fleet_max scripted sessions executed
-    //    against every sampled version paired with the latest. The host
-    //    population and accumulators are fixed-size, so peak RSS must stay
-    //    flat while sessions/s holds — and the harm table must be
-    //    byte-identical across thread/shard counts (the merge-law gate).
-    let fleet_scale = {
-        let fleet_stream = psl_webcorpus::build_stream(&bench_history, &config.corpus);
-        let base = psl_analysis::FleetConfig {
-            opts: config.sweep.opts,
-            threads: flags.threads,
-            ..Default::default()
-        };
-        // Determinism gate at the smallest point: 1 thread x 1 shard vs. a
-        // deliberately awkward 3 threads x 7 shards.
-        let small = 10_000;
-        let a = psl_analysis::run_fleet(
-            &bench_history,
-            &fleet_stream,
-            &psl_analysis::FleetConfig { sessions: small, threads: 1, shards: 1, ..base },
-        );
-        let b = psl_analysis::run_fleet(
-            &bench_history,
-            &fleet_stream,
-            &psl_analysis::FleetConfig { sessions: small, threads: 3, shards: 7, ..base },
-        );
-        let (aj, bj) = (
-            serde_json::to_string(&a.rows).map_err(|e| e.to_string())?,
-            serde_json::to_string(&b.rows).map_err(|e| e.to_string())?,
-        );
-        if aj != bj {
-            return Err("bench: fleet harm table differs across thread/shard counts".into());
-        }
-        let mut points = Vec::new();
-        for exp in 4..=flags.fleet_max {
-            let sessions = 10u64.pow(exp);
-            psl_stats::reset_peak_rss();
-            let t = std::time::Instant::now();
-            let out = psl_analysis::run_fleet(
-                &bench_history,
-                &fleet_stream,
-                &psl_analysis::FleetConfig { sessions, ..base },
-            );
-            let wall = t.elapsed().as_secs_f64();
-            let answered = out.sessions * out.versions_sampled as u64;
-            let point = FleetScalePoint {
-                sessions,
-                versions: out.versions_sampled,
-                threads: out.threads,
-                shards: out.shards,
-                wall_seconds: wall,
-                sessions_per_s: sessions as f64 / wall.max(f64::EPSILON),
-                session_executions_per_s: answered as f64 / wall.max(f64::EPSILON),
-                peak_rss_bytes: psl_stats::peak_rss_bytes(),
-                leaked_cookies_oldest: out.rows.first().map_or(0, |r| r.leaked_cookies),
-            };
-            if point.leaked_cookies_oldest == 0 {
-                return Err("bench: fleet executed no leaked cookies at the oldest version".into());
-            }
-            eprintln!(
-                "fleet_scale 10^{exp}: {} sessions in {:.2} s ({:.2}M sessions/min, {} versions, \
-                 {} shards x {} threads{})",
-                sessions,
-                point.wall_seconds,
-                point.sessions_per_s * 60.0 / 1e6,
-                point.versions,
-                point.shards,
-                point.threads,
-                point
-                    .peak_rss_bytes
-                    .map(|b| format!(", peak rss {} MiB", b >> 20))
-                    .unwrap_or_default()
-            );
-            points.push(point);
-        }
-        FleetScaleBench { max_exponent: flags.fleet_max, determinism_checked: true, points }
-    };
-
-    let report = BenchReport {
-        seed: flags.seed,
-        environment: BenchEnv::capture(),
-        engine,
-        coldstart,
-        sweep,
-        sweep_scale,
-        fleet_scale,
-        loadgen,
-        reactor,
-        agreement,
-    };
-    let payload = serde_json::to_string_pretty(&report).map_err(|e| e.to_string())?;
-    if let Some(path) = &flags.json {
-        std::fs::write(path, &payload).map_err(|e| format!("writing {path}: {e}"))?;
-        eprintln!("wrote {path}");
-    } else {
-        println!("{payload}");
-    }
-    if report.agreement.divergences > 0 {
-        return Err(format!(
-            "bench: {} executor divergences — numbers rejected",
-            report.agreement.divergences
-        ));
     }
     Ok(())
 }

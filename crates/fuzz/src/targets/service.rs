@@ -56,11 +56,7 @@ pub fn check_session(lines: &[String]) -> Result<(), String> {
     let engine = build_engine();
     let server = Server::bind(
         engine,
-        ServerConfig {
-            addr: "127.0.0.1:0".to_string(),
-            read_timeout: Duration::from_millis(20),
-            ..Default::default()
-        },
+        ServerConfig { addr: "127.0.0.1:0".to_string(), ..Default::default() },
     )
     .map_err(|e| format!("bind loopback server: {e}"))?;
     let addr = server.local_addr().map_err(|e| format!("local_addr: {e}"))?;

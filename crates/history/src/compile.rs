@@ -3,10 +3,10 @@
 //! Compiling each of the ~1,142 versions from scratch would re-intern and
 //! re-build nearly identical tries 1,142 times. Consecutive versions share
 //! almost all of their rules, so [`CompiledHistory::build`] replays the
-//! same `(date, add/remove, rule)` event sweep the incremental analyses
-//! use: one mutable [`SuffixTrie`] receives each version's diff, is
-//! compacted after removals (so dead nodes never leak into the compiled
-//! arenas), and is frozen into a [`FrozenList`] per version — all through
+//! history's rule changes ([`History::replay_changes`]): one mutable
+//! [`SuffixTrie`] receives each version's diff, is compacted after
+//! removals (so dead nodes never leak into the compiled arenas), and is
+//! frozen into a [`FrozenList`] per version — all through
 //! one shared [`LabelInterner`], so a corpus hostname interned once can be
 //! matched against every version as a plain `&[u32]`.
 
@@ -30,36 +30,22 @@ impl CompiledHistory {
     /// Compile all versions of `history` incrementally (version *k+1* is
     /// derived from version *k*'s rule set, not rebuilt from scratch).
     pub fn build(history: &History) -> Self {
-        let mut events: Vec<(Date, bool, &psl_core::Rule)> = Vec::new();
-        for span in history.spans() {
-            events.push((span.added, true, &span.rule));
-            if let Some(r) = span.removed {
-                events.push((r, false, &span.rule));
-            }
-        }
-        events.sort_by_key(|e| e.0);
-
         let mut interner = LabelInterner::new();
         let mut trie = SuffixTrie::default();
         let mut versions = Vec::with_capacity(history.version_count());
-        let mut ei = 0;
-        for &v in history.versions() {
-            let mut changed = false;
+        history.replay_changes(|_, v, changes| {
             let mut removed = false;
-            while ei < events.len() && events[ei].0 <= v {
-                let (_, is_add, rule) = events[ei];
+            for &(is_add, rule) in changes {
                 if is_add {
                     trie.insert(rule);
                 } else {
                     removed |= trie.remove(rule);
                 }
-                changed = true;
-                ei += 1;
             }
             if removed {
                 trie.compact();
             }
-            let frozen = if changed || versions.is_empty() {
+            let frozen = if !changes.is_empty() || versions.is_empty() {
                 FrozenList::freeze(&trie, &mut interner)
             } else {
                 // Identical rule set: reuse the previous arena verbatim.
@@ -67,7 +53,7 @@ impl CompiledHistory {
                 prev.clone()
             };
             versions.push((v, frozen));
-        }
+        });
         CompiledHistory { interner, versions }
     }
 

@@ -75,24 +75,13 @@ impl<'h> DatingIndex<'h> {
     pub fn build(history: &'h History) -> Self {
         let mut by_fingerprint = HashMap::new();
         // Incremental fingerprint: XOR in added rules, XOR out removed.
-        let mut events: Vec<(Date, bool, u64)> = Vec::new();
-        for span in history.spans() {
-            let h = fingerprint(std::iter::once(span.rule.as_text().as_str()));
-            events.push((span.added, true, h));
-            if let Some(r) = span.removed {
-                events.push((r, false, h));
-            }
-        }
-        events.sort_unstable_by_key(|e| e.0);
         let mut acc = 0u64;
-        let mut ei = 0;
-        for &v in history.versions() {
-            while ei < events.len() && events[ei].0 <= v {
-                acc ^= events[ei].2;
-                ei += 1;
+        history.replay_changes(|_, v, changes| {
+            for &(_, rule) in changes {
+                acc ^= fingerprint(std::iter::once(rule.as_text().as_str()));
             }
             by_fingerprint.entry(acc).or_insert(v);
-        }
+        });
         DatingIndex { history, by_fingerprint }
     }
 

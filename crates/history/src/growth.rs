@@ -29,24 +29,11 @@ pub struct GrowthSeries {
 impl GrowthSeries {
     /// Compute the series for a history.
     pub fn compute(history: &History) -> Self {
-        // Event sweep carrying the component class.
-        let mut events: Vec<(Date, i64, usize)> = Vec::new();
-        for span in history.spans() {
-            let class = span.rule.component_count().min(4) - 1;
-            events.push((span.added, 1, class));
-            if let Some(r) = span.removed {
-                events.push((r, -1, class));
-            }
-        }
-        events.sort_unstable_by_key(|e| e.0);
-
         let mut counts = [0i64; 4];
-        let mut ei = 0;
         let mut points = Vec::with_capacity(history.version_count());
-        for &v in history.versions() {
-            while ei < events.len() && events[ei].0 <= v {
-                counts[events[ei].2] += events[ei].1;
-                ei += 1;
+        history.replay_changes(|_, v, changes| {
+            for &(added, rule) in changes {
+                counts[rule.component_count().min(4) - 1] += if added { 1 } else { -1 };
             }
             let by: [usize; 4] = [
                 counts[0].max(0) as usize,
@@ -55,7 +42,7 @@ impl GrowthSeries {
                 counts[3].max(0) as usize,
             ];
             points.push(GrowthPoint { date: v, total: by.iter().sum(), by_components: by });
-        }
+        });
         GrowthSeries { points }
     }
 

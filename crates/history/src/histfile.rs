@@ -59,7 +59,7 @@
 use crate::compile::CompiledHistory;
 use crate::history::History;
 use psl_core::snapfile::{checksum64, SnapshotError};
-use psl_core::{Date, FrozenList, LabelInterner, Rule, RuleKind, Section};
+use psl_core::{Date, FrozenList, LabelInterner, RuleKind, Section};
 use std::collections::BTreeMap;
 
 /// Magic bytes opening every compiled-history file.
@@ -124,37 +124,26 @@ fn code_section(code: u8) -> Section {
 
 /// Serialise `history` into a delta-compressed compiled-history file.
 ///
-/// The label interner is built by replaying the history's dated events in
-/// order (the same sweep [`CompiledHistory::build`] uses), so the output
-/// is a pure function of the history contents. `checkpoint_every` of 1
-/// makes every version a checkpoint (no deltas at all); the
-/// [`DEFAULT_CHECKPOINT_EVERY`] cadence is what `pslharm compile
-/// --history` ships.
+/// The label interner is built by replaying the history's rule changes in
+/// order ([`History::replay_changes`], as [`CompiledHistory::build`]
+/// does), so the output is a pure function of the history contents.
+/// `checkpoint_every` of 1 makes every version a checkpoint (no deltas at
+/// all); the [`DEFAULT_CHECKPOINT_EVERY`] cadence is what `pslharm
+/// compile --history` ships.
 pub fn write_history_file(history: &History, checkpoint_every: u32) -> Vec<u8> {
     assert!(checkpoint_every >= 1, "checkpoint cadence must be >= 1");
 
-    let mut events: Vec<(Date, bool, &Rule)> = Vec::new();
-    for span in history.spans() {
-        events.push((span.added, true, &span.rule));
-        if let Some(r) = span.removed {
-            events.push((r, false, &span.rule));
-        }
-    }
-    events.sort_by_key(|e| e.0);
-
     let mut interner = LabelInterner::new();
     let mut map: RuleMap = BTreeMap::new();
-    let mut ei = 0;
 
     // Per-version record payloads (kind, section, path), already split
     // into removals and additions.
     let mut dels_per_version: Vec<Vec<(u8, Vec<u32>)>> = Vec::new();
     let mut adds_per_version: Vec<Vec<(u8, u8, Vec<u32>)>> = Vec::new();
 
-    for (vi, &v) in history.versions().iter().enumerate() {
+    history.replay_changes(|vi, _, changes| {
         let prev = map.clone();
-        while ei < events.len() && events[ei].0 <= v {
-            let (_, is_add, rule) = events[ei];
+        for &(is_add, rule) in changes {
             let path: Vec<u32> = rule.labels().iter().rev().map(|l| interner.intern(l)).collect();
             let key = (path, kind_code(rule.kind()));
             if is_add {
@@ -163,7 +152,6 @@ pub fn write_history_file(history: &History, checkpoint_every: u32) -> Vec<u8> {
             } else {
                 map.remove(&key);
             }
-            ei += 1;
         }
         let checkpoint = (vi as u32).is_multiple_of(checkpoint_every);
         if checkpoint {
@@ -186,7 +174,7 @@ pub fn write_history_file(history: &History, checkpoint_every: u32) -> Vec<u8> {
             dels_per_version.push(dels);
             adds_per_version.push(adds);
         }
-    }
+    });
 
     // Label string arena.
     let mut label_offsets: Vec<u32> = Vec::with_capacity(interner.len() + 1);

@@ -146,26 +146,38 @@ impl History {
     /// Iterate `(version_date, live_rule_count)` pairs, computed
     /// incrementally in O(spans + versions) — the backbone of Figure 2.
     pub fn version_sizes(&self) -> Vec<(Date, usize)> {
-        // Event sweep: +1 at added, -1 at removed.
-        let mut events: Vec<(Date, i64)> = Vec::with_capacity(self.spans.len() * 2);
-        for s in &self.spans {
-            events.push((s.added, 1));
-            if let Some(r) = s.removed {
-                events.push((r, -1));
-            }
-        }
-        events.sort_unstable_by_key(|e| e.0);
         let mut out = Vec::with_capacity(self.versions.len());
         let mut count: i64 = 0;
-        let mut ei = 0;
-        for &v in &self.versions {
-            while ei < events.len() && events[ei].0 <= v {
-                count += events[ei].1;
-                ei += 1;
-            }
+        self.replay_changes(|_, v, changes| {
+            count += changes.iter().map(|&(added, _)| if added { 1 } else { -1 }).sum::<i64>();
             out.push((v, count.max(0) as usize));
-        }
+        });
         out
+    }
+
+    /// Replay the list's rule changes version by version, oldest first:
+    /// `f(index, date, changes)` runs once per version with `(added,
+    /// rule)` for every rule that entered (`true`) or left (`false`) the
+    /// list after the previous version and on or before this one (for
+    /// the first version: everything dated on or before it). Changes are
+    /// in date order, ties in span order.
+    pub fn replay_changes<'a>(&'a self, mut f: impl FnMut(usize, Date, &[(bool, &'a Rule)])) {
+        let mut events: Vec<(Date, bool, &Rule)> = Vec::with_capacity(self.spans.len() * 2);
+        for span in &self.spans {
+            events.push((span.added, true, &span.rule));
+            if let Some(r) = span.removed {
+                events.push((r, false, &span.rule));
+            }
+        }
+        events.sort_by_key(|e| e.0);
+        let changes: Vec<(bool, &Rule)> =
+            events.iter().map(|&(_, added, rule)| (added, rule)).collect();
+        let mut start = 0;
+        for (vi, &v) in self.versions.iter().enumerate() {
+            let end = start + events[start..].partition_point(|e| e.0 <= v);
+            f(vi, v, &changes[start..end]);
+            start = end;
+        }
     }
 }
 
@@ -257,6 +269,27 @@ mod tests {
         for (v, n) in h.version_sizes() {
             assert_eq!(n, h.rule_count_at(v), "at {v}");
         }
+    }
+
+    #[test]
+    fn replayed_changes_rebuild_every_version() {
+        let h = small_history();
+        let mut live = std::collections::BTreeSet::new();
+        let mut visited = Vec::new();
+        h.replay_changes(|i, v, changes| {
+            for &(added, rule) in changes {
+                if added {
+                    live.insert(rule.as_text());
+                } else {
+                    live.remove(&rule.as_text());
+                }
+            }
+            let expected: std::collections::BTreeSet<String> =
+                h.rules_at(v).iter().map(Rule::as_text).collect();
+            assert_eq!(live, expected, "at {v}");
+            visited.push((i, v));
+        });
+        assert_eq!(visited, h.versions().iter().copied().enumerate().collect::<Vec<_>>());
     }
 
     #[test]

@@ -38,10 +38,6 @@ const LISTEN_BACKLOG: i32 = 4096;
 pub struct ServerConfig {
     /// Bind address, e.g. `127.0.0.1:7378` (port 0 = ephemeral).
     pub addr: String,
-    /// Historic knob from the blocking server, kept so existing callers
-    /// and tests compile: the reactor has no per-read timeouts (readiness
-    /// is event-driven), so this is unused.
-    pub read_timeout: Duration,
     /// Optional `.dat` file to watch: `(path, poll interval)`.
     pub watch: Option<(PathBuf, Duration)>,
     /// Serve watched compiled snapshots via `mmap` instead of copying them
@@ -52,12 +48,7 @@ pub struct ServerConfig {
 
 impl Default for ServerConfig {
     fn default() -> Self {
-        ServerConfig {
-            addr: "127.0.0.1:7378".to_string(),
-            read_timeout: Duration::from_millis(250),
-            watch: None,
-            mmap: false,
-        }
+        ServerConfig { addr: "127.0.0.1:7378".to_string(), watch: None, mmap: false }
     }
 }
 

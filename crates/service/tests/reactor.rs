@@ -36,11 +36,7 @@ impl TestServer {
         );
         let server = Server::bind_with(
             Arc::clone(&engine),
-            ServerConfig {
-                addr: "127.0.0.1:0".to_string(),
-                read_timeout: Duration::from_millis(50),
-                ..Default::default()
-            },
+            ServerConfig { addr: "127.0.0.1:0".to_string(), ..Default::default() },
             options,
         )
         .expect("bind ephemeral port");

@@ -54,11 +54,7 @@ fn queries_never_observe_a_torn_snapshot_across_reloads() {
     );
     let server = Server::bind(
         Arc::clone(&engine),
-        ServerConfig {
-            addr: "127.0.0.1:0".to_string(),
-            read_timeout: Duration::from_millis(50),
-            ..Default::default()
-        },
+        ServerConfig { addr: "127.0.0.1:0".to_string(), ..Default::default() },
     )
     .unwrap();
     let addr = server.local_addr().unwrap();

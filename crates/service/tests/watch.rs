@@ -54,7 +54,6 @@ impl WatchedServer {
             Arc::clone(&engine),
             ServerConfig {
                 addr: "127.0.0.1:0".to_string(),
-                read_timeout: Duration::from_millis(50),
                 watch: Some((path.clone(), INTERVAL)),
                 mmap,
             },

@@ -21,11 +21,45 @@ fn suffix_command_prints_lookups() {
     assert!(stdout.contains("invalid"));
 }
 
+/// The string literals that open a `match` arm (`"x" =>` or `"x" |`) in
+/// the lines of `source` from the first line containing `from` up to the
+/// next line containing `to`.
+fn match_arm_literals<'a>(source: &'a str, from: &str, to: &str) -> Vec<&'a str> {
+    let mut lines = source.lines().skip_while(|l| !l.contains(from));
+    assert!(lines.next().is_some(), "no line containing {from:?} in main.rs");
+    let mut names = Vec::new();
+    for line in lines.take_while(|l| !l.contains(to)) {
+        let pieces: Vec<&str> = line.split('"').collect();
+        for (i, name) in pieces.iter().enumerate().skip(1).step_by(2) {
+            let next = pieces.get(i + 1).map_or("", |s| s.trim_start());
+            if next.starts_with("=>") || next.starts_with('|') {
+                names.push(*name);
+            }
+        }
+    }
+    names
+}
+
 #[test]
 fn help_is_printed() {
     let out = pslharm().arg("--help").output().expect("binary runs");
     assert!(out.status.success());
-    assert!(String::from_utf8_lossy(&out.stdout).contains("usage: pslharm"));
+    let help = String::from_utf8_lossy(&out.stdout);
+    assert!(help.contains("usage: pslharm"));
+
+    // Every subcommand `main` dispatches and every flag `parse_flags`
+    // accepts is named in the help text.
+    let words: std::collections::HashSet<&str> =
+        help.split(|c: char| !(c.is_ascii_alphanumeric() || c == '-')).collect();
+    let source = include_str!("../crates/cli/src/main.rs");
+    let commands = match_arm_literals(source, "let result = match cmd {", "other => Err(");
+    let commands: Vec<&str> =
+        commands.into_iter().filter(|c| !c.starts_with('-') && *c != "help").collect();
+    let flags = match_arm_literals(source, "fn parse_flags(", "other if other.starts_with");
+    assert!(commands.len() > 20 && flags.len() > 20, "{commands:?} {flags:?}");
+    for name in commands.iter().chain(&flags) {
+        assert!(words.contains(name), "--help does not mention {name:?}:\n{help}");
+    }
 }
 
 #[test]
