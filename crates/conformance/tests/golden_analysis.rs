@@ -48,6 +48,16 @@ fn golden_fig2_growth() {
 }
 
 #[test]
+fn golden_fig3_list_age() {
+    assert_golden(&fixture("fig3"), &report().fig3);
+}
+
+#[test]
+fn golden_fig4_popularity() {
+    assert_golden(&fixture("fig4"), &report().fig4);
+}
+
+#[test]
 fn golden_update_failure() {
     assert_golden(&fixture("update_failure"), &report().update_failure);
 }
@@ -75,4 +85,9 @@ fn golden_dbound() {
 #[test]
 fn golden_category_shift() {
     assert_golden(&fixture("category_shift"), &report().category_shift);
+}
+
+#[test]
+fn golden_browser_replay() {
+    assert_golden(&fixture("browser_replay"), &report().browser_replay);
 }

@@ -86,6 +86,27 @@ fn table1_runs_and_mentions_taxonomy() {
 }
 
 #[test]
+fn notify_renders_dated_notifications() {
+    let out = pslharm().args(["notify", "--seed", "7"]).output().expect("binary runs");
+    assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("95 notifications rendered"), "stderr: {stderr}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(stdout.matches("Title: Outdated Public Suffix List in ").count(), 95);
+    let bitwarden = stdout
+        .split("Title: ")
+        .find(|text| text.starts_with("Outdated Public Suffix List in bitwarden/server\n"))
+        .expect("bitwarden/server is notified");
+    assert!(
+        bitwarden.contains(
+            "The embedded copy matches the list published on 2018-03-21, \
+             which is 1723 days old as of 2022-12-08."
+        ),
+        "{bitwarden}"
+    );
+}
+
+#[test]
 fn lint_blame_and_corpus_stats_run() {
     let out = pslharm().arg("lint").output().expect("binary runs");
     assert!(out.status.success());
