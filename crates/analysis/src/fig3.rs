@@ -4,9 +4,7 @@
 //! dating each repository's embedded copy against the version history.
 //! Paper medians: all 871 days, updated 915, fixed 825.
 
-use psl_core::List;
-use psl_history::DatingIndex;
-use psl_repocorpus::{detect, DetectorConfig, RepoCorpus, UsageClass};
+use psl_repocorpus::{RepoScan, UsageClass};
 use psl_stats::Ecdf;
 use serde::Serialize;
 
@@ -38,22 +36,13 @@ impl Fig3Report {
 }
 
 /// Run the Figure 3 experiment.
-pub fn run(
-    corpus: &RepoCorpus,
-    reference: &List,
-    index: &DatingIndex<'_>,
-    detector: &DetectorConfig,
-) -> Fig3Report {
-    let t = corpus.observed_at;
+pub fn run(scan: &RepoScan<'_>) -> Fig3Report {
+    let t = scan.corpus.observed_at;
     let mut all = Vec::new();
     let mut fixed = Vec::new();
     let mut updated = Vec::new();
     let mut dependency = Vec::new();
-    for repo in &corpus.repos {
-        let detection = detect(repo, reference, index, detector);
-        let (Some(class), Some(dated)) = (detection.class, detection.dated) else {
-            continue;
-        };
+    for (_, class, dated) in scan.dated() {
         let age = dated.age_days(t) as f64;
         all.push(age);
         match class {
@@ -91,9 +80,7 @@ mod tests {
     fn medians_land_in_paper_bands() {
         let h = generate(&GeneratorConfig::small(131));
         let corpus = generate_repos(&h, &RepoGenConfig::default());
-        let reference = h.latest_snapshot();
-        let index = DatingIndex::build(&h);
-        let report = run(&corpus, &reference, &index, &DetectorConfig::default());
+        let report = run(&RepoScan::build(&corpus, &h));
 
         let all = report.median_of("all").unwrap();
         let fixed = report.median_of("fixed").unwrap();
@@ -112,9 +99,7 @@ mod tests {
     fn ecdfs_are_valid() {
         let h = generate(&GeneratorConfig::small(133));
         let corpus = generate_repos(&h, &RepoGenConfig::default());
-        let reference = h.latest_snapshot();
-        let index = DatingIndex::build(&h);
-        let report = run(&corpus, &reference, &index, &DetectorConfig::default());
+        let report = run(&RepoScan::build(&corpus, &h));
         for g in &report.groups {
             if g.n == 0 {
                 continue;

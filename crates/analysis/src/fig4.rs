@@ -6,9 +6,7 @@
 //! stars as a popularity proxy (0.96), and the "only 5 repositories with
 //! 500+ stars, median 60" observations.
 
-use psl_core::List;
-use psl_history::DatingIndex;
-use psl_repocorpus::{detect, DetectorConfig, RepoCorpus, UsageClass};
+use psl_repocorpus::{RepoScan, UsageClass};
 use serde::Serialize;
 
 /// One scatter point.
@@ -40,20 +38,12 @@ pub struct Fig4Report {
 }
 
 /// Run the Figure 4 experiment.
-pub fn run(
-    corpus: &RepoCorpus,
-    reference: &List,
-    index: &DatingIndex<'_>,
-    detector: &DetectorConfig,
-) -> Fig4Report {
+pub fn run(scan: &RepoScan<'_>) -> Fig4Report {
+    let corpus = scan.corpus;
     let t = corpus.observed_at;
     let mut points = Vec::new();
     let mut production_stars = Vec::new();
-    for repo in &corpus.repos {
-        let detection = detect(repo, reference, index, detector);
-        let (Some(class), Some(dated)) = (detection.class, detection.dated) else {
-            continue;
-        };
+    for (repo, class, dated) in scan.dated() {
         if !matches!(class, UsageClass::Fixed(_)) {
             continue;
         }
@@ -88,9 +78,7 @@ mod tests {
     fn scatter_covers_fixed_repos_with_paper_statistics() {
         let h = generate(&GeneratorConfig::small(141));
         let corpus = generate_repos(&h, &RepoGenConfig::default());
-        let reference = h.latest_snapshot();
-        let index = DatingIndex::build(&h);
-        let report = run(&corpus, &reference, &index, &DetectorConfig::default());
+        let report = run(&RepoScan::build(&corpus, &h));
 
         // 68 fixed repos in Table 1.
         assert_eq!(report.points.len(), 68);

@@ -8,9 +8,9 @@ use crate::{
     browser_replay, category_shift, cert_harm, cookie_harm, dbound_exp, fig2, fig3, fig4, figs567,
     table1, table2, table3, update_failure,
 };
-use psl_history::{DatingIndex, GeneratorConfig, History};
+use psl_history::{GeneratorConfig, History};
 use psl_iana::RootZoneDb;
-use psl_repocorpus::{DetectorConfig, RepoCorpus, RepoGenConfig};
+use psl_repocorpus::{RepoCorpus, RepoGenConfig, RepoScan};
 use psl_webcorpus::{CorpusConfig, StreamCorpus, WebCorpus};
 use serde::Serialize;
 
@@ -23,8 +23,6 @@ pub struct PipelineConfig {
     pub corpus: CorpusConfig,
     /// Repository corpus config.
     pub repos: RepoGenConfig,
-    /// Detector thresholds.
-    pub detector: DetectorConfig,
     /// Sweep options (Figures 5–7).
     pub sweep: StreamSweepConfig,
     /// Rows reported in Table 2.
@@ -37,7 +35,6 @@ impl Default for PipelineConfig {
             history: GeneratorConfig::default(),
             corpus: CorpusConfig::default(),
             repos: RepoGenConfig::default(),
-            detector: DetectorConfig::default(),
             sweep: StreamSweepConfig::default(),
             table2_top: 15,
         }
@@ -112,37 +109,33 @@ pub struct FullReport {
 
 /// Run every experiment over prebuilt substrates.
 pub fn run_all(subs: &Substrates, config: &PipelineConfig) -> FullReport {
-    let index = DatingIndex::build(&subs.history);
-    let reference = subs.history.latest_snapshot();
-    // One sweep serves Figures 5-7 and the DBOUND baseline.
+    // One scan serves every repository experiment; one sweep serves
+    // Figures 5-7, the DBOUND baseline, and (joined at each copy's dated
+    // version) Table 3 and the update-failure extension.
+    let scan = RepoScan::build(&subs.repos, &subs.history);
     let sweep = sweep_stream(&subs.history, &subs.stream, &config.sweep);
     let stats = &sweep.stats;
     FullReport {
         fig2: fig2::run(&subs.history, &subs.iana),
-        table1: table1::run(&subs.repos, &reference, &index, &config.detector),
-        fig3: fig3::run(&subs.repos, &reference, &index, &config.detector),
-        fig4: fig4::run(&subs.repos, &reference, &index, &config.detector),
+        table1: table1::run(&scan),
+        fig3: fig3::run(&scan),
+        fig4: fig4::run(&scan),
         figs567: figs567::package(stats, subs.stream.host_count(), sweep.total_requests as usize),
         table2: table2::run(
             &subs.history,
             &subs.corpus,
-            &subs.repos,
-            &index,
-            &config.detector,
+            &scan,
             config.table2_top,
+            config.sweep.opts,
         ),
-        table3: table3::run(&subs.history, &subs.corpus, &subs.repos, &index, &config.detector),
+        table3: table3::run(&scan, stats),
         cookie_harm: cookie_harm::run(&subs.history, &subs.corpus, config.sweep.opts),
         dbound: dbound_exp::run(&subs.history, &subs.corpus, stats, config.sweep.opts),
         cert_harm: cert_harm::run(&subs.history, &subs.corpus, config.sweep.opts),
         update_failure: update_failure::run(
-            &subs.history,
-            &subs.corpus,
-            &subs.repos,
-            &index,
-            &config.detector,
+            &scan,
+            stats,
             &update_failure::FallbackModel::default(),
-            config.sweep.opts,
         ),
         browser_replay: browser_replay::run(
             &subs.history,
@@ -171,6 +164,7 @@ impl FullReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use psl_repocorpus::UsageClass;
 
     #[test]
     fn full_pipeline_produces_every_artifact() {
@@ -195,5 +189,91 @@ mod tests {
         let json = report.to_json();
         assert!(json.contains("myshopify.com"));
         assert!(json.contains("bitwarden/server"));
+    }
+
+    /// Table 3 and the update-failure extension read each copy's harm off
+    /// the sweep row at its dated version, under the sweep's match
+    /// options. Every scanned copy's count must equal the rebuild oracle:
+    /// the dated version's full snapshot matched against the latest list.
+    #[test]
+    fn repo_tables_join_the_sweep_under_every_match_option() {
+        use crate::sweep::stats_for_single_list;
+        use psl_core::{Date, MatchOpts};
+        use std::collections::{BTreeMap, HashMap};
+
+        // A small world in which the TLD most corpus hosts sit under joins
+        // the list only in its latest version, so that embedded copies lack
+        // it and the implicit `*` option changes which hosts they move.
+        let generated = psl_history::generate(&GeneratorConfig::small(211));
+        let stream = psl_webcorpus::build_stream(&generated, &CorpusConfig::small(212));
+        let corpus = stream.materialize();
+        let mut per_tld: BTreeMap<&str, usize> = BTreeMap::new();
+        for host in corpus.hosts() {
+            *per_tld.entry(host.as_str().rsplit('.').next().unwrap()).or_default() += 1;
+        }
+        let (&tld, _) = per_tld.iter().max_by_key(|&(_, n)| *n).unwrap();
+        let spans = generated
+            .spans()
+            .iter()
+            .cloned()
+            .map(|mut s| {
+                if s.rule.as_text() == tld {
+                    s.added = generated.latest_version();
+                }
+                s
+            })
+            .collect();
+        let history = History::new(spans, generated.versions().to_vec());
+        let repos = psl_repocorpus::generate_repos(&history, &RepoGenConfig::default());
+        let scan = RepoScan::build(&repos, &history);
+        let latest = history.latest_snapshot();
+        let model = update_failure::FallbackModel::default();
+        for opts in [
+            MatchOpts::default(),
+            MatchOpts { include_private: false, implicit_wildcard: true },
+            MatchOpts { include_private: true, implicit_wildcard: false },
+        ] {
+            let mut oracle: HashMap<Date, usize> = HashMap::new();
+            let mut moved = |version: Date| {
+                *oracle.entry(version).or_insert_with(|| {
+                    let embedded = history.snapshot_at(version);
+                    stats_for_single_list(&corpus, &embedded, &latest, opts)
+                        .hosts_in_different_site_vs_latest
+                })
+            };
+            let sweep =
+                sweep_stream(&history, &stream, &StreamSweepConfig { opts, ..Default::default() });
+            let table3 = table3::run(&scan, &sweep.stats);
+            let failure = update_failure::run(&scan, &sweep.stats, &model);
+
+            let mut harms: BTreeMap<String, Vec<f64>> = BTreeMap::new();
+            let mut fixed = 0;
+            for (repo, class, dated) in scan.dated() {
+                let want = moved(dated.version);
+                if let UsageClass::Fixed(_) = class {
+                    fixed += 1;
+                    let row = table3.rows.iter().find(|r| r.name == repo.name).unwrap();
+                    assert_eq!(row.missing_hostnames, want, "{} under {opts:?}", repo.name);
+                }
+                let label = match class {
+                    UsageClass::Updated(kind) => format!("Updated/{kind:?}"),
+                    _ if class.is_fixed_production() => "Fixed/Production (baseline)".into(),
+                    _ => continue,
+                };
+                harms.entry(label).or_default().push(want as f64);
+            }
+            assert_eq!(table3.rows.len(), fixed);
+            assert_eq!(failure.rows.len(), harms.len());
+            for row in &failure.rows {
+                let want = &harms[&row.strategy];
+                assert_eq!(row.projects, want.len(), "{} under {opts:?}", row.strategy);
+                assert_eq!(
+                    row.mean_misgrouped_on_fallback,
+                    psl_stats::mean(want).unwrap(),
+                    "{} under {opts:?}",
+                    row.strategy
+                );
+            }
+        }
     }
 }

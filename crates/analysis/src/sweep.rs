@@ -35,6 +35,17 @@ pub struct VersionStats {
     pub hosts_in_different_site_vs_latest: usize,
 }
 
+/// The row of `stats` (one per history version, in version order) for
+/// the version published at `version`. Dated repository copies always
+/// carry a version date, which is how Table 3 and the update-failure
+/// extension read a copy's harm off the sweep.
+pub(crate) fn row_at(stats: &[VersionStats], version: Date) -> &VersionStats {
+    let i = stats
+        .binary_search_by_key(&version, |s| s.date)
+        .expect("dated copies carry a version date of the swept history");
+    &stats[i]
+}
+
 /// The rebuild oracle: every version's full [`List`] snapshot through
 /// [`stats_for_single_list`] against the latest list.
 /// O(versions × (rules + hosts + requests)); versions run in parallel on
@@ -77,9 +88,8 @@ pub fn resolved_threads(threads: usize, work_items: usize) -> usize {
 }
 
 /// Stats for one specific list, with moved hosts counted against
-/// `latest` (Table 3's per-project counts, the benchmark's oracle, and
-/// each version of [`sweep_rebuild`]). Every host is matched as string
-/// labels.
+/// `latest` (the benchmark's oracle, and each version of
+/// [`sweep_rebuild`]). Every host is matched as string labels.
 pub fn stats_for_single_list(
     corpus: &WebCorpus,
     list: &List,

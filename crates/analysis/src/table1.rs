@@ -5,9 +5,7 @@
 //! classification. When ground truth is available the report also carries
 //! the detector's confusion count.
 
-use psl_core::List;
-use psl_history::DatingIndex;
-use psl_repocorpus::{detect, DetectorConfig, RepoCorpus, UsageClass};
+use psl_repocorpus::{RepoScan, UsageClass};
 use serde::Serialize;
 use std::collections::BTreeMap;
 
@@ -39,21 +37,15 @@ pub struct Table1Report {
 }
 
 /// Run the Table 1 experiment.
-pub fn run(
-    corpus: &RepoCorpus,
-    reference: &List,
-    index: &DatingIndex<'_>,
-    detector: &DetectorConfig,
-) -> Table1Report {
+pub fn run(scan: &RepoScan<'_>) -> Table1Report {
     let mut counts: BTreeMap<UsageClass, usize> = BTreeMap::new();
     let mut unclassified = 0;
     let mut mismatches = 0;
-    for repo in &corpus.repos {
-        let detection = detect(repo, reference, index, detector);
+    for detection in &scan.detections {
         match detection.class {
             Some(class) => {
                 *counts.entry(class).or_insert(0) += 1;
-                if let Some(truth) = repo.ground_truth {
+                if let Some(truth) = detection.repo.ground_truth {
                     if truth != class {
                         mismatches += 1;
                     }
@@ -95,9 +87,7 @@ mod tests {
     fn taxonomy_reproduces_table1() {
         let h = generate(&GeneratorConfig::small(121));
         let corpus = generate_repos(&h, &RepoGenConfig::default());
-        let reference = h.latest_snapshot();
-        let index = DatingIndex::build(&h);
-        let report = run(&corpus, &reference, &index, &DetectorConfig::default());
+        let report = run(&RepoScan::build(&corpus, &h));
 
         assert_eq!(report.classified, 273);
         assert_eq!(report.unclassified, 0);

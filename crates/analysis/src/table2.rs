@@ -4,16 +4,17 @@
 //! For every suffix in the latest list that was added after the first
 //! version, we count (i) the corpus hostnames living strictly under it and
 //! (ii) how many projects of each class embed a list copy lacking the
-//! rule. Rows are ranked by impacted hostnames; the paper reports the top
+//! rule: a copy lacks it when none of the rule's spans is live at the
+//! copy's dated version. Rows are ranked by impacted hostnames; the paper reports the top
 //! 15 of 1,313 eTLDs affecting 50,750 hostnames (ours scale with the
 //! corpus).
 
 use psl_core::MatchOpts;
-use psl_history::{DatingIndex, History};
-use psl_repocorpus::{detect, DetectorConfig, RepoCorpus, UsageClass};
+use psl_history::{History, RuleSpan};
+use psl_repocorpus::{RepoScan, UsageClass};
 use psl_webcorpus::WebCorpus;
 use serde::Serialize;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 /// One Table 2 row.
 #[derive(Debug, Clone, Serialize)]
@@ -44,17 +45,15 @@ pub struct Table2Report {
 }
 
 /// Run the Table 2 experiment. `top` bounds the number of rows reported
-/// (paper: 15).
+/// (paper: 15); `opts` are the sweep's match options.
 pub fn run(
     history: &History,
     corpus: &WebCorpus,
-    repos: &RepoCorpus,
-    index: &DatingIndex<'_>,
-    detector: &DetectorConfig,
+    scan: &RepoScan<'_>,
     top: usize,
+    opts: MatchOpts,
 ) -> Table2Report {
     let latest = history.latest_snapshot();
-    let opts = MatchOpts::default();
 
     // ---- Hostnames per public suffix under the latest list. --------------
     let mut hosts_per_suffix: HashMap<String, usize> = HashMap::new();
@@ -68,36 +67,23 @@ pub fn run(
         *hosts_per_suffix.entry(suffix.to_string()).or_insert(0) += 1;
     }
 
-    // ---- Suffixes added after the first version. --------------------------
+    // ---- Every span of each rule text. ------------------------------------
+    // A text is late-added if a span still live at the latest version
+    // began after the first version; a removed and re-added rule has
+    // several spans.
     let first = history.first_version();
-    let late_added: HashSet<String> = history
-        .spans()
-        .iter()
-        .filter(|s| s.added > first && s.removed.is_none())
-        .map(|s| s.rule.as_text())
-        .collect();
-
-    // ---- Each project's embedded rule-text set. ---------------------------
-    // (Classified once; the embedded set is reconstructed from the dated
-    // version so truncated copies still resolve to a consistent set.)
-    struct ProjectSet {
-        class: UsageClass,
-        texts: HashSet<String>,
-    }
-    let mut projects = Vec::new();
-    for repo in &repos.repos {
-        let detection = detect(repo, &latest, index, detector);
-        let (Some(class), Some(dated)) = (detection.class, detection.dated) else {
-            continue;
-        };
-        let texts = history.rules_at(dated.version).iter().map(|r| r.as_text()).collect();
-        projects.push(ProjectSet { class, texts });
+    let mut spans_of: HashMap<String, Vec<&RuleSpan>> = HashMap::new();
+    for span in history.spans() {
+        spans_of.entry(span.rule.as_text()).or_default().push(span);
     }
 
     // ---- Assemble rows. -----------------------------------------------------
     let mut rows = Vec::new();
     for (suffix, &hostnames) in &hosts_per_suffix {
-        if !late_added.contains(suffix) {
+        let Some(spans) = spans_of.get(suffix) else {
+            continue;
+        };
+        if !spans.iter().any(|s| s.added > first && s.removed.is_none()) {
             continue;
         }
         let mut row = Table2Row {
@@ -108,20 +94,14 @@ pub fn run(
             fixed_test_other: 0,
             updated: 0,
         };
-        for p in &projects {
-            if p.texts.contains(suffix) {
+        for (_, class, dated) in scan.dated() {
+            if spans.iter().any(|s| s.live_at(dated.version)) {
                 continue;
             }
-            match p.class {
+            match class {
                 UsageClass::Dependency(_) => row.dependency += 1,
-                UsageClass::Fixed(k) => {
-                    if p.class.is_fixed_production() {
-                        row.fixed_production += 1;
-                    } else {
-                        let _ = k;
-                        row.fixed_test_other += 1;
-                    }
-                }
+                UsageClass::Fixed(_) if class.is_fixed_production() => row.fixed_production += 1,
+                UsageClass::Fixed(_) => row.fixed_test_other += 1,
                 UsageClass::Updated(_) => row.updated += 1,
             }
         }
@@ -151,8 +131,7 @@ mod tests {
         let h = generate(&GeneratorConfig::small(161));
         let corpus = generate_corpus(&h, &CorpusConfig::small(17));
         let repos = generate_repos(&h, &RepoGenConfig::default());
-        let index = DatingIndex::build(&h);
-        let report = run(&h, &corpus, &repos, &index, &DetectorConfig::default(), 15);
+        let report = run(&h, &corpus, &RepoScan::build(&repos, &h), 15, MatchOpts::default());
 
         assert!(!report.rows.is_empty());
         assert!(report.rows.len() <= 15);
@@ -178,5 +157,107 @@ mod tests {
         for row in &report.rows {
             assert!(row.fixed_production > 0, "{}", row.etld);
         }
+    }
+
+    /// A late-added suffix that was removed and re-added has one span per
+    /// stay in the list; a project lacks it only when none of them is live
+    /// at the copy's dated version. Projects dated before, inside, between
+    /// and after its spans are counted exactly as per-project `rules_at`
+    /// sets count them.
+    #[test]
+    fn re_added_suffix_counts_projects_by_every_span() {
+        use psl_core::{write_dat, Date, DomainName, Rule, Section};
+        use psl_repocorpus::{FileEntry, RepoCorpus, Repository};
+        use std::collections::HashSet;
+
+        let versions: Vec<Date> =
+            (0..7).map(|i| Date::parse(&format!("{}-01-01", 2010 + 2 * i)).unwrap()).collect();
+        let span = |text: &str, section, added: usize, removed: Option<usize>| RuleSpan {
+            rule: Rule::parse(text, section).unwrap(),
+            added: versions[added],
+            removed: removed.map(|r| versions[r]),
+        };
+        // One filler rule per version keeps every version's rule set
+        // distinct, so each copy dates exactly.
+        let mut spans: Vec<RuleSpan> =
+            (0..7).map(|v| span(&format!("v{v}.com"), Section::Icann, v, None)).collect();
+        spans.push(span("com", Section::Icann, 0, None));
+        // myshop.com is live in [v1, v2), [v3, v4) and from v5 on.
+        for (added, removed) in [(1, Some(2)), (3, Some(4)), (5, None)] {
+            spans.push(span("myshop.com", Section::Private, added, removed));
+        }
+        let history = History::new(spans, versions.clone());
+
+        let hosts = ["alice.myshop.com", "bob.myshop.com", "www.example.com"];
+        let hosts = hosts.map(|h| DomainName::parse(h).unwrap()).to_vec();
+        let corpus = WebCorpus::new(versions[6], hosts, vec![]);
+
+        // (list path, companion files, dated version, class): fixed,
+        // in-production copies before, inside, between and after the
+        // spans, plus a test, a vendored and a build-updated copy.
+        let production: &[(&str, &str)] = &[("src/main.py", "open('public_suffix_list.dat')")];
+        let build: &[(&str, &str)] = &[("Makefile", "curl https://publicsuffix.org/list")];
+        let layouts = [
+            ("data/public_suffix_list.dat", production, 0, "Fixed/Production"),
+            ("data/public_suffix_list.dat", production, 1, "Fixed/Production"),
+            ("data/public_suffix_list.dat", production, 2, "Fixed/Production"),
+            ("data/public_suffix_list.dat", production, 3, "Fixed/Production"),
+            ("data/public_suffix_list.dat", production, 4, "Fixed/Production"),
+            ("data/public_suffix_list.dat", production, 6, "Fixed/Production"),
+            ("tests/public_suffix_list.dat", &[], 4, "Fixed/Test"),
+            ("vendor/jre/public_suffix_list.dat", &[], 2, "Dependency/jre"),
+            ("data/public_suffix_list.dat", build, 3, "Updated/Build"),
+        ];
+        let repos = layouts
+            .iter()
+            .enumerate()
+            .map(|(i, &(path, companions, v, _))| {
+                let copy = write_dat(&history.rules_at(versions[v]));
+                let mut files = vec![FileEntry { path: path.into(), content: copy }];
+                files.extend(companions.iter().map(|&(path, content)| FileEntry {
+                    path: path.into(),
+                    content: content.into(),
+                }));
+                Repository {
+                    name: format!("project/{i}"),
+                    stars: 1,
+                    forks: 0,
+                    last_commit: versions[6],
+                    files,
+                    ground_truth: None,
+                }
+            })
+            .collect();
+        let repos = RepoCorpus { observed_at: versions[6], repos };
+        let scan = RepoScan::build(&repos, &history);
+        let scanned: Vec<(Date, String)> =
+            scan.dated().map(|(_, class, dated)| (dated.version, class.to_string())).collect();
+        let laid_out: Vec<(Date, String)> =
+            layouts.iter().map(|&(_, _, v, class)| (versions[v], class.to_string())).collect();
+        assert_eq!(scanned, laid_out);
+
+        let report = run(&history, &corpus, &scan, 15, MatchOpts::default());
+        assert_eq!(report.rows.len(), 1);
+        let row = &report.rows[0];
+        assert_eq!((row.etld.as_str(), row.hostnames), ("myshop.com", 2));
+
+        // The per-project rule-text sets the spans replace.
+        let (mut production, mut test_other, mut dependency, mut updated) = (0, 0, 0, 0);
+        for (_, class, dated) in scan.dated() {
+            let texts: HashSet<String> =
+                history.rules_at(dated.version).iter().map(Rule::as_text).collect();
+            if texts.contains("myshop.com") {
+                continue;
+            }
+            match class {
+                UsageClass::Dependency(_) => dependency += 1,
+                UsageClass::Fixed(_) if class.is_fixed_production() => production += 1,
+                UsageClass::Fixed(_) => test_other += 1,
+                UsageClass::Updated(_) => updated += 1,
+            }
+        }
+        let counts = (row.fixed_production, row.fixed_test_other, row.dependency, row.updated);
+        assert_eq!(counts, (production, test_other, dependency, updated));
+        assert_eq!(counts, (3, 1, 1, 0));
     }
 }

@@ -1,12 +1,12 @@
 //! Table 3: per-project harm — fixed-usage repositories with their
 //! popularity, embedded-list age, and the number of corpus hostnames their
 //! copy misclassifies relative to the latest list.
+//!
+//! That number is Figure 7's row at the copy's dated version, so the table
+//! reads it from the sweep's per-version rows.
 
-use crate::sweep::stats_for_single_list;
-use psl_core::MatchOpts;
-use psl_history::{DatingIndex, History};
-use psl_repocorpus::{detect, DetectorConfig, FixedKind, RepoCorpus, UsageClass};
-use psl_webcorpus::WebCorpus;
+use crate::sweep::{row_at, VersionStats};
+use psl_repocorpus::{FixedKind, RepoScan, UsageClass};
 use serde::Serialize;
 
 /// One Table 3 row.
@@ -34,32 +34,21 @@ pub struct Table3Report {
     pub rows: Vec<Table3Row>,
 }
 
-/// Run the Table 3 experiment.
-pub fn run(
-    history: &History,
-    corpus: &WebCorpus,
-    repos: &RepoCorpus,
-    index: &DatingIndex<'_>,
-    detector: &DetectorConfig,
-) -> Table3Report {
-    let latest = history.latest_snapshot();
-    let t = repos.observed_at;
-    let opts = MatchOpts::default();
+/// Run the Table 3 experiment over a scan and the sweep's per-version
+/// rows (`stats`, one per history version).
+pub fn run(scan: &RepoScan<'_>, stats: &[VersionStats]) -> Table3Report {
+    let t = scan.corpus.observed_at;
     let mut rows = Vec::new();
-    for repo in &repos.repos {
-        let detection = detect(repo, &latest, index, detector);
-        let (Some(UsageClass::Fixed(kind)), Some(dated)) = (detection.class, detection.dated)
-        else {
+    for (repo, class, dated) in scan.dated() {
+        let UsageClass::Fixed(kind) = class else {
             continue;
         };
-        let embedded = history.snapshot_at(dated.version);
-        let stats = stats_for_single_list(corpus, &embedded, &latest, opts);
         rows.push(Table3Row {
             name: repo.name.clone(),
             stars: repo.stars,
             forks: repo.forks,
             list_age_days: dated.age_days(t),
-            missing_hostnames: stats.hosts_in_different_site_vs_latest,
+            missing_hostnames: row_at(stats, dated.version).hosts_in_different_site_vs_latest,
             block: match kind {
                 FixedKind::Production => "Production".to_string(),
                 FixedKind::Test => "Test".to_string(),
@@ -84,17 +73,18 @@ pub fn run(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sweep_stream::{sweep_stream, StreamSweepConfig};
     use psl_history::{generate, GeneratorConfig};
     use psl_repocorpus::{generate_repos, RepoGenConfig};
-    use psl_webcorpus::{generate_corpus, CorpusConfig};
+    use psl_webcorpus::{build_stream, CorpusConfig};
 
     #[test]
     fn table3_reproduces_named_rows_and_age_harm_relation() {
         let h = generate(&GeneratorConfig::small(171));
-        let corpus = generate_corpus(&h, &CorpusConfig::small(19));
+        let stream = build_stream(&h, &CorpusConfig::small(19));
         let repos = generate_repos(&h, &RepoGenConfig::default());
-        let index = DatingIndex::build(&h);
-        let report = run(&h, &corpus, &repos, &index, &DetectorConfig::default());
+        let sweep = sweep_stream(&h, &stream, &StreamSweepConfig::default());
+        let report = run(&RepoScan::build(&repos, &h), &sweep.stats);
 
         // All 68 fixed repos appear.
         assert_eq!(report.rows.len(), 68);
@@ -124,10 +114,10 @@ mod tests {
     #[test]
     fn older_lists_miss_weakly_more_hostnames() {
         let h = generate(&GeneratorConfig::small(173));
-        let corpus = generate_corpus(&h, &CorpusConfig::small(21));
+        let stream = build_stream(&h, &CorpusConfig::small(21));
         let repos = generate_repos(&h, &RepoGenConfig::default());
-        let index = DatingIndex::build(&h);
-        let report = run(&h, &corpus, &repos, &index, &DetectorConfig::default());
+        let sweep = sweep_stream(&h, &stream, &StreamSweepConfig::default());
+        let report = run(&RepoScan::build(&repos, &h), &sweep.stats);
         // Rank correlation between age and missing hostnames should be
         // strongly positive.
         let ages: Vec<f64> = report.rows.iter().map(|r| r.list_age_days as f64).collect();

@@ -8,13 +8,11 @@
 //! quantify that: each updated sub-strategy gets a fallback probability —
 //! the chance the software is actually running on its embedded copy — and
 //! its expected harm is that probability times the embedded copy's
-//! misgrouped-hostname count.
+//! misgrouped-hostname count, read from the sweep's Figure 7 row at the
+//! copy's dated version.
 
-use crate::sweep::stats_for_single_list;
-use psl_core::MatchOpts;
-use psl_history::{DatingIndex, History};
-use psl_repocorpus::{detect, DetectorConfig, RepoCorpus, UpdatedKind, UsageClass};
-use psl_webcorpus::WebCorpus;
+use crate::sweep::{row_at, VersionStats};
+use psl_repocorpus::{RepoScan, UpdatedKind, UsageClass};
 use serde::Serialize;
 
 /// Fallback probabilities per sub-strategy.
@@ -73,40 +71,25 @@ pub struct UpdateFailureReport {
     pub rows: Vec<UpdateFailureRow>,
 }
 
-/// Run the experiment.
+/// Run the experiment over a scan and the sweep's per-version rows
+/// (`stats`, one per history version).
 pub fn run(
-    history: &History,
-    corpus: &WebCorpus,
-    repos: &RepoCorpus,
-    index: &DatingIndex<'_>,
-    detector: &DetectorConfig,
+    scan: &RepoScan<'_>,
+    stats: &[VersionStats],
     model: &FallbackModel,
-    opts: MatchOpts,
 ) -> UpdateFailureReport {
-    let latest = history.latest_snapshot();
-
     // Collect per-repo conditional harms by class.
     let mut per_kind: std::collections::BTreeMap<String, (f64, Vec<f64>)> = Default::default();
-    for repo in &repos.repos {
-        let detection = detect(repo, &latest, index, detector);
-        let (Some(class), Some(dated)) = (detection.class, detection.dated) else {
-            continue;
-        };
+    for (_, class, dated) in scan.dated() {
         let (label, p) = match class {
             UsageClass::Updated(kind) => (format!("Updated/{kind:?}"), model.for_kind(kind)),
-            UsageClass::Fixed(k) if class.is_fixed_production() => {
-                let _ = k;
+            UsageClass::Fixed(_) if class.is_fixed_production() => {
                 ("Fixed/Production (baseline)".to_string(), 1.0)
             }
             _ => continue,
         };
-        let embedded = history.snapshot_at(dated.version);
-        let stats = stats_for_single_list(corpus, &embedded, &latest, opts);
-        per_kind
-            .entry(label)
-            .or_insert((p, Vec::new()))
-            .1
-            .push(stats.hosts_in_different_site_vs_latest as f64);
+        let moved = row_at(stats, dated.version).hosts_in_different_site_vs_latest;
+        per_kind.entry(label).or_insert((p, Vec::new())).1.push(moved as f64);
     }
 
     let rows = per_kind
@@ -128,25 +111,18 @@ pub fn run(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sweep_stream::{sweep_stream, StreamSweepConfig};
     use psl_history::{generate, GeneratorConfig};
     use psl_repocorpus::{generate_repos, RepoGenConfig};
-    use psl_webcorpus::{generate_corpus, CorpusConfig};
+    use psl_webcorpus::{build_stream, CorpusConfig};
 
     #[test]
     fn strategies_rank_as_the_paper_argues() {
         let h = generate(&GeneratorConfig::small(431));
-        let c = generate_corpus(&h, &CorpusConfig::small(61));
+        let c = build_stream(&h, &CorpusConfig::small(61));
         let repos = generate_repos(&h, &RepoGenConfig::default());
-        let index = DatingIndex::build(&h);
-        let report = run(
-            &h,
-            &c,
-            &repos,
-            &index,
-            &DetectorConfig::default(),
-            &FallbackModel::default(),
-            MatchOpts::default(),
-        );
+        let sweep = sweep_stream(&h, &c, &StreamSweepConfig::default());
+        let report = run(&RepoScan::build(&repos, &h), &sweep.stats, &FallbackModel::default());
 
         let get = |label: &str| {
             report

@@ -78,20 +78,16 @@ fn bench_cert_harm(c: &mut Criterion) {
 
 fn bench_update_failure(c: &mut Criterion) {
     let w = world();
-    let index = psl_history::DatingIndex::build(&w.history);
-    let detector = psl_repocorpus::DetectorConfig::default();
+    let scan = psl_repocorpus::RepoScan::build(&w.repos, &w.history);
+    let stats = sweep_stream(&w.history, &w.stream, &StreamSweepConfig::default()).stats;
     let mut g = c.benchmark_group("ext_update_failure");
     g.sample_size(10);
     g.bench_function("expected_harm", |b| {
         b.iter(|| {
             let report = psl_analysis::update_failure::run(
-                &w.history,
-                &w.corpus,
-                &w.repos,
-                &index,
-                &detector,
+                &scan,
+                &stats,
                 &psl_analysis::update_failure::FallbackModel::default(),
-                MatchOpts::default(),
             );
             std::hint::black_box(report.rows.len())
         })

@@ -5,9 +5,9 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use psl_analysis::{figs567, stats_for_single_list, sweep_stream, StreamSweepConfig};
 use psl_bench::world;
 use psl_core::MatchOpts;
-use psl_history::{DatingIndex, GrowthSeries};
+use psl_history::GrowthSeries;
 use psl_iana::RootZoneDb;
-use psl_repocorpus::DetectorConfig;
+use psl_repocorpus::RepoScan;
 
 fn bench_fig2_growth(c: &mut Criterion) {
     let w = world();
@@ -25,14 +25,12 @@ fn bench_fig2_growth(c: &mut Criterion) {
 
 fn bench_fig3_list_age(c: &mut Criterion) {
     let w = world();
-    let reference = w.history.latest_snapshot();
-    let index = DatingIndex::build(&w.history);
-    let detector = DetectorConfig::default();
+    let scan = RepoScan::build(&w.repos, &w.history);
     let mut g = c.benchmark_group("fig3_list_age");
     g.sample_size(10);
     g.bench_function("ecdf_over_corpus", |b| {
         b.iter(|| {
-            let report = psl_analysis::fig3::run(&w.repos, &reference, &index, &detector);
+            let report = psl_analysis::fig3::run(&scan);
             std::hint::black_box(report.groups.len())
         })
     });
@@ -41,14 +39,12 @@ fn bench_fig3_list_age(c: &mut Criterion) {
 
 fn bench_fig4_popularity(c: &mut Criterion) {
     let w = world();
-    let reference = w.history.latest_snapshot();
-    let index = DatingIndex::build(&w.history);
-    let detector = DetectorConfig::default();
+    let scan = RepoScan::build(&w.repos, &w.history);
     let mut g = c.benchmark_group("fig4_popularity");
     g.sample_size(10);
     g.bench_function("scatter_over_corpus", |b| {
         b.iter(|| {
-            let report = psl_analysis::fig4::run(&w.repos, &reference, &index, &detector);
+            let report = psl_analysis::fig4::run(&scan);
             std::hint::black_box(report.points.len())
         })
     });

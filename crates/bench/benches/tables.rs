@@ -1,20 +1,29 @@
-//! One bench per paper table.
+//! One bench per paper table, plus the repository scan they share.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use psl_analysis::{sweep_stream, StreamSweepConfig};
 use psl_bench::world;
-use psl_history::DatingIndex;
-use psl_repocorpus::DetectorConfig;
+use psl_core::MatchOpts;
+use psl_repocorpus::RepoScan;
+
+fn bench_repo_scan(c: &mut Criterion) {
+    let w = world();
+    let mut g = c.benchmark_group("repo_scan");
+    g.sample_size(10);
+    g.bench_function("detect_date_classify_273_repos", |b| {
+        b.iter(|| std::hint::black_box(RepoScan::build(&w.repos, &w.history).detections.len()))
+    });
+    g.finish();
+}
 
 fn bench_table1_taxonomy(c: &mut Criterion) {
     let w = world();
-    let reference = w.history.latest_snapshot();
-    let index = DatingIndex::build(&w.history);
-    let detector = DetectorConfig::default();
+    let scan = RepoScan::build(&w.repos, &w.history);
     let mut g = c.benchmark_group("table1_taxonomy");
     g.sample_size(10);
     g.bench_function("classify_273_repos", |b| {
         b.iter(|| {
-            let report = psl_analysis::table1::run(&w.repos, &reference, &index, &detector);
+            let report = psl_analysis::table1::run(&scan);
             std::hint::black_box(report.classified)
         })
     });
@@ -23,14 +32,13 @@ fn bench_table1_taxonomy(c: &mut Criterion) {
 
 fn bench_table2_missing_etlds(c: &mut Criterion) {
     let w = world();
-    let index = DatingIndex::build(&w.history);
-    let detector = DetectorConfig::default();
+    let scan = RepoScan::build(&w.repos, &w.history);
     let mut g = c.benchmark_group("table2_missing_etlds");
     g.sample_size(10);
     g.bench_function("impact_ranking", |b| {
         b.iter(|| {
             let report =
-                psl_analysis::table2::run(&w.history, &w.corpus, &w.repos, &index, &detector, 15);
+                psl_analysis::table2::run(&w.history, &w.corpus, &scan, 15, MatchOpts::default());
             std::hint::black_box(report.total_hostnames)
         })
     });
@@ -39,19 +47,24 @@ fn bench_table2_missing_etlds(c: &mut Criterion) {
 
 fn bench_table3_projects(c: &mut Criterion) {
     let w = world();
-    let index = DatingIndex::build(&w.history);
-    let detector = DetectorConfig::default();
+    let scan = RepoScan::build(&w.repos, &w.history);
+    let stats = sweep_stream(&w.history, &w.stream, &StreamSweepConfig::default()).stats;
     let mut g = c.benchmark_group("table3_projects");
     g.sample_size(10);
     g.bench_function("per_project_harm", |b| {
         b.iter(|| {
-            let report =
-                psl_analysis::table3::run(&w.history, &w.corpus, &w.repos, &index, &detector);
+            let report = psl_analysis::table3::run(&scan, &stats);
             std::hint::black_box(report.rows.len())
         })
     });
     g.finish();
 }
 
-criterion_group!(tables, bench_table1_taxonomy, bench_table2_missing_etlds, bench_table3_projects,);
+criterion_group!(
+    tables,
+    bench_repo_scan,
+    bench_table1_taxonomy,
+    bench_table2_missing_etlds,
+    bench_table3_projects,
+);
 criterion_main!(tables);

@@ -30,7 +30,6 @@
 
 use psl_analysis::{build_substrates, report, run_all, FullReport, PipelineConfig};
 use psl_core::{DomainName, MatchOpts};
-use psl_history::DatingIndex;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -350,14 +349,12 @@ fn cmd_notify(args: &[String]) -> Result<(), String> {
     let flags = parse_flags(args)?;
     let config = config_for(&flags);
     let subs = build_substrates(&config);
-    let index = DatingIndex::build(&subs.history);
-    let reference = subs.history.latest_snapshot();
+    let scan = psl_repocorpus::RepoScan::build(&subs.repos, &subs.history);
     let mut sent = 0;
-    for repo in &subs.repos.repos {
-        let det = psl_repocorpus::detect(repo, &reference, &index, &config.detector);
+    for det in &scan.detections {
         let Some(class) = det.class else { continue };
         if let Some(text) =
-            psl_repocorpus::notification(repo, class, det.dated, subs.repos.observed_at)
+            psl_repocorpus::notification(det.repo, class, det.dated, subs.repos.observed_at)
         {
             println!("{text}");
             println!("{}", "=".repeat(72));

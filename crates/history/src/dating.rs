@@ -101,43 +101,26 @@ impl<'h> DatingIndex<'h> {
             return Some(DatedCopy { version, quality: MatchQuality::Exact });
         }
 
-        // Incremental best-subset scan. Maintain |V| (version size) and
-        // |V ∩ E| as rules enter/leave; score = |V| + |E| - 2|V ∩ E|.
-        let mut events: Vec<(Date, i64, bool)> = Vec::new();
-        for span in self.history.spans() {
-            let in_e = texts.contains(&span.rule.as_text());
-            events.push((span.added, 1, in_e));
-            if let Some(r) = span.removed {
-                events.push((r, -1, in_e));
-            }
-        }
-        events.sort_unstable_by_key(|e| e.0);
-
+        // Best-subset scan over the replayed versions. Maintain |V|
+        // (version size) and |V ∩ E| as rules enter and leave; score =
+        // |V| + |E| - 2|V ∩ E|. Only a strictly lower score replaces the
+        // best, so ties go to the older version.
         let e_size = texts.len() as i64;
-        let mut v_size = 0i64;
-        let mut inter = 0i64;
-        let mut ei = 0;
+        let (mut v_size, mut inter) = (0i64, 0i64);
         let mut best: Option<(i64, Date, i64, i64)> = None;
-        for &v in self.history.versions() {
-            while ei < events.len() && events[ei].0 <= v {
-                let (_, delta, in_e) = events[ei];
+        self.history.replay_changes(|_, v, changes| {
+            for &(added, rule) in changes {
+                let delta = if added { 1 } else { -1 };
                 v_size += delta;
-                if in_e {
+                if texts.contains(&rule.as_text()) {
                     inter += delta;
                 }
-                ei += 1;
             }
             let score = v_size + e_size - 2 * inter;
-            let better = match best {
-                None => true,
-                Some((s, ..)) => score < s,
-            };
-            if better {
-                let missing = v_size - inter;
-                let extra = e_size - inter;
-                best = Some((score, v, extra, missing));
+            if best.is_none_or(|(s, ..)| score < s) {
+                best = Some((score, v, e_size - inter, v_size - inter));
             }
-        }
+        });
         best.map(|(_, version, extra, missing)| DatedCopy {
             version,
             quality: MatchQuality::Approximate {
@@ -146,19 +129,13 @@ impl<'h> DatingIndex<'h> {
             },
         })
     }
-
-    /// Date a `.dat` text (lenient parse, then [`Self::date_rules`]).
-    pub fn date_dat(&self, text: &str) -> Option<DatedCopy> {
-        let parsed = psl_core::parse_dat(text);
-        self.date_rules(&parsed.rules)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::generator::{generate, GeneratorConfig};
-    use psl_core::write_dat;
+    use psl_core::{parse_dat, write_dat, Section};
 
     #[test]
     fn exact_version_is_recovered() {
@@ -185,7 +162,7 @@ mod tests {
         let index = DatingIndex::build(&h);
         let v = h.versions()[h.version_count() / 2];
         let text = write_dat(&h.rules_at(v));
-        let dated = index.date_dat(&text).unwrap();
+        let dated = index.date_rules(&parse_dat(&text).rules).unwrap();
         assert_eq!(dated.quality, MatchQuality::Exact);
         let a: HashSet<String> = h.rules_at(v).iter().map(|r| r.as_text()).collect();
         let b: HashSet<String> = h.rules_at(dated.version).iter().map(|r| r.as_text()).collect();
@@ -215,6 +192,55 @@ mod tests {
                 assert!((dated.version - v).abs() < 400, "matched {}", dated.version);
             }
         }
+    }
+
+    /// The fallback against a brute-force scan of every version: a
+    /// truncated or locally edited copy dates to the version minimising
+    /// |copy Δ rules_at(v)|, the older one on ties, with the same
+    /// extra/missing counts.
+    #[test]
+    fn approximate_dating_matches_brute_force() {
+        let h = generate(&GeneratorConfig::small(47));
+        let index = DatingIndex::build(&h);
+        let versions = h.versions();
+        let sets: Vec<HashSet<String>> =
+            versions.iter().map(|&v| h.rules_at(v).iter().map(Rule::as_text).collect()).collect();
+        let local = ["corp.internal", "intranet.example"]
+            .map(|text| Rule::parse(text, Section::Private).unwrap());
+        let mut approximate = 0;
+        for &v in versions.iter().step_by(versions.len() / 9) {
+            let live = h.rules_at(v);
+            let mut truncated = live.clone();
+            truncated.truncate(live.len() - live.len() / 20);
+            let mut edited: Vec<Rule> = live
+                .iter()
+                .enumerate()
+                .filter(|(i, _)| i % 50 != 7)
+                .map(|(_, r)| r.clone())
+                .collect();
+            edited.extend(local.iter().cloned());
+            for copy in [truncated, edited] {
+                let texts: HashSet<String> = copy.iter().map(Rule::as_text).collect();
+                let mut best = (usize::MAX, v, 0, 0);
+                for (&u, at) in versions.iter().zip(&sets) {
+                    let (extra, missing) =
+                        (texts.difference(at).count(), at.difference(&texts).count());
+                    if extra + missing < best.0 {
+                        best = (extra + missing, u, extra, missing);
+                    }
+                }
+                let (score, version, extra, missing) = best;
+                let want = if score == 0 {
+                    MatchQuality::Exact
+                } else {
+                    approximate += 1;
+                    MatchQuality::Approximate { extra, missing }
+                };
+                let dated = index.date_rules(&copy).unwrap();
+                assert_eq!((dated.version, dated.quality), (version, want), "copy of {v}");
+            }
+        }
+        assert!(approximate >= 10, "only {approximate} copies took the fallback");
     }
 
     #[test]

@@ -5,33 +5,26 @@
 //! content sniffing, closing the "different filename" gap the paper notes
 //! as a limitation); dating against the git history becomes the
 //! [`DatingIndex`] lookup; and the manual usage classification becomes the
-//! [`classify`] heuristics over the repository's file tree.
+//! [`classify`] heuristics over the repository's file tree. [`RepoScan`]
+//! runs all three once per corpus, and every repository experiment reads
+//! its verdicts.
 
-use crate::repo::{FileEntry, Repository};
+use crate::repo::{FileEntry, RepoCorpus, Repository};
 use crate::taxonomy::{DependencyLib, FixedKind, UpdatedKind, UsageClass};
-use psl_core::{parse_dat, List};
-use psl_history::{DatedCopy, DatingIndex};
+use psl_core::{parse_dat, Rule};
+use psl_history::{DatedCopy, DatingIndex, History};
 use serde::Serialize;
 use std::collections::HashSet;
 
 /// Filenames recognised as PSL copies without content inspection.
 pub const KNOWN_NAMES: &[&str] = &["public_suffix_list.dat", "effective_tld_names.dat"];
 
-/// Detector thresholds.
-#[derive(Debug, Clone)]
-pub struct DetectorConfig {
-    /// Minimum valid rules for a content-sniffed file to count.
-    pub min_rules: usize,
-    /// Minimum fraction of a sniffed file's rules that must appear in the
-    /// reference (latest) list.
-    pub min_overlap: f64,
-}
+/// Minimum valid rules for a content-sniffed file to count.
+const MIN_RULES: usize = 50;
 
-impl Default for DetectorConfig {
-    fn default() -> Self {
-        DetectorConfig { min_rules: 50, min_overlap: 0.25 }
-    }
-}
+/// Minimum fraction of a sniffed file's rules that must appear in the
+/// reference (latest) list.
+const MIN_OVERLAP: f64 = 0.25;
 
 /// A list copy found in a repository.
 #[derive(Debug, Clone)]
@@ -42,6 +35,8 @@ pub struct FoundList<'r> {
     pub via: FoundVia,
     /// Parsed rule count.
     pub rule_count: usize,
+    /// The parsed rules, so dating the copy needs no second parse.
+    pub rules: Vec<Rule>,
 }
 
 /// How a list copy was identified.
@@ -56,28 +51,28 @@ pub enum FoundVia {
 /// Find embedded PSL copies in a repository.
 ///
 /// Well-known filenames are accepted if they parse at all; any other file
-/// is sniffed: it counts if it parses to at least `min_rules` rules and at
-/// least `min_overlap` of them appear in `reference` (the latest list).
-pub fn find_psl_files<'r>(
-    repo: &'r Repository,
-    reference: &List,
-    config: &DetectorConfig,
-) -> Vec<FoundList<'r>> {
-    let reference_texts: HashSet<String> = reference.rules().iter().map(|r| r.as_text()).collect();
+/// is sniffed: it counts if it parses to at least 50 rules and at least a
+/// quarter of them appear in `reference` (the latest list's rule texts).
+pub fn find_psl_files<'r>(repo: &'r Repository, reference: &HashSet<String>) -> Vec<FoundList<'r>> {
     let mut found = Vec::new();
     for file in &repo.files {
         let basename = file.path.rsplit('/').next().unwrap_or(&file.path);
         let known = KNOWN_NAMES.contains(&basename);
-        let parsed = parse_dat(&file.content);
+        let rules = parse_dat(&file.content).rules;
         if known {
-            if !parsed.is_empty() {
-                found.push(FoundList { file, via: FoundVia::Filename, rule_count: parsed.len() });
+            if !rules.is_empty() {
+                found.push(FoundList {
+                    file,
+                    via: FoundVia::Filename,
+                    rule_count: rules.len(),
+                    rules,
+                });
             }
             continue;
         }
         // Content sniffing. Skip files that are mostly unparsable (source
         // code lines fail rule validation).
-        if parsed.len() < config.min_rules {
+        if rules.len() < MIN_RULES {
             continue;
         }
         let total_lines = file
@@ -86,22 +81,23 @@ pub fn find_psl_files<'r>(
             .filter(|l| !l.trim().is_empty() && !l.trim_start().starts_with("//"))
             .count()
             .max(1);
-        if (parsed.len() as f64) < 0.8 * total_lines as f64 {
+        if (rules.len() as f64) < 0.8 * total_lines as f64 {
             continue;
         }
-        let overlap =
-            parsed.rules.iter().filter(|r| reference_texts.contains(&r.as_text())).count();
-        if overlap as f64 / parsed.len() as f64 >= config.min_overlap {
-            found.push(FoundList { file, via: FoundVia::Content, rule_count: parsed.len() });
+        let overlap = rules.iter().filter(|r| reference.contains(&r.as_text())).count();
+        if overlap as f64 / rules.len() as f64 >= MIN_OVERLAP {
+            found.push(FoundList { file, via: FoundVia::Content, rule_count: rules.len(), rules });
         }
     }
     found
 }
 
-/// A fully-processed repository: found copies, their dates, and the
-/// inferred usage class.
+/// One repository's detector verdict: found copies, the dated primary
+/// copy, and the inferred usage class.
 #[derive(Debug, Clone)]
-pub struct Detection {
+pub struct Detection<'c> {
+    /// The repository.
+    pub repo: &'c Repository,
     /// Paths of the found list copies.
     pub list_paths: Vec<String>,
     /// The dated primary copy (the largest found copy), if datable.
@@ -110,23 +106,51 @@ pub struct Detection {
     pub class: Option<UsageClass>,
 }
 
-/// Run the full detector on one repository.
-pub fn detect(
-    repo: &Repository,
-    reference: &List,
-    index: &DatingIndex<'_>,
-    config: &DetectorConfig,
-) -> Detection {
-    let found = find_psl_files(repo, reference, config);
-    if found.is_empty() {
-        return Detection { list_paths: vec![], dated: None, class: None };
+/// The detector run once over a repository corpus.
+///
+/// Building the scan makes the latest list's rule-text set and the
+/// [`DatingIndex`] once, parses every file once, and dates each primary
+/// copy from the rules it already parsed. Tables 1–3, Figs. 3–4, the
+/// update-failure extension and the notifications all read it.
+#[derive(Debug, Clone)]
+pub struct RepoScan<'c> {
+    /// The scanned corpus.
+    pub corpus: &'c RepoCorpus,
+    /// One detection per repository, in corpus order.
+    pub detections: Vec<Detection<'c>>,
+}
+
+impl<'c> RepoScan<'c> {
+    /// Detect, date and classify every repository of `corpus` against
+    /// `history`.
+    pub fn build(corpus: &'c RepoCorpus, history: &History) -> Self {
+        let reference: HashSet<String> =
+            history.rules_at(history.latest_version()).iter().map(Rule::as_text).collect();
+        let index = DatingIndex::build(history);
+        let detections = corpus
+            .repos
+            .iter()
+            .map(|repo| {
+                let found = find_psl_files(repo, &reference);
+                // The primary copy is the largest (vendored stubs and
+                // fixtures are usually truncated).
+                let primary = found.iter().max_by_key(|f| f.rule_count);
+                Detection {
+                    repo,
+                    list_paths: found.iter().map(|f| f.file.path.clone()).collect(),
+                    dated: primary.and_then(|p| index.date_rules(&p.rules)),
+                    class: primary.map(|_| classify(repo, &found)),
+                }
+            })
+            .collect();
+        RepoScan { corpus, detections }
     }
-    // The primary copy is the largest (vendored stubs and fixtures are
-    // usually truncated).
-    let primary = found.iter().max_by_key(|f| f.rule_count).expect("found is non-empty");
-    let dated = index.date_dat(&primary.file.content);
-    let class = Some(classify(repo, &found));
-    Detection { list_paths: found.iter().map(|f| f.file.path.clone()).collect(), dated, class }
+
+    /// Repositories with both a usage class and a dated primary copy, in
+    /// corpus order.
+    pub fn dated(&self) -> impl Iterator<Item = (&'c Repository, UsageClass, DatedCopy)> + '_ {
+        self.detections.iter().filter_map(|d| Some((d.repo, d.class?, d.dated?)))
+    }
 }
 
 /// Classify how a repository integrates the list, from its file tree.
@@ -190,17 +214,20 @@ mod tests {
     use crate::generator::{generate_repos, RepoGenConfig};
     use psl_history::{generate, GeneratorConfig};
 
+    /// The latest list's rule texts, as [`RepoScan::build`] scores against.
+    fn reference_texts(h: &History) -> HashSet<String> {
+        h.latest_snapshot().rules().iter().map(Rule::as_text).collect()
+    }
+
     #[test]
     fn detector_recovers_ground_truth_for_whole_corpus() {
         let h = generate(&GeneratorConfig::small(81));
         let corpus = generate_repos(&h, &RepoGenConfig { seed: 9, ..Default::default() });
-        let reference = h.latest_snapshot();
-        let index = DatingIndex::build(&h);
-        let cfg = DetectorConfig::default();
+        let scan = RepoScan::build(&corpus, &h);
         let mut correct = 0;
         let mut total = 0;
-        for repo in &corpus.repos {
-            let det = detect(repo, &reference, &index, &cfg);
+        for det in &scan.detections {
+            let repo = det.repo;
             total += 1;
             let truth = repo.ground_truth.unwrap();
             if det.class == Some(truth) {
@@ -216,11 +243,9 @@ mod tests {
     fn every_repo_is_datable() {
         let h = generate(&GeneratorConfig::small(83));
         let corpus = generate_repos(&h, &RepoGenConfig { seed: 10, ..Default::default() });
-        let reference = h.latest_snapshot();
-        let index = DatingIndex::build(&h);
-        let cfg = DetectorConfig::default();
-        for repo in &corpus.repos {
-            let det = detect(repo, &reference, &index, &cfg);
+        let scan = RepoScan::build(&corpus, &h);
+        for det in &scan.detections {
+            let repo = det.repo;
             assert!(det.dated.is_some(), "{} not datable", repo.name);
             assert!(!det.list_paths.is_empty());
         }
@@ -238,11 +263,10 @@ mod tests {
                 ..Default::default()
             },
         );
-        let reference = h.latest_snapshot();
-        let cfg = DetectorConfig::default();
+        let reference = reference_texts(&h);
         let mut sniffed = 0;
         for repo in &corpus.repos {
-            let found = find_psl_files(repo, &reference, &cfg);
+            let found = find_psl_files(repo, &reference);
             if found.iter().any(|f| f.via == FoundVia::Content) {
                 sniffed += 1;
             }
@@ -253,7 +277,7 @@ mod tests {
     #[test]
     fn source_files_are_not_sniffed_as_lists() {
         let h = generate(&GeneratorConfig::small(87));
-        let reference = h.latest_snapshot();
+        let reference = reference_texts(&h);
         let repo = Repository {
             name: "x/y".into(),
             stars: 0,
@@ -268,15 +292,13 @@ mod tests {
             }],
             ground_truth: None,
         };
-        let found = find_psl_files(&repo, &reference, &DetectorConfig::default());
+        let found = find_psl_files(&repo, &reference);
         assert!(found.is_empty());
     }
 
     #[test]
     fn no_copy_means_no_class() {
         let h = generate(&GeneratorConfig::small(89));
-        let reference = h.latest_snapshot();
-        let index = DatingIndex::build(&h);
         let repo = Repository {
             name: "empty/repo".into(),
             stars: 1,
@@ -285,7 +307,9 @@ mod tests {
             files: vec![],
             ground_truth: None,
         };
-        let det = detect(&repo, &reference, &index, &DetectorConfig::default());
+        let corpus = RepoCorpus { observed_at: repo.last_commit, repos: vec![repo] };
+        let scan = RepoScan::build(&corpus, &h);
+        let det = &scan.detections[0];
         assert!(det.class.is_none());
         assert!(det.dated.is_none());
     }

@@ -8,11 +8,10 @@
 //! lists, adblock filter lists, CSV data — that a sloppy content sniffer
 //! would misreport.
 
-use crate::detector::{detect, find_psl_files, DetectorConfig};
+use crate::detector::RepoScan;
 use crate::repo::{FileEntry, RepoCorpus, Repository};
 use crate::taxonomy::UsageClass;
-use psl_core::{Date, List};
-use psl_history::DatingIndex;
+use psl_core::Date;
 use serde::Serialize;
 use std::collections::BTreeMap;
 
@@ -32,23 +31,17 @@ pub struct Evaluation {
     pub accuracy: f64,
 }
 
-/// Evaluate the detector against a corpus's ground truth.
-pub fn evaluate(
-    corpus: &RepoCorpus,
-    reference: &List,
-    index: &DatingIndex<'_>,
-    config: &DetectorConfig,
-) -> Evaluation {
+/// Evaluate a scan's verdicts against its corpus's ground truth.
+pub fn evaluate(scan: &RepoScan<'_>) -> Evaluation {
     let mut total = 0;
     let mut correct = 0;
     let mut missed = 0;
     let mut confusion: BTreeMap<(String, String), usize> = BTreeMap::new();
-    for repo in &corpus.repos {
-        let Some(truth) = repo.ground_truth else {
+    for det in &scan.detections {
+        let Some(truth) = det.repo.ground_truth else {
             continue;
         };
         total += 1;
-        let det = detect(repo, reference, index, config);
         match det.class {
             Some(found) if found == truth => correct += 1,
             Some(found) => {
@@ -130,10 +123,10 @@ pub fn adversarial_repos() -> Vec<Repository> {
     ]
 }
 
-/// Count adversarial repositories in which the detector (incorrectly)
-/// finds a PSL copy.
-pub fn false_positives(repos: &[Repository], reference: &List, config: &DetectorConfig) -> usize {
-    repos.iter().filter(|r| !find_psl_files(r, reference, config).is_empty()).count()
+/// Count the scanned repositories in which the detector found a PSL copy
+/// (over [`adversarial_repos`], every one is a false positive).
+pub fn false_positives(scan: &RepoScan<'_>) -> usize {
+    scan.detections.iter().filter(|d| !d.list_paths.is_empty()).count()
 }
 
 /// A sanity check that the evaluation's classes cover the taxonomy: the
@@ -150,13 +143,16 @@ mod tests {
     use crate::generator::{generate_repos, RepoGenConfig};
     use psl_history::{generate, GeneratorConfig};
 
+    /// A corpus holding just `repos`.
+    fn corpus_of(repos: Vec<Repository>) -> RepoCorpus {
+        RepoCorpus { observed_at: Date::from_days_since_epoch(19000), repos }
+    }
+
     #[test]
     fn generated_corpus_evaluates_perfectly() {
         let h = generate(&GeneratorConfig::small(521));
         let corpus = generate_repos(&h, &RepoGenConfig::default());
-        let reference = h.latest_snapshot();
-        let index = DatingIndex::build(&h);
-        let eval = evaluate(&corpus, &reference, &index, &DetectorConfig::default());
+        let eval = evaluate(&RepoScan::build(&corpus, &h));
         assert_eq!(eval.total, 273);
         assert_eq!(eval.correct, 273);
         assert_eq!(eval.missed, 0);
@@ -168,24 +164,22 @@ mod tests {
     #[test]
     fn adversarial_repos_produce_no_false_positives() {
         let h = generate(&GeneratorConfig::small(523));
-        let reference = h.latest_snapshot();
         let repos = adversarial_repos();
         assert_eq!(repos.len(), 5);
-        let fp = false_positives(&repos, &reference, &DetectorConfig::default());
+        let fp = false_positives(&RepoScan::build(&corpus_of(repos), &h));
         assert_eq!(fp, 0, "detector sniffed a non-PSL file as a PSL copy");
     }
 
     #[test]
     fn a_real_copy_hidden_in_an_adversarial_repo_is_still_found() {
         let h = generate(&GeneratorConfig::small(525));
-        let reference = h.latest_snapshot();
         let mut repos = adversarial_repos();
         // Plant a genuine (renamed) copy among the decoys.
         repos[0].files.push(FileEntry {
             path: "assets/tld_data.txt".into(),
             content: psl_core::write_dat(&h.rules_at(h.versions()[50])),
         });
-        let fp = false_positives(&repos, &reference, &DetectorConfig::default());
+        let fp = false_positives(&RepoScan::build(&corpus_of(repos), &h));
         assert_eq!(fp, 1, "the planted copy must be detected");
     }
 }

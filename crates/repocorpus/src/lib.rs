@@ -13,7 +13,7 @@
 //!   ground truth is recoverable from the files alone;
 //! - [`detector`]: find (filename + content sniffing), date (via
 //!   `psl_history::DatingIndex`), and classify — replacing the paper's
-//!   manual labelling with tooling;
+//!   manual labelling with tooling; [`RepoScan`] runs it once per corpus;
 //! - [`notify`]: maintainer-notification text for flagged projects.
 
 #![forbid(unsafe_code)]
@@ -27,9 +27,7 @@ pub mod notify;
 pub mod repo;
 pub mod taxonomy;
 
-pub use detector::{
-    classify, detect, find_psl_files, Detection, DetectorConfig, FoundList, FoundVia,
-};
+pub use detector::{classify, find_psl_files, Detection, FoundList, FoundVia, RepoScan};
 pub use evaluation::{adversarial_repos, evaluate, false_positives, Evaluation};
 pub use generator::{generate_repos, RepoGenConfig};
 pub use named::{all_named, NamedRepo};

@@ -8,26 +8,23 @@
 //! cargo run --example outdated_audit
 //! ```
 
-use psl_history::{generate, DatingIndex, GeneratorConfig};
-use psl_repocorpus::{
-    detect, generate_repos, notification, DetectorConfig, RepoGenConfig, UsageClass,
-};
+use psl_history::{generate, GeneratorConfig};
+use psl_repocorpus::{generate_repos, notification, RepoGenConfig, RepoScan, UsageClass};
 
 fn main() {
-    // Substrates: a small synthetic list history and the 273-repo corpus.
+    // Substrates: a small synthetic list history and the 273-repo corpus,
+    // scanned once: every repository's copies found, dated and classified.
     let history = generate(&GeneratorConfig::small(7));
     let repos = generate_repos(&history, &RepoGenConfig::default());
-    let reference = history.latest_snapshot();
-    let index = DatingIndex::build(&history);
-    let detector = DetectorConfig::default();
+    let scan = RepoScan::build(&repos, &history);
 
     let t = repos.observed_at;
     let mut flagged = 0;
     let mut total_found = 0;
 
     println!("auditing {} repositories (observed at {t}) ...\n", repos.len());
-    for repo in &repos.repos {
-        let det = detect(repo, &reference, &index, &detector);
+    for det in &scan.detections {
+        let repo = det.repo;
         let (Some(class), Some(dated)) = (det.class, det.dated) else {
             continue;
         };
@@ -51,11 +48,13 @@ fn main() {
     println!("\n{total_found} repos with embedded copies; {flagged} fixed/production copies older than 2 years");
 
     // Render one notification, as the paper's disclosure process would.
-    let example =
-        repos.repos.iter().find(|r| r.name == "bitwarden/server").expect("named repo present");
-    let det = detect(example, &reference, &index, &detector);
+    let det = scan
+        .detections
+        .iter()
+        .find(|d| d.repo.name == "bitwarden/server")
+        .expect("named repo present");
     if let Some(text) = notification(
-        example,
+        det.repo,
         det.class.unwrap_or(UsageClass::Fixed(psl_repocorpus::FixedKind::Production)),
         det.dated,
         t,

@@ -3,8 +3,8 @@
 
 use psl_analysis::{build_substrates, PipelineConfig};
 use psl_core::MatchOpts;
-use psl_history::{generate, DatingIndex, GeneratorConfig};
-use psl_repocorpus::{evaluate, DetectorConfig, RepoGenConfig};
+use psl_history::{generate, GeneratorConfig};
+use psl_repocorpus::{evaluate, RepoGenConfig, RepoScan};
 use psl_webcorpus::{generate_corpus, CorpusConfig};
 
 const SEEDS: [u64; 5] = [1, 7, 99, 1234, 0xDEAD_BEEF];
@@ -67,12 +67,10 @@ fn corpus_invariants_hold_across_seeds() {
 #[test]
 fn detector_is_perfect_for_every_seed() {
     let h = generate(&GeneratorConfig::small(77));
-    let reference = h.latest_snapshot();
-    let index = DatingIndex::build(&h);
     for seed in SEEDS {
         let repos =
             psl_repocorpus::generate_repos(&h, &RepoGenConfig { seed, ..Default::default() });
-        let eval = evaluate(&repos, &reference, &index, &DetectorConfig::default());
+        let eval = evaluate(&RepoScan::build(&repos, &h));
         assert_eq!(eval.accuracy, 1.0, "seed {seed}: {:?}", eval.confusion);
         assert_eq!(eval.missed, 0, "seed {seed}");
     }

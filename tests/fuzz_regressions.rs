@@ -146,11 +146,11 @@ fn punycode_pathologies() {
 #[test]
 fn detector_survives_hostile_repositories() {
     use psl_history::{generate, GeneratorConfig};
-    use psl_repocorpus::{find_psl_files, DetectorConfig, FileEntry, Repository};
+    use psl_repocorpus::{find_psl_files, FileEntry, Repository};
 
     let h = generate(&GeneratorConfig::small(701));
-    let reference = h.latest_snapshot();
-    let config = DetectorConfig::default();
+    let reference: std::collections::HashSet<String> =
+        h.latest_snapshot().rules().iter().map(|r| r.as_text()).collect();
 
     // A repo whose "PSL" is binary garbage under the magic filename.
     let garbage = Repository {
@@ -166,7 +166,7 @@ fn detector_survives_hostile_repositories() {
     };
     // Known filename + unparsable content: parse yields few/no rules; the
     // detector must not panic and must not fabricate rule counts.
-    let found = find_psl_files(&garbage, &reference, &config);
+    let found = find_psl_files(&garbage, &reference);
     for f in &found {
         assert!(f.rule_count > 0);
     }
@@ -182,5 +182,5 @@ fn detector_survives_hostile_repositories() {
             .collect(),
         ground_truth: None,
     };
-    assert!(find_psl_files(&many, &reference, &config).is_empty());
+    assert!(find_psl_files(&many, &reference).is_empty());
 }

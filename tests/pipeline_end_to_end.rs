@@ -88,18 +88,16 @@ fn commit_store_roundtrips_the_generated_history() {
 
 #[test]
 fn detector_dates_agree_with_table3_ages() {
-    use psl_history::DatingIndex;
-    use psl_repocorpus::detect;
+    use psl_repocorpus::RepoScan;
 
     let config = PipelineConfig::small(1234);
     let subs = build_substrates(&config);
     let report = run_all(&subs, &config);
-    let index = DatingIndex::build(&subs.history);
-    let reference = subs.history.latest_snapshot();
+    let scan = RepoScan::build(&subs.repos, &subs.history);
 
     for row in report.table3.rows.iter().take(10) {
         let repo = subs.repos.repo(&row.name).unwrap();
-        let det = detect(repo, &reference, &index, &config.detector);
+        let det = scan.detections.iter().find(|d| std::ptr::eq(d.repo, repo)).unwrap();
         let age = det.dated.unwrap().age_days(subs.repos.observed_at);
         assert_eq!(age, row.list_age_days, "{}", row.name);
     }
