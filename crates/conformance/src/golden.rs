@@ -1,9 +1,10 @@
 //! Golden snapshot harness.
 //!
-//! Serializes a value to pretty JSON and compares it byte-for-byte with a
-//! checked-in fixture. On mismatch the assertion fails with the first
-//! differing line; setting `PSL_BLESS=1` rewrites the fixture instead, so
-//! intentional output changes are re-blessed with:
+//! Compares text (a value rendered as pretty JSON, or a command's printed
+//! report) byte-for-byte with a checked-in fixture. On mismatch the
+//! assertion fails with the first differing line; setting `PSL_BLESS=1`
+//! rewrites the fixture instead, so intentional output changes are
+//! re-blessed with:
 //!
 //! ```text
 //! PSL_BLESS=1 cargo test -p psl-conformance
@@ -44,49 +45,55 @@ pub fn blessing() -> bool {
     std::env::var_os("PSL_BLESS").is_some_and(|v| !v.is_empty() && v != "0")
 }
 
-/// Compare `value` against the fixture at `path` (creating or rewriting it
-/// when [`blessing`]). Returns the status, or a [`GoldenError`] describing
-/// the first difference.
+/// Compare `value`, rendered as pretty JSON, against the fixture at
+/// `path` with [`check_golden_text`].
 pub fn check_golden<T: Serialize>(path: &Path, value: &T) -> Result<GoldenStatus, GoldenError> {
     let rendered = serde_json::to_string_pretty(value).map_err(|e| GoldenError {
         path: path.to_path_buf(),
         message: format!("serialize: {e}"),
     })?;
-    let rendered = format!("{rendered}\n");
+    check_golden_text(path, &format!("{rendered}\n"))
+}
 
+/// Compare `text` against the fixture at `path` (creating or rewriting it
+/// when [`blessing`]). Returns the status, or a [`GoldenError`] naming the
+/// first differing line.
+pub fn check_golden_text(path: &Path, text: &str) -> Result<GoldenStatus, GoldenError> {
     if blessing() {
-        if let Some(dir) = path.parent() {
-            std::fs::create_dir_all(dir).map_err(|e| GoldenError {
-                path: path.to_path_buf(),
-                message: format!("create fixture dir: {e}"),
-            })?;
-        }
-        std::fs::write(path, &rendered).map_err(|e| GoldenError {
-            path: path.to_path_buf(),
-            message: format!("write fixture: {e}"),
-        })?;
-        return Ok(GoldenStatus::Blessed);
+        return bless(path, text.as_bytes());
     }
-
-    let expected = std::fs::read_to_string(path).map_err(|_| GoldenError {
-        path: path.to_path_buf(),
-        message: "fixture missing — run with PSL_BLESS=1 to create it".to_string(),
-    })?;
-    if expected == rendered {
+    let expected = std::fs::read_to_string(path).map_err(|_| missing(path))?;
+    if expected == text {
         return Ok(GoldenStatus::Match);
     }
-    Err(GoldenError { path: path.to_path_buf(), message: first_diff(&expected, &rendered) })
+    Err(GoldenError { path: path.to_path_buf(), message: first_diff(&expected, text) })
+}
+
+/// Write `bytes` as the fixture at `path`, creating its directory.
+fn bless(path: &Path, bytes: &[u8]) -> Result<GoldenStatus, GoldenError> {
+    let error = |message: String| GoldenError { path: path.to_path_buf(), message };
+    if let Some(dir) = path.parent() {
+        std::fs::create_dir_all(dir).map_err(|e| error(format!("create fixture dir: {e}")))?;
+    }
+    std::fs::write(path, bytes).map_err(|e| error(format!("write fixture: {e}")))?;
+    Ok(GoldenStatus::Blessed)
+}
+
+fn missing(path: &Path) -> GoldenError {
+    GoldenError {
+        path: path.to_path_buf(),
+        message: "fixture missing — run with PSL_BLESS=1 to create it".to_string(),
+    }
 }
 
 /// Assert-style wrapper used by tests: panics with the diff message.
 pub fn assert_golden<T: Serialize>(path: &Path, value: &T) {
-    match check_golden(path, value) {
-        Ok(GoldenStatus::Match) => {}
-        Ok(GoldenStatus::Blessed) => {
-            eprintln!("blessed golden snapshot {}", path.display());
-        }
-        Err(e) => panic!("{e}"),
-    }
+    settle(path, check_golden(path, value));
+}
+
+/// Assert-style wrapper around [`check_golden_text`].
+pub fn assert_golden_text(path: &Path, text: &str) {
+    settle(path, check_golden_text(path, text));
 }
 
 /// Compare raw `bytes` against a checked-in *binary* fixture (the golden
@@ -96,23 +103,9 @@ pub fn assert_golden<T: Serialize>(path: &Path, value: &T) {
 /// format "what changed" is an offset, not a line.
 pub fn check_golden_bytes(path: &Path, bytes: &[u8]) -> Result<GoldenStatus, GoldenError> {
     if blessing() {
-        if let Some(dir) = path.parent() {
-            std::fs::create_dir_all(dir).map_err(|e| GoldenError {
-                path: path.to_path_buf(),
-                message: format!("create fixture dir: {e}"),
-            })?;
-        }
-        std::fs::write(path, bytes).map_err(|e| GoldenError {
-            path: path.to_path_buf(),
-            message: format!("write fixture: {e}"),
-        })?;
-        return Ok(GoldenStatus::Blessed);
+        return bless(path, bytes);
     }
-
-    let expected = std::fs::read(path).map_err(|_| GoldenError {
-        path: path.to_path_buf(),
-        message: "fixture missing — run with PSL_BLESS=1 to create it".to_string(),
-    })?;
+    let expected = std::fs::read(path).map_err(|_| missing(path))?;
     if expected == bytes {
         return Ok(GoldenStatus::Match);
     }
@@ -121,11 +114,13 @@ pub fn check_golden_bytes(path: &Path, bytes: &[u8]) -> Result<GoldenStatus, Gol
 
 /// Assert-style wrapper around [`check_golden_bytes`].
 pub fn assert_golden_bytes(path: &Path, bytes: &[u8]) {
-    match check_golden_bytes(path, bytes) {
+    settle(path, check_golden_bytes(path, bytes));
+}
+
+fn settle(path: &Path, outcome: Result<GoldenStatus, GoldenError>) {
+    match outcome {
         Ok(GoldenStatus::Match) => {}
-        Ok(GoldenStatus::Blessed) => {
-            eprintln!("blessed golden binary fixture {}", path.display());
-        }
+        Ok(GoldenStatus::Blessed) => eprintln!("blessed golden fixture {}", path.display()),
         Err(e) => panic!("{e}"),
     }
 }
@@ -154,19 +149,21 @@ fn first_byte_diff(expected: &[u8], actual: &[u8]) -> String {
 }
 
 fn first_diff(expected: &str, actual: &str) -> String {
-    for (i, (e, a)) in expected.lines().zip(actual.lines()).enumerate() {
-        if e != a {
-            return format!(
-                "first difference at line {}:\n  expected: {e}\n  actual:   {a}\n(re-bless with PSL_BLESS=1 if the change is intentional)",
-                i + 1
-            );
+    let (mut fixture, mut output) = (expected.lines(), actual.lines());
+    for line in 1.. {
+        match (fixture.next(), output.next()) {
+            (Some(e), Some(a)) if e == a => {}
+            (None, None) => break,
+            (e, a) => {
+                return format!(
+                    "first difference at line {line}:\n  expected: {}\n  actual:   {}\n(re-bless with PSL_BLESS=1 if the change is intentional)",
+                    e.unwrap_or("<end of fixture>"),
+                    a.unwrap_or("<end of output>")
+                )
+            }
         }
     }
-    format!(
-        "lengths differ: fixture has {} lines, output has {} (re-bless with PSL_BLESS=1 if the change is intentional)",
-        expected.lines().count(),
-        actual.lines().count()
-    )
+    "fixture and output differ only in line endings (re-bless with PSL_BLESS=1 if the change is intentional)".to_string()
 }
 
 #[cfg(test)]
@@ -211,6 +208,21 @@ mod tests {
         std::fs::write(&path, rendered).unwrap();
         let err = check_golden(&path, &Sample { name: "y".into(), count: 2 }).unwrap_err();
         assert!(err.message.contains("first difference"), "{}", err.message);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn text_mismatch_names_the_first_differing_line() {
+        let path = tmp("text");
+        std::fs::write(&path, "== title ==\nrow 1\nrow 2\n").unwrap();
+        assert_eq!(
+            check_golden_text(&path, "== title ==\nrow 1\nrow 2\n").unwrap(),
+            GoldenStatus::Match
+        );
+        let err = check_golden_text(&path, "== title ==\nrow 1\nrow 3\n").unwrap_err();
+        assert!(err.message.contains("line 3") && err.message.contains("row 3"), "{}", err.message);
+        let err = check_golden_text(&path, "== title ==\nrow 1\n").unwrap_err();
+        assert!(err.message.contains("<end of output>"), "{}", err.message);
         let _ = std::fs::remove_file(&path);
     }
 }

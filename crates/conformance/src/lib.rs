@@ -11,8 +11,9 @@
 //!   through three structurally independent matchers — production trie,
 //!   linear scan, naive suffix map — across all versions of a history,
 //!   reporting the first divergence with a minimized reproducer.
-//! - **Golden snapshots** ([`golden`]): byte-exact JSON fixtures for
-//!   analysis outputs, re-blessed with `PSL_BLESS=1`.
+//! - **Golden snapshots** ([`golden`]): byte-exact JSON and text fixtures
+//!   for analysis outputs and printed reports, re-blessed with
+//!   `PSL_BLESS=1`.
 
 #![forbid(unsafe_code)]
 
@@ -27,8 +28,8 @@ pub use differential::{
 };
 pub use generate::{generate_vectors, GenerateConfig};
 pub use golden::{
-    assert_golden, assert_golden_bytes, blessing, check_golden, check_golden_bytes, GoldenError,
-    GoldenStatus,
+    assert_golden, assert_golden_bytes, assert_golden_text, blessing, check_golden,
+    check_golden_bytes, check_golden_text, GoldenError, GoldenStatus,
 };
 pub use vectors::{
     parse_vectors, registrable_for, run_vectors, ParseVectorError, TestVector, VectorFailure,
