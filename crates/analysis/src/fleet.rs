@@ -609,6 +609,15 @@ mod tests {
     }
 
     #[test]
+    fn one_sampled_version_is_the_latest() {
+        let (h, sc) = fixture();
+        let out = run_fleet(&h, &sc, &FleetConfig { max_versions: 1, ..small_config() });
+        assert_eq!(out.versions_sampled, 1);
+        let rows: Vec<(Date, i64)> = out.rows.iter().map(|r| (r.date, r.age_days)).collect();
+        assert_eq!(rows, [(*h.versions().last().unwrap(), 0)]);
+    }
+
+    #[test]
     fn sketch_mode_only_estimates_the_victim_column() {
         let (h, sc) = fixture();
         let exact = run_fleet(&h, &sc, &small_config());

@@ -17,7 +17,8 @@
 //! gives every hostname's disposition timeline, which the Figs. 5–7
 //! engine ([`sweep_stream()`]), the fleet and the harm extensions read;
 //! [`pipeline`] glues substrate generation and all experiments together;
-//! [`report`] renders text tables and CSV.
+//! [`report`] turns each report into a [`report::Table`], printed as text
+//! or, by [`markdown`], as Markdown.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

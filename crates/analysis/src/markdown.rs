@@ -1,207 +1,73 @@
-//! Render a [`FullReport`] as a self-contained Markdown document —
-//! the artifact a reproduction run hands to a reader.
+//! Render a [`FullReport`] as a self-contained Markdown document — the
+//! terminal report in Markdown syntax, the artifact a reproduction run
+//! hands to a reader.
 
 use crate::pipeline::FullReport;
-use crate::report::downsample;
-use std::fmt::Write;
+use crate::report::Table;
 
-/// Render a Markdown table.
-fn md_table(out: &mut String, headers: &[&str], rows: &[Vec<String>]) {
-    let _ = writeln!(out, "| {} |", headers.join(" | "));
-    let _ = writeln!(out, "|{}|", headers.iter().map(|_| "---").collect::<Vec<_>>().join("|"));
-    for row in rows {
-        let _ = writeln!(out, "| {} |", row.join(" | "));
-    }
-    let _ = writeln!(out);
-}
-
-/// Render the whole report.
+/// The whole report: a title, then every table `pslharm all` prints, in
+/// the same order.
 pub fn render_markdown(report: &FullReport) -> String {
-    let mut out = String::new();
-    let w = &mut out;
-    let _ = writeln!(w, "# PSL privacy-harms reproduction report\n");
-
-    // ---- Figure 2 ----------------------------------------------------------
-    let _ = writeln!(w, "## Figure 2 — list growth and component mix\n");
-    let rows: Vec<Vec<String>> = downsample(&report.fig2.series, 12)
-        .iter()
-        .map(|r| {
-            vec![
-                r.date.clone(),
-                r.total.to_string(),
-                r.c1.to_string(),
-                r.c2.to_string(),
-                r.c3.to_string(),
-                r.c4.to_string(),
-            ]
-        })
-        .collect();
-    md_table(w, &["date", "total", "1-comp", "2-comp", "3-comp", "4+"], &rows);
-    let s = report.fig2.final_shares;
-    let _ = writeln!(
-        w,
-        "Final shares: {:.1}% / {:.1}% / {:.1}% / {:.2}% (paper: 17 / 57.5 / 25.3 / ~0.1).\n",
-        100.0 * s[0],
-        100.0 * s[1],
-        100.0 * s[2],
-        100.0 * s[3]
-    );
-
-    // ---- Table 1 -----------------------------------------------------------
-    let _ = writeln!(w, "## Table 1 — usage taxonomy\n");
-    let rows: Vec<Vec<String>> = report
-        .table1
-        .rows
-        .iter()
-        .map(|r| vec![r.class.clone(), r.projects.to_string(), format!("{:.1}%", r.percent)])
-        .collect();
-    md_table(w, &["category", "projects", "share"], &rows);
-
-    // ---- Figure 3 ----------------------------------------------------------
-    let _ = writeln!(w, "## Figure 3 — embedded-list ages\n");
-    let rows: Vec<Vec<String>> = report
-        .fig3
-        .groups
-        .iter()
-        .map(|g| vec![g.label.clone(), g.n.to_string(), format!("{:.0}", g.median_days)])
-        .collect();
-    md_table(w, &["strategy", "repos", "median age (days)"], &rows);
-
-    // ---- Figure 4 ----------------------------------------------------------
-    let _ = writeln!(w, "## Figure 4 — popularity\n");
-    let _ = writeln!(
-        w,
-        "Stars–forks Pearson: **{:.3}** (paper 0.96). Fixed/production median stars: {:.0}.\n",
-        report.fig4.stars_forks_pearson, report.fig4.production_median_stars
-    );
-
-    // ---- Figures 5–7 -------------------------------------------------------
-    let _ = writeln!(w, "## Figures 5–7 — per-version interpretation\n");
-    let rows: Vec<Vec<String>> = downsample(&report.figs567.rows, 12)
-        .iter()
-        .map(|r| {
-            vec![
-                r.date.clone(),
-                r.rules.to_string(),
-                r.sites.to_string(),
-                r.third_party_requests.to_string(),
-                r.hosts_moved_vs_latest.to_string(),
-            ]
-        })
-        .collect();
-    md_table(w, &["version", "rules", "sites (F5)", "third-party (F6)", "moved hosts (F7)"], &rows);
-    let _ = writeln!(
-        w,
-        "Latest vs first list: **{:+}** sites over {} hostnames.\n",
-        report.figs567.extra_sites_latest_vs_first, report.figs567.unique_hostnames
-    );
-
-    // ---- Table 2 -----------------------------------------------------------
-    let _ = writeln!(w, "## Table 2 — largest missing eTLDs\n");
-    let rows: Vec<Vec<String>> = report
-        .table2
-        .rows
-        .iter()
-        .map(|r| {
-            vec![
-                format!("`{}`", r.etld),
-                r.hostnames.to_string(),
-                r.dependency.to_string(),
-                r.fixed_production.to_string(),
-                r.fixed_test_other.to_string(),
-                r.updated.to_string(),
-            ]
-        })
-        .collect();
-    md_table(w, &["eTLD", "hostnames", "D", "F/Prd", "F/T+O", "U"], &rows);
-    let _ = writeln!(
-        w,
-        "Totals: **{} eTLDs / {} hostnames** (paper: 1,313 / 50,750).\n",
-        report.table2.total_etlds, report.table2.total_hostnames
-    );
-
-    // ---- Table 3 -----------------------------------------------------------
-    let _ = writeln!(w, "## Table 3 — fixed-usage projects (top 10)\n");
-    let rows: Vec<Vec<String>> = report
-        .table3
-        .rows
-        .iter()
-        .take(10)
-        .map(|r| {
-            vec![
-                r.name.clone(),
-                r.stars.to_string(),
-                r.list_age_days.to_string(),
-                r.missing_hostnames.to_string(),
-            ]
-        })
-        .collect();
-    md_table(w, &["repository", "stars", "list age (d)", "missing hostnames"], &rows);
-
-    // ---- Extensions --------------------------------------------------------
-    let _ = writeln!(w, "## Extensions\n");
-    let first_c = report.cookie_harm.rows.first();
-    let first_w = report.cert_harm.rows.first();
-    if let (Some(c), Some(cw)) = (first_c, first_w) {
-        let _ = writeln!(
-            w,
-            "- Supercookies: the {} list accepts **{}** of {} attempts ({} hostnames exposed); the latest accepts 0.",
-            c.date, c.accepted, report.cookie_harm.attempts, c.exposed_hostnames
-        );
-        let _ = writeln!(
-            w,
-            "- Wildcard mis-issuance: the {} CA issues **{}** platform wildcards covering {} hostnames.",
-            cw.date, cw.misissued, cw.covered_hostnames
-        );
-    }
-    let _ = writeln!(
-        w,
-        "- DBOUND: {} boundary records; client misgroups **{}** hostnames at any age ({:.1} queries/host).",
-        report.dbound.published_records,
-        report.dbound.dbound_misgrouped,
-        report.dbound.queries_per_host
-    );
-    for row in &report.update_failure.rows {
-        let _ = writeln!(
-            w,
-            "- {}: P(fallback) {:.2} -> expected {:.0} misgrouped hostnames.",
-            row.strategy, row.fallback_probability, row.expected_misgrouped
-        );
-    }
-    if let Some(first) = report.browser_replay.rows.first() {
-        let _ = writeln!(
-            w,
-            "- Browser replay: the {} list diverges on **{}** of {} decisions.",
-            first.date, first.divergent_decisions, report.browser_replay.decisions_per_replay
-        );
+    let mut out = String::from("# PSL privacy-harms reproduction report\n");
+    for table in report.tables() {
+        out.push_str(&section(&table));
     }
     out
+}
+
+/// One table as a `##` section: a pipe table, then each note as a
+/// paragraph.
+fn section(table: &Table) -> String {
+    let mut out = format!("\n## {}\n\n", table.title);
+    out.push_str(&row(table.headers.iter().copied()));
+    out.push_str(&format!("|{}|\n", vec!["---"; table.headers.len()].join("|")));
+    for cells in &table.rows {
+        out.push_str(&row(cells.iter().map(String::as_str)));
+    }
+    for note in &table.notes {
+        out.push_str(&format!("\n{note}\n"));
+    }
+    out
+}
+
+/// One pipe-table line; a `|` inside a cell is escaped so it stays text.
+fn row<'a>(cells: impl Iterator<Item = &'a str>) -> String {
+    let cells: Vec<String> = cells.map(|cell| cell.replace('|', "\\|")).collect();
+    format!("| {} |\n", cells.join(" | "))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::pipeline::{build_substrates, run_all, PipelineConfig};
+    use crate::report::SECTIONS;
+    use std::sync::OnceLock;
+
+    fn markdown() -> &'static str {
+        static CELL: OnceLock<String> = OnceLock::new();
+        CELL.get_or_init(|| {
+            let config = PipelineConfig::small(801);
+            let subs = build_substrates(&config);
+            render_markdown(&run_all(&subs, &config))
+        })
+    }
 
     #[test]
     fn markdown_renders_every_section() {
-        let config = PipelineConfig::small(801);
-        let subs = build_substrates(&config);
-        let report = run_all(&subs, &config);
-        let md = render_markdown(&report);
+        let md = markdown();
         for heading in [
             "# PSL privacy-harms reproduction report",
             "## Figure 2",
             "## Table 1",
             "## Figure 3",
             "## Figure 4",
-            "## Figures 5–7",
+            "## Figures 5-7",
             "## Table 2",
             "## Table 3",
-            "## Extensions",
         ] {
             assert!(md.contains(heading), "missing {heading}");
         }
+        assert_eq!(md.matches("\n## Extension: ").count(), 6);
         assert!(md.contains("myshopify.com"));
         assert!(md.contains("bitwarden/server"));
         // Tables are well-formed: every table line starts and ends with a
@@ -209,5 +75,25 @@ mod tests {
         for line in md.lines().filter(|l| l.starts_with('|')) {
             assert!(line.ends_with('|'), "bad table row: {line}");
         }
+    }
+
+    #[test]
+    fn every_table_row_has_as_many_cells_as_its_header() {
+        // Unescaped pipes delimit cells; the update-failure header
+        // `harm | fallback` must stay one cell.
+        let cells = |line: &str| line.replace("\\|", "").matches('|').count() - 1;
+        let (mut tables, mut header) = (0, None);
+        for line in markdown().lines() {
+            if !line.starts_with('|') {
+                header = None;
+            } else if let Some(width) = header {
+                assert_eq!(cells(line), width, "{line}");
+            } else {
+                header = Some(cells(line));
+                tables += 1;
+            }
+        }
+        assert_eq!(tables, SECTIONS.len());
+        assert!(markdown().contains("| harm \\| fallback |"));
     }
 }

@@ -28,7 +28,8 @@
 //! the paper's 1,142 versions / 9,368 rules and a proportionally larger
 //! corpus.
 
-use psl_analysis::{build_substrates, report, run_all, FullReport, PipelineConfig};
+use psl_analysis::report::{self, Table};
+use psl_analysis::{build_substrates, run_all, FullReport, PipelineConfig};
 use psl_core::{DomainName, MatchOpts};
 use std::process::ExitCode;
 
@@ -40,11 +41,7 @@ fn main() -> ExitCode {
     };
     let rest = &args[1..];
     let result = match cmd {
-        "all" => cmd_all(rest),
-        "fig2" | "fig3" | "fig4" | "fig5" | "fig6" | "fig7" | "table1" | "table2" | "table3"
-        | "cookieharm" | "dbound" | "certharm" | "updatefail" | "replay" | "categories" => {
-            cmd_single(cmd, rest)
-        }
+        "all" => cmd_report(None, rest),
         "notify" => cmd_notify(rest),
         "conformance" => cmd_conformance(rest),
         "suffix" => cmd_suffix(rest),
@@ -63,7 +60,10 @@ fn main() -> ExitCode {
             println!("{USAGE}");
             Ok(())
         }
-        other => Err(format!("unknown command {other:?}\n{USAGE}")),
+        other => match report::section(other) {
+            Some(table) => cmd_report(Some(table), rest),
+            None => Err(format!("unknown command {other:?}\n{USAGE}")),
+        },
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,
@@ -274,7 +274,9 @@ fn config_for(flags: &Flags) -> PipelineConfig {
     config
 }
 
-fn cmd_all(args: &[String]) -> Result<(), String> {
+/// `pslharm all` and the artifact subcommands: run every experiment, print
+/// every report table or only `section`'s, and write the exports.
+fn cmd_report(section: Option<fn(&FullReport) -> Table>, args: &[String]) -> Result<(), String> {
     let flags = parse_flags(args)?;
     let config = config_for(&flags);
     eprintln!("generating substrates (seed {}) ...", flags.seed);
@@ -289,19 +291,13 @@ fn cmd_all(args: &[String]) -> Result<(), String> {
     );
     eprintln!("running experiments ...");
     let full = run_all(&subs, &config);
-    print_fig2(&full);
-    print_table1(&full);
-    print_fig3(&full);
-    print_fig4(&full);
-    print_figs567(&full);
-    print_table2(&full);
-    print_table3(&full, 20);
-    print_cookie_harm(&full);
-    print_dbound(&full);
-    print_cert_harm(&full);
-    print_update_failure(&full);
-    print_replay(&full);
-    print_category_shift(&full);
+    let tables = match section {
+        Some(table) => vec![table(&full)],
+        None => full.tables(),
+    };
+    for table in tables {
+        print!("{table}");
+    }
     if let Some(path) = flags.json {
         std::fs::write(&path, full.to_json()).map_err(|e| format!("writing {path}: {e}"))?;
         eprintln!("wrote {path}");
@@ -310,37 +306,6 @@ fn cmd_all(args: &[String]) -> Result<(), String> {
         std::fs::write(&path, psl_analysis::render_markdown(&full))
             .map_err(|e| format!("writing {path}: {e}"))?;
         eprintln!("wrote {path}");
-    }
-    Ok(())
-}
-
-fn cmd_single(which: &str, args: &[String]) -> Result<(), String> {
-    let flags = parse_flags(args)?;
-    let config = config_for(&flags);
-    let subs = build_substrates(&config);
-    let full = run_all(&subs, &config);
-    match which {
-        "fig2" => print_fig2(&full),
-        "table1" => print_table1(&full),
-        "fig3" => print_fig3(&full),
-        "fig4" => print_fig4(&full),
-        "fig5" | "fig6" | "fig7" => print_figs567(&full),
-        "table2" => print_table2(&full),
-        "table3" => print_table3(&full, usize::MAX),
-        "cookieharm" => print_cookie_harm(&full),
-        "dbound" => print_dbound(&full),
-        "certharm" => print_cert_harm(&full),
-        "updatefail" => print_update_failure(&full),
-        "replay" => print_replay(&full),
-        "categories" => print_category_shift(&full),
-        _ => unreachable!("validated by caller"),
-    }
-    if let Some(path) = flags.json {
-        std::fs::write(&path, full.to_json()).map_err(|e| format!("writing {path}: {e}"))?;
-    }
-    if let Some(path) = flags.markdown {
-        std::fs::write(&path, psl_analysis::render_markdown(&full))
-            .map_err(|e| format!("writing {path}: {e}"))?;
     }
     Ok(())
 }
@@ -734,29 +699,9 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
         out.total_requests as usize,
     );
 
-    println!("\n== Figures 5-7 at scale: {} streamed requests ==", out.total_requests);
-    let rows: Vec<Vec<String>> = report::downsample(&report.rows, 18)
-        .iter()
-        .map(|r| {
-            vec![
-                r.date.clone(),
-                r.rules.to_string(),
-                r.sites.to_string(),
-                r.third_party_requests.to_string(),
-                r.hosts_moved_vs_latest.to_string(),
-            ]
-        })
-        .collect();
-    println!(
+    print!(
         "{}",
-        report::render_table(
-            &["version", "rules", "sites (F5)", "3rd-party reqs (F6)", "hosts moved (F7)"],
-            &rows
-        )
-    );
-    println!(
-        "latest vs first: +{} sites over {} hostnames / {} requests (paper: +359,966 sites on 498M requests)",
-        report.extra_sites_latest_vs_first, report.unique_hostnames, report.total_requests,
+        report.table(format!("Figures 5-7 at scale: {} streamed requests", out.total_requests))
     );
     let run = SweepRunReport {
         seed: flags.seed,
@@ -848,44 +793,7 @@ fn cmd_fleet(args: &[String]) -> Result<(), String> {
     let wall = t.elapsed().as_secs_f64();
     let peak = psl_stats::peak_rss_bytes();
 
-    println!(
-        "\n== Browser fleet: {} sessions x {} versions over {} hosts ==",
-        out.sessions, out.versions_sampled, out.hosts
-    );
-    let rows: Vec<Vec<String>> = out
-        .rows
-        .iter()
-        .map(|r| {
-            vec![
-                format!("{}", r.date),
-                r.age_days.to_string(),
-                r.cookie_set_flips.to_string(),
-                r.leaked_cookies.to_string(),
-                r.same_site_flips.to_string(),
-                r.wrong_autofill.to_string(),
-                r.merged_partitions.to_string(),
-                r.split_partitions.to_string(),
-                r.distinct_victims.to_string(),
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        report::render_table(
-            &[
-                "version",
-                "age (d)",
-                "set flips",
-                "leaked cookies",
-                "same-site flips",
-                "wrong autofill",
-                "merged parts",
-                "split parts",
-                "victims",
-            ],
-            &rows
-        )
-    );
+    print!("{}", out.table());
     let answered = out.sessions * out.versions_sampled as u64;
     let run = FleetRunReport {
         seed: flags.seed,
@@ -1030,295 +938,6 @@ fn cmd_inspect(args: &[String]) -> Result<(), String> {
         ));
     }
     Ok(())
-}
-
-// ---- Printers -------------------------------------------------------------
-
-fn print_fig2(full: &FullReport) {
-    println!("\n== Figure 2: PSL growth and suffix components over time ==");
-    let rows: Vec<Vec<String>> = report::downsample(&full.fig2.series, 18)
-        .iter()
-        .map(|r| {
-            vec![
-                r.date.clone(),
-                r.total.to_string(),
-                r.c1.to_string(),
-                r.c2.to_string(),
-                r.c3.to_string(),
-                r.c4.to_string(),
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        report::render_table(&["date", "total", "1-comp", "2-comp", "3-comp", "4+"], &rows)
-    );
-    let s = full.fig2.final_shares;
-    println!(
-        "final shares: 1-comp {:.1}%  2-comp {:.1}%  3-comp {:.1}%  4+ {:.2}%  (paper: 17 / 57.5 / 25.3 / ~0.1)",
-        100.0 * s[0],
-        100.0 * s[1],
-        100.0 * s[2],
-        100.0 * s[3]
-    );
-    if let Some((date, delta)) = &full.fig2.largest_jump {
-        println!("largest jump: +{delta} rules at {date} (paper: ~1623 mid-2012 JP registrations)");
-    }
-}
-
-fn print_table1(full: &FullReport) {
-    println!("\n== Table 1: projects by usage type ==");
-    let rows: Vec<Vec<String>> = full
-        .table1
-        .rows
-        .iter()
-        .map(|r| vec![r.class.clone(), r.projects.to_string(), format!("{:.1}%", r.percent)])
-        .collect();
-    println!("{}", report::render_table(&["category", "projects", "share"], &rows));
-    for (label, n, pct) in &full.table1.top_level {
-        println!("{label}: {n} ({pct:.1}%)");
-    }
-    println!(
-        "classified {} / unclassified {} / detector mismatches {}",
-        full.table1.classified, full.table1.unclassified, full.table1.ground_truth_mismatches
-    );
-}
-
-fn print_fig3(full: &FullReport) {
-    println!("\n== Figure 3: age of embedded lists (ECDF medians) ==");
-    let rows: Vec<Vec<String>> = full
-        .fig3
-        .groups
-        .iter()
-        .map(|g| vec![g.label.clone(), g.n.to_string(), format!("{:.0} days", g.median_days)])
-        .collect();
-    println!("{}", report::render_table(&["strategy", "repos", "median age"], &rows));
-    println!("(paper medians: all 871, fixed 825, updated 915)");
-}
-
-fn print_fig4(full: &FullReport) {
-    println!("\n== Figure 4: list age vs. activity (fixed projects) ==");
-    let mut pts = full.fig4.points.clone();
-    pts.sort_by_key(|p| std::cmp::Reverse(p.stars));
-    let rows: Vec<Vec<String>> = pts
-        .iter()
-        .take(15)
-        .map(|p| {
-            vec![
-                p.name.clone(),
-                p.stars.to_string(),
-                p.list_age_days.to_string(),
-                p.days_since_commit.to_string(),
-                p.class.clone(),
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        report::render_table(
-            &["repository", "stars", "list age (d)", "since commit (d)", "class"],
-            &rows
-        )
-    );
-    println!(
-        "stars-forks Pearson {:.3} (paper 0.96); fixed/production >=500 stars: {} (paper 5); median stars {:.0} (paper 60)",
-        full.fig4.stars_forks_pearson,
-        full.fig4.production_over_500_stars,
-        full.fig4.production_median_stars,
-    );
-}
-
-fn print_figs567(full: &FullReport) {
-    println!("\n== Figures 5-7: corpus interpreted under every PSL version ==");
-    let rows: Vec<Vec<String>> = report::downsample(&full.figs567.rows, 18)
-        .iter()
-        .map(|r| {
-            vec![
-                r.date.clone(),
-                r.rules.to_string(),
-                r.sites.to_string(),
-                r.third_party_requests.to_string(),
-                r.hosts_moved_vs_latest.to_string(),
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        report::render_table(
-            &["version", "rules", "sites (F5)", "3rd-party reqs (F6)", "hosts moved (F7)"],
-            &rows
-        )
-    );
-    println!(
-        "latest vs first: +{} sites over {} hostnames / {} requests (paper: +359,966 sites on 498M requests)",
-        full.figs567.extra_sites_latest_vs_first,
-        full.figs567.unique_hostnames,
-        full.figs567.total_requests,
-    );
-}
-
-fn print_table2(full: &FullReport) {
-    println!("\n== Table 2: largest eTLDs missing from fixed/production lists ==");
-    let rows: Vec<Vec<String>> = full
-        .table2
-        .rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.etld.clone(),
-                r.hostnames.to_string(),
-                r.dependency.to_string(),
-                r.fixed_production.to_string(),
-                r.fixed_test_other.to_string(),
-                r.updated.to_string(),
-            ]
-        })
-        .collect();
-    println!("{}", report::render_table(&["eTLD", "hostnames", "D", "F/Prd", "F/T+O", "U"], &rows));
-    println!(
-        "total: {} eTLDs affecting {} hostnames (paper: 1,313 eTLDs / 50,750 hostnames)",
-        full.table2.total_etlds, full.table2.total_hostnames
-    );
-}
-
-fn print_table3(full: &FullReport, limit: usize) {
-    println!("\n== Table 3: fixed-usage projects ==");
-    let rows: Vec<Vec<String>> = full
-        .table3
-        .rows
-        .iter()
-        .take(limit)
-        .map(|r| {
-            vec![
-                r.block.clone(),
-                r.name.clone(),
-                r.stars.to_string(),
-                r.forks.to_string(),
-                r.list_age_days.to_string(),
-                r.missing_hostnames.to_string(),
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        report::render_table(
-            &["block", "repository", "stars", "forks", "list age (d)", "missing hostnames"],
-            &rows
-        )
-    );
-}
-
-fn print_cookie_harm(full: &FullReport) {
-    println!("\n== Extension: supercookies accepted per list version ==");
-    let rows: Vec<Vec<String>> = report::downsample(&full.cookie_harm.rows, 14)
-        .iter()
-        .map(|r| vec![r.date.clone(), r.accepted.to_string(), r.exposed_hostnames.to_string()])
-        .collect();
-    println!(
-        "{}",
-        report::render_table(&["version", "accepted supercookies", "exposed hostnames"], &rows)
-    );
-    println!(
-        "{} attempts derived from the corpus; the latest list rejects all of them",
-        full.cookie_harm.attempts
-    );
-}
-
-fn print_dbound(full: &FullReport) {
-    println!("\n== Extension: DBOUND (DNS boundaries) vs. stale client lists ==");
-    let rows: Vec<Vec<String>> = report::downsample(&full.dbound.rows, 14)
-        .iter()
-        .map(|r| vec![r.date.clone(), r.stale_list_misgrouped.to_string()])
-        .collect();
-    println!("{}", report::render_table(&["stale list version", "misgrouped hostnames"], &rows));
-    println!(
-        "DBOUND client against live zones: {} misgrouped ({} records published, {:.1} DNS queries/host)",
-        full.dbound.dbound_misgrouped,
-        full.dbound.published_records,
-        full.dbound.queries_per_host,
-    );
-}
-
-fn print_cert_harm(full: &FullReport) {
-    println!("\n== Extension: wildcard certificates mis-issued per list version ==");
-    let rows: Vec<Vec<String>> = report::downsample(&full.cert_harm.rows, 14)
-        .iter()
-        .map(|r| vec![r.date.clone(), r.misissued.to_string(), r.covered_hostnames.to_string()])
-        .collect();
-    println!(
-        "{}",
-        report::render_table(
-            &["CA list version", "mis-issued wildcards", "covered hostnames"],
-            &rows
-        )
-    );
-    println!("{} wildcard requests derived from the corpus", full.cert_harm.requests);
-}
-
-fn print_update_failure(full: &FullReport) {
-    println!("\n== Extension: expected harm when update strategies fail ==");
-    let rows: Vec<Vec<String>> = full
-        .update_failure
-        .rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.strategy.clone(),
-                r.projects.to_string(),
-                format!("{:.2}", r.fallback_probability),
-                format!("{:.0}", r.mean_misgrouped_on_fallback),
-                format!("{:.0}", r.expected_misgrouped),
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        report::render_table(
-            &["strategy", "projects", "P(fallback)", "harm | fallback", "expected harm"],
-            &rows
-        )
-    );
-}
-
-fn print_replay(full: &FullReport) {
-    println!("\n== Extension: browser decision divergence vs. latest list ==");
-    let rows: Vec<Vec<String>> = full
-        .browser_replay
-        .rows
-        .iter()
-        .map(|r| vec![r.date.clone(), r.divergent_decisions.to_string()])
-        .collect();
-    println!("{}", report::render_table(&["browser list version", "divergent decisions"], &rows));
-    println!(
-        "{} interactions replayed, {} decisions per replay",
-        full.browser_replay.interactions, full.browser_replay.decisions_per_replay
-    );
-}
-
-fn print_category_shift(full: &FullReport) {
-    println!("\n== Extension: Figure 7 by suffix category ==");
-    let rows: Vec<Vec<String>> = full
-        .category_shift
-        .rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.date.clone(),
-                r.generic.to_string(),
-                r.country_code.to_string(),
-                r.other_tld.to_string(),
-                r.private.to_string(),
-                r.total.to_string(),
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        report::render_table(
-            &["version", "generic", "country-code", "other TLD", "private", "total moved"],
-            &rows
-        )
-    );
 }
 
 fn cmd_lint(args: &[String]) -> Result<(), String> {

@@ -1,16 +1,17 @@
 //! Golden snapshots of `psl-analysis` outputs.
 //!
 //! The fixtures under `tests/golden/` pin the exact JSON produced by the
-//! deterministic small-scale pipeline. Any intentional change to the
-//! generators or experiments shows up as a readable fixture diff and is
-//! re-blessed with:
+//! deterministic small-scale pipeline, and the Markdown report rendered
+//! from it. Any intentional change to the generators, experiments or
+//! report tables shows up as a readable fixture diff and is re-blessed
+//! with:
 //!
 //! ```text
 //! PSL_BLESS=1 cargo test -p psl-conformance --test golden_analysis
 //! ```
 
 use psl_analysis::{build_substrates, run_all, FullReport, PipelineConfig};
-use psl_conformance::assert_golden;
+use psl_conformance::{assert_golden, assert_golden_text};
 use std::path::PathBuf;
 use std::sync::OnceLock;
 
@@ -25,6 +26,12 @@ fn report() -> &'static FullReport {
 
 fn fixture(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden").join(format!("{name}.json"))
+}
+
+#[test]
+fn golden_markdown_report() {
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/report.md");
+    assert_golden_text(&path, &psl_analysis::render_markdown(report()));
 }
 
 #[test]
