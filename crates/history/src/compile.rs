@@ -149,6 +149,32 @@ mod tests {
     }
 
     #[test]
+    fn compiled_versions_match_snapshots_on_replay_edge_cases() {
+        let probes: [&[&str]; 4] =
+            [&["com", "old", "a"], &["com", "foo", "x"], &["com", "foo"], &["com"]];
+        for h in crate::history::tests::replay_edge_cases() {
+            let compiled = h.compiled_versions();
+            for (v, frozen) in compiled.versions() {
+                let list = h.snapshot_at(*v);
+                assert_eq!(frozen.len(), list.len(), "rule count at {v}");
+                for probe in probes {
+                    for opts in [
+                        MatchOpts::default(),
+                        MatchOpts { include_private: false, implicit_wildcard: true },
+                        MatchOpts { include_private: true, implicit_wildcard: false },
+                    ] {
+                        assert_eq!(
+                            frozen.disposition(compiled.interner(), probe, opts),
+                            list.disposition_reversed(probe, opts),
+                            "{probe:?} at {v} under {opts:?}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
     fn at_and_latest_lookup() {
         let h = generate(&GeneratorConfig::small(612));
         let compiled = h.compiled_versions();

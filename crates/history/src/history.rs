@@ -160,16 +160,23 @@ impl History {
     /// rule)` for every rule that entered (`true`) or left (`false`) the
     /// list after the previous version and on or before this one (for
     /// the first version: everything dated on or before it). Changes are
-    /// in date order, ties in span order.
+    /// in date order. On one date the removals come before the additions,
+    /// each group in span order, so a rule that moves between spans on
+    /// that date stays live. A span that is never live (removed on or
+    /// before its addition, after the clamp of [`History::new`]) yields
+    /// no change. Applied in order to a set keyed by rule text, the
+    /// changes rebuild [`History::rules_at`] at every version, provided
+    /// no two spans of one rule overlap.
     pub fn replay_changes<'a>(&'a self, mut f: impl FnMut(usize, Date, &[(bool, &'a Rule)])) {
         let mut events: Vec<(Date, bool, &Rule)> = Vec::with_capacity(self.spans.len() * 2);
-        for span in &self.spans {
+        for span in self.spans.iter().filter(|s| s.removed.is_none_or(|r| s.added < r)) {
             events.push((span.added, true, &span.rule));
             if let Some(r) = span.removed {
                 events.push((r, false, &span.rule));
             }
         }
-        events.sort_by_key(|e| e.0);
+        // Stable: `false` (removal) sorts first on a date, span order within.
+        events.sort_by_key(|e| (e.0, e.1));
         let changes: Vec<(bool, &Rule)> =
             events.iter().map(|&(_, added, rule)| (added, rule)).collect();
         let mut start = 0;
@@ -182,7 +189,7 @@ impl History {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use psl_core::Section;
 
@@ -271,25 +278,66 @@ mod tests {
         }
     }
 
-    #[test]
-    fn replayed_changes_rebuild_every_version() {
-        let h = small_history();
-        let mut live = std::collections::BTreeSet::new();
+    /// Apply the replayed changes to a map from rule text to section and
+    /// check it against `rules_at` at every version.
+    fn assert_replay_rebuilds_every_version(h: &History) {
+        let mut live = std::collections::BTreeMap::new();
         let mut visited = Vec::new();
         h.replay_changes(|i, v, changes| {
             for &(added, rule) in changes {
                 if added {
-                    live.insert(rule.as_text());
+                    live.insert(rule.as_text(), rule.section());
                 } else {
                     live.remove(&rule.as_text());
                 }
             }
-            let expected: std::collections::BTreeSet<String> =
-                h.rules_at(v).iter().map(Rule::as_text).collect();
+            let expected: std::collections::BTreeMap<String, Section> =
+                h.rules_at(v).iter().map(|r| (r.as_text(), r.section())).collect();
             assert_eq!(live, expected, "at {v}");
             visited.push((i, v));
         });
         assert_eq!(visited, h.versions().iter().copied().enumerate().collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn replayed_changes_rebuild_every_version() {
+        assert_replay_rebuilds_every_version(&small_history());
+    }
+
+    /// Two hand-built histories whose replay once disagreed with
+    /// `snapshot_at`: a span removed before the first version, whose
+    /// addition the clamp moves past its removal; and a same-date section
+    /// move with the new span listed first.
+    pub(crate) fn replay_edge_cases() -> [History; 2] {
+        let removed_early = History::new(
+            vec![
+                span("com", "2007-03-22", None),
+                private(span("old.com", "2005-01-01", Some("2006-01-01"))),
+            ],
+            vec![d("2007-03-22"), d("2008-01-01")],
+        );
+        let moved = History::new(
+            vec![
+                span("com", "2007-03-22", None),
+                private(span("foo.com", "2010-01-01", None)),
+                span("foo.com", "2007-03-22", Some("2010-01-01")),
+            ],
+            vec![d("2007-03-22"), d("2010-01-01"), d("2011-01-01")],
+        );
+        [removed_early, moved]
+    }
+
+    fn private(mut span: RuleSpan) -> RuleSpan {
+        span.rule = Rule::parse(&span.rule.as_text(), Section::Private).unwrap();
+        span
+    }
+
+    #[test]
+    fn replay_skips_never_live_spans_and_removes_before_adding() {
+        let [removed_early, moved] = replay_edge_cases();
+        assert_replay_rebuilds_every_version(&removed_early);
+        assert_eq!(removed_early.version_sizes(), [(d("2007-03-22"), 1), (d("2008-01-01"), 1)]);
+        assert_replay_rebuilds_every_version(&moved);
     }
 
     #[test]
