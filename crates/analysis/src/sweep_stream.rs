@@ -27,6 +27,7 @@ use psl_history::History;
 use psl_stats::HyperLogLog;
 use psl_webcorpus::{Request, StreamCorpus};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::Instant;
 
 /// How a [`SiteSet`] counts distinct ids.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -179,6 +180,11 @@ pub struct StreamSweepOutcome {
     pub shards: usize,
     /// Passes over the request stream: always 1.
     pub version_blocks: usize,
+    /// Wall time of the version walk, the site ids and the Figures 5 and
+    /// 7 counts.
+    pub walk_seconds: f64,
+    /// Wall time of the pass over the request stream (Figure 6).
+    pub pass_seconds: f64,
 }
 
 /// Run the sweep over every version of the history, streaming the corpus
@@ -189,17 +195,19 @@ pub fn sweep_stream(
     stream: &StreamCorpus,
     config: &StreamSweepConfig,
 ) -> StreamSweepOutcome {
-    let hosts = stream.hosts();
     let versions = history.version_count();
-    let walked = walk(history, hosts, config.opts);
-    let (sites, site_count) = site_ids(&walked, hosts);
-
+    let started = Instant::now();
+    let walked = walk(history, stream.hosts(), config.opts);
+    let (sites, site_count) = site_ids(&walked);
     let site_counts = count_sites(&sites, site_count, versions);
     let moved = sites.tally(versions, |h, site| u64::from(site != sites.latest(h)));
+    let walk_seconds = started.elapsed().as_secs_f64();
 
     let threads = resolved_threads(config.threads, usize::MAX);
     let shards = if config.shards == 0 { (threads * 4).max(1) } else { config.shards };
+    let started = Instant::now();
     let (third_party, total_requests) = third_party_pass(&sites, stream, versions, threads, shards);
+    let pass_seconds = started.elapsed().as_secs_f64();
 
     let stats = history
         .versions()
@@ -213,7 +221,15 @@ pub fn sweep_stream(
             hosts_in_different_site_vs_latest: moved[v] as usize,
         })
         .collect();
-    StreamSweepOutcome { stats, total_requests, threads, shards, version_blocks: 1 }
+    StreamSweepOutcome {
+        stats,
+        total_requests,
+        threads,
+        shards,
+        version_blocks: 1,
+        walk_seconds,
+        pass_seconds,
+    }
 }
 
 /// Distinct sites at each version: one reference count per site id,

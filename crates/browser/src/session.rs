@@ -105,7 +105,7 @@ impl SessionHarm {
 /// and/or `R`, scoped to the setter's parent domain.
 #[derive(Debug, Clone, Copy)]
 struct FleetCookie {
-    /// Dense parent-domain id the cookie is scoped to.
+    /// Parent-domain id the cookie is scoped to.
     scope: u32,
     /// Host that set it (the victim if it leaks).
     setter: u32,
@@ -128,7 +128,8 @@ struct PageVisit {
 /// [`SessionEngine::begin`] per (session, version) execution.
 #[derive(Debug)]
 pub struct SessionEngine<'p> {
-    /// Dense parent-domain id per host (population-wide, version-free).
+    /// Parent-domain id per host (population-wide, version-free): hosts
+    /// share an id iff they share a parent domain.
     parents: &'p [u32],
     jar: Vec<FleetCookie>,
     pages: Vec<PageVisit>,

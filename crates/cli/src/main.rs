@@ -657,6 +657,10 @@ struct SweepRunReport {
     threads: usize,
     shards: usize,
     wall_seconds: f64,
+    /// The version walk, site ids and Figures 5 and 7 counts.
+    walk_seconds: f64,
+    /// The pass over the request stream (Figure 6).
+    pass_seconds: f64,
     requests_per_s: f64,
     peak_rss_bytes: Option<u64>,
     report: psl_analysis::figs567::SweepReport,
@@ -710,14 +714,18 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
         threads: out.threads,
         shards: out.shards,
         wall_seconds: wall,
+        walk_seconds: out.walk_seconds,
+        pass_seconds: out.pass_seconds,
         requests_per_s: out.total_requests as f64 / wall.max(f64::EPSILON),
         peak_rss_bytes: peak,
         report,
     };
     eprintln!(
-        "sweep: {} requests in {:.2} s ({:.2}M req/s) on {} shards x {} threads{}",
+        "sweep: {} requests in {:.3} s (walk {:.3} s, pass {:.3} s; {:.2}M req/s) on {} shards x {} threads{}",
         run.requests_streamed,
         run.wall_seconds,
+        run.walk_seconds,
+        run.pass_seconds,
         run.requests_per_s / 1e6,
         run.shards,
         run.threads,
