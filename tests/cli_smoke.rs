@@ -1,11 +1,16 @@
 //! Smoke tests for the `pslharm` binary: run the real executable and check
 //! its output shape, and pin the printed reports byte for byte.
 
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::process::Command;
 
 fn pslharm() -> Command {
     Command::new(env!("CARGO_BIN_EXE_pslharm"))
+}
+
+/// The checked-in fixture `tests/golden/FILE`.
+fn golden(file: &str) -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden").join(file)
 }
 
 /// Run `pslharm ARGS` and compare its stdout with the text fixture
@@ -14,10 +19,7 @@ fn assert_stdout_golden(name: &str, args: &[&str]) {
     let out = pslharm().args(args).output().expect("binary runs");
     assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
     let stdout = String::from_utf8(out.stdout).expect("stdout is UTF-8");
-    let fixture = Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../../tests/golden")
-        .join(format!("{name}.txt"));
-    psl_conformance::assert_golden_text(&fixture, &stdout);
+    psl_conformance::assert_golden_text(&golden(&format!("{name}.txt")), &stdout);
 }
 
 #[test]
@@ -48,10 +50,30 @@ fn fleet_stdout_matches_fixture() {
 
 /// The one pin at paper scale: the world EXPERIMENTS.md quotes. CI's
 /// pipeline smoke compares the release binary's stdout with the same
-/// fixture.
+/// fixture. The same run's `--json` export pins every row of the six
+/// sections computed from the corpus hosts, most of which stdout shows
+/// only in part.
 #[test]
 fn paper_scale_all_stdout_matches_fixture() {
-    assert_stdout_golden("all_paper_scale_seed42", &["all", "--paper-scale", "--seed", "42"]);
+    let json = Path::new(env!("CARGO_TARGET_TMPDIR")).join("all_paper_scale_seed42.json");
+    let json_arg = json.to_str().expect("UTF-8 path");
+    assert_stdout_golden(
+        "all_paper_scale_seed42",
+        &["all", "--paper-scale", "--seed", "42", "--json", json_arg],
+    );
+    let report = std::fs::read_to_string(&json).expect("--json wrote the report");
+    let Ok(serde_json::Value::Map(sections)) = serde_json::value_from_str(&report) else {
+        panic!("the report is a JSON object");
+    };
+    const HOST_SECTIONS: [&str; 6] =
+        ["table2", "cookie_harm", "cert_harm", "dbound", "category_shift", "browser_replay"];
+    let pinned: Vec<_> =
+        sections.into_iter().filter(|(name, _)| HOST_SECTIONS.contains(&name.as_str())).collect();
+    assert_eq!(pinned.len(), HOST_SECTIONS.len());
+    psl_conformance::assert_golden(
+        &golden("all_paper_scale_seed42_hosts.json"),
+        &serde_json::Value::Map(pinned),
+    );
 }
 
 #[test]
