@@ -11,7 +11,7 @@
 use psl_browser::{decision_divergence, Browser};
 use psl_core::{List, MatchOpts};
 use psl_history::History;
-use psl_webcorpus::WebCorpus;
+use psl_webcorpus::StreamCorpus;
 use serde::Serialize;
 
 /// One replayed interaction: a page visit with its subresource loads.
@@ -45,10 +45,10 @@ pub struct BrowserReplayReport {
 
 /// Build the interaction script: one interaction per corpus page that has
 /// requests, capped at `max_interactions` (spread across the corpus).
-fn build_script(corpus: &WebCorpus, max_interactions: usize) -> Vec<Interaction> {
+fn build_script(corpus: &StreamCorpus, max_interactions: usize) -> Vec<Interaction> {
     use std::collections::BTreeMap;
     let mut by_page: BTreeMap<u32, Vec<u32>> = BTreeMap::new();
-    for r in corpus.requests() {
+    for r in corpus.shard_requests(0, 1) {
         by_page.entry(r.page).or_default().push(r.request);
     }
     let step = (by_page.len() / max_interactions.max(1)).max(1);
@@ -94,7 +94,7 @@ fn replay<'l>(list: &'l List, script: &[Interaction], opts: MatchOpts) -> Browse
 /// Run the experiment over `sampled_versions` evenly-spaced versions.
 pub fn run(
     history: &History,
-    corpus: &WebCorpus,
+    corpus: &StreamCorpus,
     sampled_versions: usize,
     max_interactions: usize,
     opts: MatchOpts,
@@ -127,12 +127,12 @@ pub fn run(
 mod tests {
     use super::*;
     use psl_history::{generate, GeneratorConfig};
-    use psl_webcorpus::{generate_corpus, CorpusConfig};
+    use psl_webcorpus::{build_stream, CorpusConfig};
 
     #[test]
     fn divergence_shrinks_toward_the_latest_version() {
         let h = generate(&GeneratorConfig::small(441));
-        let c = generate_corpus(&h, &CorpusConfig::small(71));
+        let c = build_stream(&h, &CorpusConfig::small(71));
         let report = run(&h, &c, 12, 150, MatchOpts::default());
 
         assert_eq!(report.rows.len(), 12);

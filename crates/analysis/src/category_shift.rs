@@ -9,11 +9,10 @@
 //! paper's Table 2 story, resolved over time.
 
 use crate::report::downsample;
-use crate::walker::{site_len, walk};
-use psl_core::{MatchOpts, Section};
+use crate::walker::{site_len, Walk};
+use psl_core::{DomainName, MatchOpts, Section};
 use psl_history::History;
 use psl_iana::{RootZoneDb, TldCategory};
-use psl_webcorpus::WebCorpus;
 use serde::Serialize;
 
 /// Moved-host counts per suffix class for one version.
@@ -40,16 +39,18 @@ pub struct CategoryShiftReport {
     pub rows: Vec<CategoryShiftRow>,
 }
 
-/// Run the experiment over `sampled_versions` evenly-spaced versions.
+/// Run the experiment over `sampled_versions` evenly-spaced versions of
+/// `walked`, a walk of `hosts` under `opts`. The latest list only sorts
+/// the hosts into its ICANN and PRIVATE sections.
 pub fn run(
     history: &History,
-    corpus: &WebCorpus,
+    hosts: &[DomainName],
+    walked: &Walk,
     db: &RootZoneDb,
     sampled_versions: usize,
     opts: MatchOpts,
 ) -> CategoryShiftReport {
     let latest = history.latest_snapshot();
-    let hosts = corpus.hosts();
 
     // Per-host: the class of the latest suffix.
     #[derive(Clone, Copy, PartialEq)]
@@ -74,7 +75,7 @@ pub fn run(
         })
         .collect();
 
-    let suffix_lens = walk(history, hosts, opts).suffix_lens;
+    let suffix_lens = &walked.suffix_lens;
     let site_len_of =
         |h: usize, len: Option<u32>| site_len(len.map(|l| l as usize), hosts[h].label_count());
     let versions: Vec<usize> = (0..history.version_count()).collect();
@@ -110,15 +111,22 @@ pub fn run(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sweep_stream::{sweep_stream, StreamSweepConfig};
+    use crate::walker::walk;
     use psl_history::{generate, GeneratorConfig};
-    use psl_webcorpus::{generate_corpus, CorpusConfig};
+    use psl_webcorpus::{build_stream, generate_corpus, CorpusConfig};
+
+    /// The report over a generated world's corpus, 15 sampled versions.
+    fn report(history_seed: u64, corpus_seed: u64) -> CategoryShiftReport {
+        let h = generate(&GeneratorConfig::small(history_seed));
+        let hosts = generate_corpus(&h, &CorpusConfig::small(corpus_seed)).hosts().to_vec();
+        let opts = MatchOpts::default();
+        run(&h, &hosts, &walk(&h, &hosts, opts), &RootZoneDb::embedded(), 15, opts)
+    }
 
     #[test]
     fn categories_partition_the_moved_hosts() {
-        let h = generate(&GeneratorConfig::small(531));
-        let c = generate_corpus(&h, &CorpusConfig::small(91));
-        let db = RootZoneDb::embedded();
-        let report = run(&h, &c, &db, 15, MatchOpts::default());
+        let report = report(531, 91);
 
         assert_eq!(report.rows.len(), 15);
         for row in &report.rows {
@@ -135,10 +143,7 @@ mod tests {
 
     #[test]
     fn private_suffixes_dominate_recent_shifts() {
-        let h = generate(&GeneratorConfig::small(533));
-        let c = generate_corpus(&h, &CorpusConfig::small(93));
-        let db = RootZoneDb::embedded();
-        let report = run(&h, &c, &db, 15, MatchOpts::default());
+        let report = report(533, 93);
 
         // In a 2016-era row, private-section platforms should account for
         // the majority of remaining movement (the Table 2 story).
@@ -157,5 +162,34 @@ mod tests {
         // In the first (2007) row, non-private classes contribute too.
         let first = &report.rows[0];
         assert!(first.country_code + first.generic + first.other_tld > 0);
+    }
+
+    /// Each sampled row's total is Figure 7's moved-host count at its
+    /// version, under every match option.
+    #[test]
+    fn totals_equal_figure_7_at_every_sampled_version() {
+        let h = generate(&GeneratorConfig::small(531));
+        let stream = build_stream(&h, &CorpusConfig::small(91));
+        let db = RootZoneDb::embedded();
+        for opts in [
+            MatchOpts::default(),
+            MatchOpts { include_private: false, implicit_wildcard: true },
+            MatchOpts { include_private: true, implicit_wildcard: false },
+        ] {
+            let hosts = stream.hosts();
+            let report = run(&h, hosts, &walk(&h, hosts, opts), &db, 20, opts);
+            let stats =
+                sweep_stream(&h, &stream, &StreamSweepConfig { opts, ..Default::default() }).stats;
+            assert_eq!(report.rows.len(), 20);
+            for row in &report.rows {
+                let fig7 = stats.iter().find(|s| s.date.to_string() == row.date).unwrap();
+                assert_eq!(
+                    row.total, fig7.hosts_in_different_site_vs_latest,
+                    "{} under {opts:?}",
+                    row.date
+                );
+            }
+            assert!(report.rows[0].total > 0, "{opts:?}");
+        }
     }
 }

@@ -3,17 +3,17 @@
 //!
 //! The paper's conclusion argues the staleness risk is "inherent to any
 //! list-based approach" and motivates DNS-advertised boundaries
-//! (ref [21]). This experiment makes the comparison concrete: boundary
+//! (ref \[21\]). This experiment makes the comparison concrete: boundary
 //! assertions for the *current* list are published into DNS zones; a
 //! DBOUND client derives sites by querying them, so its accuracy does not
 //! depend on client-side freshness. We compare, per list version, the
 //! hostnames a stale-list client misgroups against the (constant) DBOUND
 //! error, and report the query cost DBOUND pays for it.
 
-use psl_core::MatchOpts;
+use crate::walker::{self, Walk};
+use psl_core::DomainName;
 use psl_dns::{publish_list, site_of, ZoneStore};
 use psl_history::History;
-use psl_webcorpus::WebCorpus;
 use serde::Serialize;
 
 /// Per-version comparison row.
@@ -42,27 +42,28 @@ pub struct DboundReport {
     pub queries_per_host: f64,
 }
 
-/// Run the experiment. `stale_stats` is the per-version sweep (reuse the
-/// Figures 5–7 sweep to avoid recomputation).
+/// Run the experiment. `walked` is a walk of `hosts`, and `stale_stats`
+/// the per-version sweep over it (reuse the Figures 5–7 sweep to avoid
+/// recomputation).
 pub fn run(
     history: &History,
-    corpus: &WebCorpus,
+    hosts: &[DomainName],
+    walked: &Walk,
     stale_stats: &[crate::sweep::VersionStats],
-    opts: MatchOpts,
 ) -> DboundReport {
-    let latest = history.latest_snapshot();
-
     // Publish the current list into DNS.
     let mut zones = ZoneStore::new();
-    let published_records = publish_list(&mut zones, &latest);
+    let published_records = publish_list(&mut zones, &history.latest_snapshot());
 
-    // DBOUND client: derive every host's site by querying.
+    // DBOUND client: derive every host's site by querying, and compare it
+    // with the site under the latest list, the walk's last step.
     let mut dbound_misgrouped = 0;
     let mut total_queries = 0u64;
-    for host in corpus.hosts() {
+    for (h, host) in hosts.iter().enumerate() {
         let (site, cost) = site_of(&zones, host);
         total_queries += cost.queries as u64;
-        if site != latest.site(host, opts) {
+        let latest_len = walked.suffix_lens.latest(h).map(|l| l as usize);
+        if site.as_str() != walker::site_of(host, latest_len) {
             dbound_misgrouped += 1;
         }
     }
@@ -80,7 +81,7 @@ pub fn run(
         dbound_misgrouped,
         published_records,
         total_queries,
-        queries_per_host: total_queries as f64 / corpus.host_count().max(1) as f64,
+        queries_per_host: total_queries as f64 / hosts.len().max(1) as f64,
     }
 }
 
@@ -88,6 +89,8 @@ pub fn run(
 mod tests {
     use super::*;
     use crate::sweep_stream::{sweep_stream, StreamSweepConfig};
+    use crate::walker::walk;
+    use psl_core::MatchOpts;
     use psl_history::{generate, GeneratorConfig};
     use psl_webcorpus::{build_stream, CorpusConfig};
 
@@ -96,7 +99,8 @@ mod tests {
         let h = generate(&GeneratorConfig::small(411));
         let stream = build_stream(&h, &CorpusConfig::small(41));
         let stats = sweep_stream(&h, &stream, &StreamSweepConfig::default()).stats;
-        let report = run(&h, &stream.materialize(), &stats, MatchOpts::default());
+        let walked = walk(&h, stream.hosts(), MatchOpts::default());
+        let report = run(&h, stream.hosts(), &walked, &stats);
 
         assert_eq!(report.rows.len(), h.version_count());
         // DBOUND against the live zone agrees with the latest list

@@ -16,7 +16,8 @@
 //! [`walker`] is the shared hot path: one walk over the list versions
 //! gives every hostname's disposition timeline, which the Figs. 5–7
 //! engine ([`sweep_stream()`]), the fleet and the harm extensions read;
-//! [`pipeline`] glues substrate generation and all experiments together;
+//! [`pipeline`] glues substrate generation and all experiments together,
+//! walking the corpus hosts once for every host-level experiment;
 //! [`report`] turns each report into a [`report::Table`], printed as text
 //! or, by [`markdown`], as Markdown.
 
@@ -25,7 +26,6 @@
 
 pub mod browser_replay;
 pub mod category_shift;
-pub mod cert_harm;
 pub mod cookie_harm;
 pub mod dbound_exp;
 pub mod fig2;

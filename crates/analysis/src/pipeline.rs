@@ -3,19 +3,20 @@
 //! [`run_all`] is what the CLI and the integration tests drive: one seed in,
 //! the full set of paper artifacts out.
 
-use crate::sweep_stream::{sweep_stream, StreamSweepConfig};
+use crate::sweep_stream::{sweep_walked, StreamSweepConfig};
+use crate::walker::{census, walk};
 use crate::{
-    browser_replay, category_shift, cert_harm, cookie_harm, dbound_exp, fig2, fig3, fig4, figs567,
-    table1, table2, table3, update_failure,
+    browser_replay, category_shift, cookie_harm, dbound_exp, fig2, fig3, fig4, figs567, table1,
+    table2, table3, update_failure,
 };
 use psl_history::{GeneratorConfig, History};
 use psl_iana::RootZoneDb;
 use psl_repocorpus::{RepoCorpus, RepoGenConfig, RepoScan};
-use psl_webcorpus::{CorpusConfig, StreamCorpus, WebCorpus};
+use psl_webcorpus::{CorpusConfig, StreamCorpus};
 use serde::Serialize;
 
 /// Top-level pipeline configuration.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct PipelineConfig {
     /// History generator config.
     pub history: GeneratorConfig,
@@ -23,22 +24,9 @@ pub struct PipelineConfig {
     pub corpus: CorpusConfig,
     /// Repository corpus config.
     pub repos: RepoGenConfig,
-    /// Sweep options (Figures 5–7).
+    /// Sweep options (Figures 5–7); their match options are every
+    /// host-level experiment's.
     pub sweep: StreamSweepConfig,
-    /// Rows reported in Table 2.
-    pub table2_top: usize,
-}
-
-impl Default for PipelineConfig {
-    fn default() -> Self {
-        PipelineConfig {
-            history: GeneratorConfig::default(),
-            corpus: CorpusConfig::default(),
-            repos: RepoGenConfig::default(),
-            sweep: StreamSweepConfig::default(),
-            table2_top: 15,
-        }
-    }
 }
 
 impl PipelineConfig {
@@ -57,10 +45,9 @@ impl PipelineConfig {
 pub struct Substrates {
     /// The versioned list history.
     pub history: History,
-    /// The web request corpus as a stream (what the sweep reads).
+    /// The web request corpus as a stream: its hosts, and its requests
+    /// generated on demand.
     pub stream: StreamCorpus,
-    /// The same corpus materialized.
-    pub corpus: WebCorpus,
     /// The repository corpus.
     pub repos: RepoCorpus,
     /// IANA snapshot.
@@ -71,9 +58,8 @@ pub struct Substrates {
 pub fn build_substrates(config: &PipelineConfig) -> Substrates {
     let history = psl_history::generate(&config.history);
     let stream = psl_webcorpus::build_stream(&history, &config.corpus);
-    let corpus = stream.materialize();
     let repos = psl_repocorpus::generate_repos(&history, &config.repos);
-    Substrates { history, stream, corpus, repos, iana: RootZoneDb::embedded() }
+    Substrates { history, stream, repos, iana: RootZoneDb::embedded() }
 }
 
 /// Every paper artifact in one bundle.
@@ -98,7 +84,7 @@ pub struct FullReport {
     /// Extension: DBOUND vs. stale lists.
     pub dbound: dbound_exp::DboundReport,
     /// Extension: wildcard mis-issuance per version.
-    pub cert_harm: cert_harm::CertHarmReport,
+    pub cert_harm: cookie_harm::CertHarmReport,
     /// Extension: expected harm of failing update strategies.
     pub update_failure: update_failure::UpdateFailureReport,
     /// Extension: browser decision divergence per (sampled) version.
@@ -109,48 +95,36 @@ pub struct FullReport {
 
 /// Run every experiment over prebuilt substrates.
 pub fn run_all(subs: &Substrates, config: &PipelineConfig) -> FullReport {
-    // One scan serves every repository experiment; one sweep serves
-    // Figures 5-7, the DBOUND baseline, and (joined at each copy's dated
-    // version) Table 3 and the update-failure extension.
+    // One scan serves every repository experiment. One walk of the corpus
+    // hosts serves every host-level one: the Figures 5-7 sweep (joined at
+    // each copy's dated version by Table 3 and the update-failure
+    // extension), the suffix census behind Table 2 and the two suffix
+    // harms, DBOUND and the category shift.
     let scan = RepoScan::build(&subs.repos, &subs.history);
-    let sweep = sweep_stream(&subs.history, &subs.stream, &config.sweep);
+    let (history, hosts, opts) = (&subs.history, subs.stream.hosts(), config.sweep.opts);
+    let walked = walk(history, hosts, opts);
+    let sweep = sweep_walked(history, &subs.stream, &walked, &config.sweep);
     let stats = &sweep.stats;
+    let census = census(&walked, hosts);
+    let (cookie_harm, cert_harm) = cookie_harm::run(history, &census, opts);
     FullReport {
-        fig2: fig2::run(&subs.history, &subs.iana),
+        fig2: fig2::run(history, &subs.iana),
         table1: table1::run(&scan),
         fig3: fig3::run(&scan),
         fig4: fig4::run(&scan),
-        figs567: figs567::package(stats, subs.stream.host_count(), sweep.total_requests as usize),
-        table2: table2::run(
-            &subs.history,
-            &subs.corpus,
-            &scan,
-            config.table2_top,
-            config.sweep.opts,
-        ),
+        figs567: figs567::package(stats, hosts.len(), sweep.total_requests as usize),
+        table2: table2::run(history, &census, &scan),
         table3: table3::run(&scan, stats),
-        cookie_harm: cookie_harm::run(&subs.history, &subs.corpus, config.sweep.opts),
-        dbound: dbound_exp::run(&subs.history, &subs.corpus, stats, config.sweep.opts),
-        cert_harm: cert_harm::run(&subs.history, &subs.corpus, config.sweep.opts),
+        cookie_harm,
+        dbound: dbound_exp::run(history, hosts, &walked, stats),
+        cert_harm,
         update_failure: update_failure::run(
             &scan,
             stats,
             &update_failure::FallbackModel::default(),
         ),
-        browser_replay: browser_replay::run(
-            &subs.history,
-            &subs.corpus,
-            16,
-            120,
-            config.sweep.opts,
-        ),
-        category_shift: category_shift::run(
-            &subs.history,
-            &subs.corpus,
-            &subs.iana,
-            20,
-            config.sweep.opts,
-        ),
+        browser_replay: browser_replay::run(history, &subs.stream, 16, 120, opts),
+        category_shift: category_shift::run(history, hosts, &walked, &subs.iana, 20, opts),
     }
 }
 
@@ -198,6 +172,7 @@ mod tests {
     #[test]
     fn repo_tables_join_the_sweep_under_every_match_option() {
         use crate::sweep::stats_for_single_list;
+        use crate::sweep_stream::sweep_stream;
         use psl_core::{Date, MatchOpts};
         use std::collections::{BTreeMap, HashMap};
 

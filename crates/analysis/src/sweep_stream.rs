@@ -21,7 +21,7 @@
 //! request count, which only sets how long the pass runs.
 
 use crate::sweep::{resolved_threads, VersionStats};
-use crate::walker::{add_interval, prefix_sums, site_ids, walk, Timelines};
+use crate::walker::{add_interval, prefix_sums, site_ids, walk, Timelines, Walk};
 use psl_core::MatchOpts;
 use psl_history::History;
 use psl_stats::HyperLogLog;
@@ -195,10 +195,27 @@ pub fn sweep_stream(
     stream: &StreamCorpus,
     config: &StreamSweepConfig,
 ) -> StreamSweepOutcome {
-    let versions = history.version_count();
     let started = Instant::now();
     let walked = walk(history, stream.hosts(), config.opts);
-    let (sites, site_count) = site_ids(&walked);
+    let walk_seconds = started.elapsed().as_secs_f64();
+    let mut outcome = sweep_walked(history, stream, &walked, config);
+    outcome.walk_seconds += walk_seconds;
+    outcome
+}
+
+/// The sweep over `walked`, a walk of `stream`'s hosts under
+/// `config.opts`: the body of [`sweep_stream`], and what
+/// [`crate::run_all`] runs on the walk its other experiments share. The
+/// outcome's `walk_seconds` leaves out the walk itself.
+pub(crate) fn sweep_walked(
+    history: &History,
+    stream: &StreamCorpus,
+    walked: &Walk,
+    config: &StreamSweepConfig,
+) -> StreamSweepOutcome {
+    let versions = history.version_count();
+    let started = Instant::now();
+    let (sites, site_count) = site_ids(walked);
     let site_counts = count_sites(&sites, site_count, versions);
     let moved = sites.tally(versions, |h, site| u64::from(site != sites.latest(h)));
     let walk_seconds = started.elapsed().as_secs_f64();

@@ -2,19 +2,20 @@
 //! least one fixed/production project is missing.
 //!
 //! For every suffix in the latest list that was added after the first
-//! version, we count (i) the corpus hostnames living strictly under it and
-//! (ii) how many projects of each class embed a list copy lacking the
-//! rule: a copy lacks it when none of the rule's spans is live at the
-//! copy's dated version. Rows are ranked by impacted hostnames; the paper reports the top
-//! 15 of 1,313 eTLDs affecting 50,750 hostnames (ours scale with the
-//! corpus).
+//! version, we count (i) the corpus hostnames living strictly under it,
+//! read off the walk's suffix census, and (ii) how many projects of each
+//! class embed a list copy lacking the rule: a copy lacks it when none of
+//! the rule's spans is live at the copy's dated version. Rows are ranked
+//! by impacted hostnames; the paper reports the top 15 of 1,313 eTLDs
+//! affecting 50,750 hostnames (ours scale with the corpus).
 
-use psl_core::MatchOpts;
 use psl_history::{History, RuleSpan};
 use psl_repocorpus::{RepoScan, UsageClass};
-use psl_webcorpus::WebCorpus;
 use serde::Serialize;
 use std::collections::HashMap;
+
+/// Rows reported, as in the paper.
+const TOP: usize = 15;
 
 /// One Table 2 row.
 #[derive(Debug, Clone, Serialize)]
@@ -44,29 +45,10 @@ pub struct Table2Report {
     pub total_hostnames: usize,
 }
 
-/// Run the Table 2 experiment. `top` bounds the number of rows reported
-/// (paper: 15); `opts` are the sweep's match options.
-pub fn run(
-    history: &History,
-    corpus: &WebCorpus,
-    scan: &RepoScan<'_>,
-    top: usize,
-    opts: MatchOpts,
-) -> Table2Report {
-    let latest = history.latest_snapshot();
-
-    // ---- Hostnames per public suffix under the latest list. --------------
-    let mut hosts_per_suffix: HashMap<String, usize> = HashMap::new();
-    for host in corpus.hosts() {
-        let Some(suffix) = latest.public_suffix(host, opts) else {
-            continue;
-        };
-        if suffix.len() == host.as_str().len() {
-            continue; // the bare suffix itself is not an impacted hostname
-        }
-        *hosts_per_suffix.entry(suffix.to_string()).or_insert(0) += 1;
-    }
-
+/// Run the Table 2 experiment over `census`, the corpus hosts' latest
+/// public suffixes with their host counts ([`crate::walker::census`] of a
+/// walk under the sweep's match options).
+pub fn run(history: &History, census: &[(&str, usize)], scan: &RepoScan<'_>) -> Table2Report {
     // ---- Every span of each rule text. ------------------------------------
     // A text is late-added if a span still live at the latest version
     // began after the first version; a removed and re-added rule has
@@ -79,7 +61,7 @@ pub fn run(
 
     // ---- Assemble rows. -----------------------------------------------------
     let mut rows = Vec::new();
-    for (suffix, &hostnames) in &hosts_per_suffix {
+    for &(suffix, hostnames) in census {
         let Some(spans) = spans_of.get(suffix) else {
             continue;
         };
@@ -87,7 +69,7 @@ pub fn run(
             continue;
         }
         let mut row = Table2Row {
-            etld: suffix.clone(),
+            etld: suffix.to_string(),
             hostnames,
             dependency: 0,
             fixed_production: 0,
@@ -114,7 +96,7 @@ pub fn run(
     rows.sort_by(|a, b| b.hostnames.cmp(&a.hostnames).then(a.etld.cmp(&b.etld)));
     let total_etlds = rows.len();
     let total_hostnames = rows.iter().map(|r| r.hostnames).sum();
-    rows.truncate(top);
+    rows.truncate(TOP);
 
     Table2Report { rows, total_etlds, total_hostnames }
 }
@@ -122,16 +104,23 @@ pub fn run(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::walker::{census, walk};
+    use psl_core::{DomainName, MatchOpts};
     use psl_history::{generate, GeneratorConfig};
     use psl_repocorpus::{generate_repos, RepoGenConfig};
     use psl_webcorpus::{generate_corpus, CorpusConfig};
+
+    /// Table 2 over the census of a walk over `hosts`.
+    fn table2(history: &History, hosts: &[DomainName], scan: &RepoScan<'_>) -> Table2Report {
+        run(history, &census(&walk(history, hosts, MatchOpts::default()), hosts), scan)
+    }
 
     #[test]
     fn table2_ranks_platform_etlds() {
         let h = generate(&GeneratorConfig::small(161));
         let corpus = generate_corpus(&h, &CorpusConfig::small(17));
         let repos = generate_repos(&h, &RepoGenConfig::default());
-        let report = run(&h, &corpus, &RepoScan::build(&repos, &h), 15, MatchOpts::default());
+        let report = table2(&h, corpus.hosts(), &RepoScan::build(&repos, &h));
 
         assert!(!report.rows.is_empty());
         assert!(report.rows.len() <= 15);
@@ -166,7 +155,7 @@ mod tests {
     /// sets count them.
     #[test]
     fn re_added_suffix_counts_projects_by_every_span() {
-        use psl_core::{write_dat, Date, DomainName, Rule, Section};
+        use psl_core::{write_dat, Date, Rule, Section};
         use psl_repocorpus::{FileEntry, RepoCorpus, Repository};
         use std::collections::HashSet;
 
@@ -189,8 +178,7 @@ mod tests {
         let history = History::new(spans, versions.clone());
 
         let hosts = ["alice.myshop.com", "bob.myshop.com", "www.example.com"];
-        let hosts = hosts.map(|h| DomainName::parse(h).unwrap()).to_vec();
-        let corpus = WebCorpus::new(versions[6], hosts, vec![]);
+        let hosts = hosts.map(|h| DomainName::parse(h).unwrap());
 
         // (list path, companion files, dated version, class): fixed,
         // in-production copies before, inside, between and after the
@@ -236,7 +224,7 @@ mod tests {
             layouts.iter().map(|&(_, _, v, class)| (versions[v], class.to_string())).collect();
         assert_eq!(scanned, laid_out);
 
-        let report = run(&history, &corpus, &scan, 15, MatchOpts::default());
+        let report = table2(&history, &hosts, &scan);
         assert_eq!(report.rows.len(), 1);
         let row = &report.rows[0];
         assert_eq!((row.etld.as_str(), row.hostnames), ("myshop.com", 2));

@@ -19,7 +19,9 @@
 //! disposition: the walk's callers and the rebuild oracle
 //! ([`crate::sweep::sweep_rebuild`]) both go through it. A site is a
 //! suffix of its name, so it is a node of the arena, and [`site_ids`]
-//! numbers sites by node.
+//! numbers sites by node. [`census`] counts the names under each latest
+//! public suffix from the names' last steps; Table 2 and the cookie and
+//! certificate harms read it.
 
 use psl_core::{DomainName, FnvBuild, MatchOpts, RuleKind, Section};
 use psl_history::History;
@@ -437,6 +439,33 @@ fn walk_nodes(
     Walk { rule_counts, suffix_lens, arena, nodes }
 }
 
+/// The census of a walk over `hosts` (the names it walked): each latest
+/// public suffix with the number of hosts strictly under it, in order of
+/// first appearance. A host that is itself a public suffix, or that no
+/// rule matches, is under none. Each host's suffix is its last step in
+/// [`Walk::suffix_lens`], which is the latest list's under the walk's
+/// options.
+pub fn census<'h>(walk: &Walk, hosts: &'h [DomainName]) -> Vec<(&'h str, usize)> {
+    let mut entry = vec![NONE; walk.arena.len()];
+    let mut counts: Vec<(&str, usize)> = Vec::new();
+    for (h, host) in hosts.iter().enumerate() {
+        let Some(len) = walk.suffix_lens.latest(h).map(|l| l as usize) else {
+            continue;
+        };
+        let strictly_under = |suffix: &&str| suffix.len() < host.as_str().len();
+        let Some(suffix) = host.suffix_of_len(len).filter(strictly_under) else {
+            continue;
+        };
+        let at = &mut entry[walk.suffix_id(h, len) as usize];
+        if *at == NONE {
+            *at = counts.len() as u32;
+            counts.push((suffix, 0));
+        }
+        counts[*at as usize].1 += 1;
+    }
+    counts
+}
+
 /// Each walked name's site through the versions, as dense ids that hold
 /// across versions: two `(name, version)` pairs share an id iff their
 /// site strings are equal. A site is a suffix of its name, so ids number
@@ -590,6 +619,49 @@ mod tests {
         let hosts = generate_corpus(&h, &CorpusConfig::small(17)).hosts().to_vec();
         for opts in ALL_OPTS {
             assert_site_ids_match_snapshots(&h, &hosts, opts);
+        }
+    }
+
+    /// The census equals grouping the hosts by `latest.public_suffix`, the
+    /// per-host string match it replaces, under every match option.
+    #[test]
+    fn census_equals_latest_public_suffix_grouping() {
+        let h = generate(&GeneratorConfig::small(611));
+        let mut hosts = generate_corpus(&h, &CorpusConfig::small(17)).hosts().to_vec();
+        hosts.extend(names(&[
+            // Hosts equal to a rule, two of them single-label.
+            "co.uk",
+            "myshopify.com",
+            "com",
+            // A single-label host no rule matches.
+            "localhost",
+            // Matches of the seeded `*.ck` wildcard: a host equal to the
+            // wildcard's suffix, and two under it.
+            "foo.ck",
+            "a.foo.ck",
+            "b.foo.ck",
+            // Hosts at and under its `!www.ck` exception.
+            "www.ck",
+            "a.www.ck",
+        ]));
+        let latest = h.latest_snapshot();
+        for opts in ALL_OPTS {
+            let mut want: HashMap<&str, usize> = HashMap::new();
+            for host in &hosts {
+                let Some(suffix) = latest.public_suffix(host, opts) else {
+                    continue;
+                };
+                if suffix.len() < host.as_str().len() {
+                    *want.entry(suffix).or_default() += 1;
+                }
+            }
+            let counts = census(&walk(&h, &hosts, opts), &hosts);
+            let got: HashMap<&str, usize> = counts.iter().copied().collect();
+            assert_eq!(got.len(), counts.len(), "a suffix listed twice under {opts:?}");
+            assert_eq!(got, want, "{opts:?}");
+            assert_eq!(got["foo.ck"], 2, "{opts:?}");
+            assert!(!got.contains_key("localhost") && !got.contains_key("www.ck"));
+            assert!(got["ck"] >= 2, "{opts:?}");
         }
     }
 

@@ -1,21 +1,24 @@
-//! Benches for the extension experiments: supercookie harm, DBOUND site
-//! derivation, and DMARC discovery.
+//! Benches for the extension experiments: the supercookie and wildcard
+//! certificate harms, DBOUND site derivation, and DMARC discovery.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use psl_analysis::walker::{census, walk};
 use psl_analysis::{sweep_stream, StreamSweepConfig};
 use psl_bench::world;
 use psl_core::{DomainName, MatchOpts};
 use psl_dns::{discover, publish_list, site_of, ZoneStore};
 
-fn bench_cookie_harm(c: &mut Criterion) {
+fn bench_cookie_and_cert_harm(c: &mut Criterion) {
     let w = world();
-    let mut g = c.benchmark_group("ext_cookie_harm");
+    let hosts = w.stream.hosts();
+    let opts = MatchOpts::default();
+    let census = census(&walk(&w.history, hosts, opts), hosts);
+    let mut g = c.benchmark_group("ext_cookie_and_cert_harm");
     g.sample_size(10);
-    g.bench_function("all_versions", |b| {
+    g.bench_function("cookies_and_certs_all_versions", |b| {
         b.iter(|| {
-            let report =
-                psl_analysis::cookie_harm::run(&w.history, &w.corpus, MatchOpts::default());
-            std::hint::black_box(report.rows.len())
+            let (cookies, certs) = psl_analysis::cookie_harm::run(&w.history, &census, opts);
+            std::hint::black_box(cookies.rows.len() + certs.rows.len())
         })
     });
     g.finish();
@@ -42,9 +45,10 @@ fn bench_dbound(c: &mut Criterion) {
     });
     g.bench_function("full_comparison", |b| {
         let stats = sweep_stream(&w.history, &w.stream, &StreamSweepConfig::default()).stats;
+        let hosts = w.stream.hosts();
+        let walked = walk(&w.history, hosts, MatchOpts::default());
         b.iter(|| {
-            let report =
-                psl_analysis::dbound_exp::run(&w.history, &w.corpus, &stats, MatchOpts::default());
+            let report = psl_analysis::dbound_exp::run(&w.history, hosts, &walked, &stats);
             std::hint::black_box(report.dbound_misgrouped)
         })
     });
@@ -61,19 +65,6 @@ fn bench_dmarc(c: &mut Criterion) {
     c.bench_function("ext_dmarc_discover", |b| {
         b.iter(|| std::hint::black_box(discover(&zones, &latest, &from, MatchOpts::default())))
     });
-}
-
-fn bench_cert_harm(c: &mut Criterion) {
-    let w = world();
-    let mut g = c.benchmark_group("ext_cert_harm");
-    g.sample_size(10);
-    g.bench_function("all_versions", |b| {
-        b.iter(|| {
-            let report = psl_analysis::cert_harm::run(&w.history, &w.corpus, MatchOpts::default());
-            std::hint::black_box(report.rows.len())
-        })
-    });
-    g.finish();
 }
 
 fn bench_update_failure(c: &mut Criterion) {
@@ -103,7 +94,7 @@ fn bench_browser_replay(c: &mut Criterion) {
         b.iter(|| {
             let report = psl_analysis::browser_replay::run(
                 &w.history,
-                &w.corpus,
+                &w.stream,
                 12,
                 80,
                 MatchOpts::default(),
@@ -116,10 +107,9 @@ fn bench_browser_replay(c: &mut Criterion) {
 
 criterion_group!(
     extensions,
-    bench_cookie_harm,
+    bench_cookie_and_cert_harm,
     bench_dbound,
     bench_dmarc,
-    bench_cert_harm,
     bench_update_failure,
     bench_browser_replay,
 );

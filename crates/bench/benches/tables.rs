@@ -1,6 +1,7 @@
 //! One bench per paper table, plus the repository scan they share.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use psl_analysis::walker::{census, walk};
 use psl_analysis::{sweep_stream, StreamSweepConfig};
 use psl_bench::world;
 use psl_core::MatchOpts;
@@ -33,12 +34,13 @@ fn bench_table1_taxonomy(c: &mut Criterion) {
 fn bench_table2_missing_etlds(c: &mut Criterion) {
     let w = world();
     let scan = RepoScan::build(&w.repos, &w.history);
+    let hosts = w.stream.hosts();
+    let census = census(&walk(&w.history, hosts, MatchOpts::default()), hosts);
     let mut g = c.benchmark_group("table2_missing_etlds");
     g.sample_size(10);
     g.bench_function("impact_ranking", |b| {
         b.iter(|| {
-            let report =
-                psl_analysis::table2::run(&w.history, &w.corpus, &scan, 15, MatchOpts::default());
+            let report = psl_analysis::table2::run(&w.history, &census, &scan);
             std::hint::black_box(report.total_hostnames)
         })
     });

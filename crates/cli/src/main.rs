@@ -281,16 +281,17 @@ fn cmd_report(section: Option<fn(&FullReport) -> Table>, args: &[String]) -> Res
     let config = config_for(&flags);
     eprintln!("generating substrates (seed {}) ...", flags.seed);
     let subs = build_substrates(&config);
+    eprintln!("running experiments ...");
+    let full = run_all(&subs, &config);
+    // The corpus is streamed, so its request count is the sweep's.
     eprintln!(
         "history: {} versions, {} rules latest; corpus: {} hosts, {} requests; repos: {}",
         subs.history.version_count(),
         subs.history.rule_count_at(subs.history.latest_version()),
-        subs.corpus.host_count(),
-        subs.corpus.request_count(),
+        full.figs567.unique_hostnames,
+        full.figs567.total_requests,
         subs.repos.len(),
     );
-    eprintln!("running experiments ...");
-    let full = run_all(&subs, &config);
     let tables = match section {
         Some(table) => vec![table(&full)],
         None => full.tables(),

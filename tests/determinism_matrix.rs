@@ -83,7 +83,7 @@ fn substrates_are_pure_functions_of_config() {
         let a = build_substrates(&config);
         let b = build_substrates(&config);
         assert_eq!(psl_history::to_json(&a.history), psl_history::to_json(&b.history));
-        assert_eq!(a.corpus.to_json(), b.corpus.to_json());
+        assert_eq!(a.stream.materialize().to_json(), b.stream.materialize().to_json());
         assert_eq!(a.repos.len(), b.repos.len());
         for (x, y) in a.repos.repos.iter().zip(&b.repos.repos) {
             assert_eq!(x.name, y.name);
