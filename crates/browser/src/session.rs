@@ -17,15 +17,18 @@
 //!   domain-matching a parent-scoped cookie against a target host is one
 //!   integer compare (corpus hosts never nest below a sibling's parent).
 //!
-//! [`SessionEngine::run`] replays a session *simultaneously* under a
-//! version `V` and the reference (latest) version `R`, folding each
-//! event's paired outcome directly into a [`SessionHarm`] summarizer —
-//! the harms are precisely the V-vs-R behaviour divergences: cookies
-//! attached under `V` that `R` would have refused or isolated, same-site
-//! judgements that flip, credentials offered to the wrong site, storage
-//! partitions that merge. All scratch (jar slab, page log, victim list)
-//! lives in the engine and is reset *by capacity-keeping truncation* at
-//! session start, so a warmed engine allocates nothing per session.
+//! A session is replayed by [`SessionEngine::begin`], one call per event
+//! ([`SessionEngine::visit`], [`SessionEngine::load`], …) and
+//! [`SessionEngine::finish`]; `psl_analysis::execute_session` drives
+//! them. Each event runs *simultaneously* under a version `V` and the
+//! reference (latest) version `R`, and its paired outcome folds directly
+//! into a [`SessionHarm`] summarizer — the harms are precisely the V-vs-R
+//! behaviour divergences: cookies attached under `V` that `R` would have
+//! refused or isolated, same-site judgements that flip, credentials
+//! offered to the wrong site, storage partitions that merge. All scratch
+//! (jar slab, page log, victim list) lives in the engine and is reset *by
+//! capacity-keeping truncation* at session start, so a warmed engine
+//! allocates nothing per session.
 
 use serde::Serialize;
 

@@ -1,8 +1,9 @@
 //! The [`List`] type: a parsed Public Suffix List ready for queries.
 //!
-//! Wraps the rule set and its [`SuffixTrie`], and exposes the operations the
-//! paper's pipeline (and real software) needs: public-suffix extraction,
-//! registrable-domain (eTLD+1) extraction, and site grouping.
+//! Wraps the rule set and its compiled [`FrozenList`] matcher, and exposes
+//! the operations the paper's pipeline (and real software) needs:
+//! public-suffix extraction, registrable-domain (eTLD+1) extraction, and
+//! site grouping.
 
 use crate::domain::DomainName;
 use crate::frozen::{FrozenList, LabelInterner};

@@ -1,6 +1,6 @@
 //! A DBOUND prototype: DNS-advertised administrative boundaries.
 //!
-//! The paper's conclusion (and its reference [21],
+//! The paper's conclusion (and its reference \[21\],
 //! draft-sullivan-dbound-problem-statement) motivates replacing the
 //! client-shipped list with boundaries advertised *in the DNS itself*, so
 //! they can never go stale on the client. This module implements a

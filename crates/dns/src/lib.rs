@@ -3,7 +3,7 @@
 //! The paper names two PSL consumers beyond browsers: DMARC policy
 //! discovery (which needs the PSL-defined *organizational domain*, §2)
 //! and the proposed alternative of advertising boundaries in the DNS
-//! itself (DBOUND, conclusion / ref [21]). Both need a DNS; this crate
+//! itself (DBOUND, conclusion / ref \[21\]). Both need a DNS; this crate
 //! provides one:
 //!
 //! - [`zone::ZoneStore`]: authoritative in-memory zones with CNAME

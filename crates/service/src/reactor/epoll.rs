@@ -253,7 +253,7 @@ pub fn raise_nofile_limit(want: u64) -> u64 {
 /// A read-only, private file mapping with RAII unmap. The kernel owns the
 /// mapped address for the mapping's whole lifetime, so the byte slice is
 /// stable even when the `Mmap` value itself moves — which is what makes the
-/// lifetime extension in [`Mmap::extend_slice_lifetime`] tenable.
+/// lifetime extension in `Mmap::extend_slice_lifetime` tenable.
 pub struct Mmap {
     ptr: *mut u8,
     len: usize,

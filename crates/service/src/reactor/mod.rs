@@ -1,6 +1,6 @@
 //! The nonblocking event-driven reactor core.
 //!
-//! N worker threads each run an independent epoll loop ([`worker_loop`]).
+//! N worker threads each run an independent epoll loop (`worker_loop`).
 //! Both listeners (line protocol + optional HTTP admin plane) are
 //! registered in *every* worker's epoll set with `EPOLLEXCLUSIVE`, so the
 //! kernel hands each ready accept to exactly one sleeping worker — accept
