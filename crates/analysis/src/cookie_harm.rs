@@ -282,12 +282,12 @@ mod tests {
         .map(|t| DomainName::parse(t).unwrap())
         .collect();
         let opts = MatchOpts::default();
-        let counts = census(&walk(&h, &hosts, opts), &hosts);
-        let counts: HashMap<&str, usize> = counts.into_iter().collect();
+        let census = census(&walk(&h, &hosts, opts), &hosts);
+        let counts: HashMap<&str, usize> = census.iter().copied().collect();
         assert_eq!(counts["zone.jp"], 3);
         assert_eq!(counts["myapp.io"], 1);
 
-        let (cookies, certs) = run(&h, &counts.into_iter().collect::<Vec<_>>(), opts);
+        let (cookies, certs) = run(&h, &census, opts);
         assert_eq!((cookies.attempts, certs.requests), (1, 1));
         let accepted: Vec<(usize, usize)> =
             cookies.rows.iter().map(|r| (r.accepted, r.exposed_hostnames)).collect();

@@ -98,8 +98,8 @@ pub fn run_all(subs: &Substrates, config: &PipelineConfig) -> FullReport {
     // One scan serves every repository experiment. One walk of the corpus
     // hosts serves every host-level one: the Figures 5-7 sweep (joined at
     // each copy's dated version by Table 3 and the update-failure
-    // extension), the suffix census behind Table 2 and the two suffix
-    // harms, DBOUND and the category shift.
+    // extension), the suffix census behind Table 2 and the cookie and
+    // certificate harms, DBOUND and the category shift.
     let scan = RepoScan::build(&subs.repos, &subs.history);
     let (history, hosts, opts) = (&subs.history, subs.stream.hosts(), config.sweep.opts);
     let walked = walk(history, hosts, opts);

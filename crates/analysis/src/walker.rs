@@ -629,7 +629,7 @@ mod tests {
         let h = generate(&GeneratorConfig::small(611));
         let mut hosts = generate_corpus(&h, &CorpusConfig::small(17)).hosts().to_vec();
         hosts.extend(names(&[
-            // Hosts equal to a rule, two of them single-label.
+            // Hosts equal to a rule, one of them single-label.
             "co.uk",
             "myshopify.com",
             "com",
