@@ -1,20 +1,22 @@
-//! Golden snapshot of the browser-fleet harm-divergence table.
+//! Golden snapshots of the browser-fleet harm-divergence table.
 //!
 //! A small fleet (a few hundred sessions, a handful of sampled versions)
 //! over the deterministic small-scale substrates pins the *executed*
 //! harm counts exactly: any change to session script derivation, the
 //! paired session engine, the list views, or the accumulator merges
-//! shows up as a readable fixture diff. Re-bless intentional changes
-//! with:
+//! shows up as a readable fixture diff. A second fixture pins the rows
+//! and the replayed-pair count of the paper-scale world the benchmark's
+//! `fleet` workload runs. Re-bless intentional changes with:
 //!
 //! ```text
 //! PSL_BLESS=1 cargo test -p psl-conformance --test golden_fleet
 //! ```
 
-use psl_analysis::{run_fleet, FleetConfig};
+use psl_analysis::{run_fleet, FleetConfig, FleetRow, PipelineConfig};
 use psl_conformance::assert_golden;
 use psl_history::{generate, GeneratorConfig};
 use psl_webcorpus::{build_stream, CorpusConfig};
+use serde::Serialize;
 use std::path::PathBuf;
 
 fn fixture(name: &str) -> PathBuf {
@@ -44,4 +46,29 @@ fn golden_fleet_table_is_thread_and_shard_invariant() {
         let out = run_fleet(&history, &stream, &FleetConfig { threads, shards, ..base });
         assert_golden(&fixture("fleet"), &out.rows);
     }
+}
+
+/// What the paper-scale fixture pins: every row, and how many
+/// `(session, version)` pairs needed a `(V, R)` replay.
+#[derive(Serialize)]
+struct FleetPin {
+    replayed_pairs: u64,
+    rows: Vec<FleetRow>,
+}
+
+/// The benchmark's `fleet` world at seed 7 (the paper configuration with
+/// history seed 7 and corpus seed 8), 100,000 sessions over the default
+/// 12 sampled versions.
+#[test]
+fn golden_fleet_paper_scale_seed7() {
+    let mut config = PipelineConfig::default();
+    config.history.seed = 7;
+    config.corpus.seed = 8;
+    let history = generate(&config.history);
+    let stream = build_stream(&history, &config.corpus);
+    let out =
+        run_fleet(&history, &stream, &FleetConfig { sessions: 100_000, ..Default::default() });
+    assert_eq!(out.rows.len(), 12);
+    let pin = FleetPin { replayed_pairs: out.replayed_pairs, rows: out.rows };
+    assert_golden(&fixture("fleet_paper_scale_seed7"), &pin);
 }
