@@ -758,9 +758,16 @@ struct FleetRunReport {
     /// `(session, version)` pairs answered per second (`sessions ×
     /// versions_sampled` over the wall time), replayed or not.
     session_executions_per_s: f64,
-    /// Pairs replayed under `(V, R)`; the rest took their session's one
-    /// reference replay.
+    /// Pairs answered by a `(V, R)` replay; the rest took the reference
+    /// result.
     replayed_pairs: u64,
+    /// Engine replays executed, each answering a run of versions that
+    /// behave alike for its session (at most `replayed_pairs`).
+    replays: u64,
+    /// Building the views: the version walk, site ids, views and masks.
+    views_seconds: f64,
+    /// Answering the sessions.
+    sessions_seconds: f64,
     peak_rss_bytes: Option<u64>,
     rows: Vec<psl_analysis::FleetRow>,
 }
@@ -816,16 +823,22 @@ fn cmd_fleet(args: &[String]) -> Result<(), String> {
         sessions_per_s: out.sessions as f64 / wall.max(f64::EPSILON),
         session_executions_per_s: answered as f64 / wall.max(f64::EPSILON),
         replayed_pairs: out.replayed_pairs,
+        replays: out.replays,
+        views_seconds: out.views_seconds,
+        sessions_seconds: out.sessions_seconds,
         peak_rss_bytes: peak,
         rows: out.rows,
     };
     eprintln!(
-        "fleet: {} sessions ({} pairs answered, {} replayed) in {:.2} s ({:.2}M sessions/min) \
-         on {} shards x {} threads{}",
+        "fleet: {} sessions ({} pairs answered, {} by {} replays) in {:.2} s (views {:.3} s, \
+         sessions {:.3} s; {:.2}M sessions/min) on {} shards x {} threads{}",
         run.sessions,
         answered,
         run.replayed_pairs,
+        run.replays,
         run.wall_seconds,
+        run.views_seconds,
+        run.sessions_seconds,
         run.sessions_per_s * 60.0 / 1e6,
         run.shards,
         run.threads,

@@ -127,6 +127,7 @@ fn fleet_harm_table_is_identical_across_threads_and_shards() {
                 out.replayed_pairs, reference.replayed_pairs,
                 "threads={threads} shards={shards}"
             );
+            assert_eq!(out.replays, reference.replays, "threads={threads} shards={shards}");
         }
     }
 }
