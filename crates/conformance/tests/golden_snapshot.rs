@@ -3,7 +3,7 @@
 //! `tests/golden/snapshot_v1.bin` is the byte-exact snapshot of the
 //! embedded mini-PSL as written by `List::write_snapshot`, and
 //! `snapshot_v1_dispositions.json` pins what a loader reading that file
-//! must answer. Together they freeze the on-disk format: any writer
+//! must answer, through the loaded list and through the zero-copy view. Together they freeze the on-disk format: any writer
 //! change shows up as a byte-offset diff, any loader drift as a
 //! disposition diff — and neither may ship without bumping
 //! `LIST_FORMAT_VERSION` *and* deliberately re-blessing with:
@@ -13,7 +13,9 @@
 //! ```
 
 use psl_conformance::{assert_golden, assert_golden_bytes};
-use psl_core::{embedded_list, List, MatchOpts, SnapshotView, LIST_FORMAT_VERSION, LIST_MAGIC};
+use psl_core::{
+    embedded_list, Disposition, List, MatchOpts, SnapshotView, LIST_FORMAT_VERSION, LIST_MAGIC,
+};
 use std::path::PathBuf;
 
 fn fixture(name: &str) -> PathBuf {
@@ -59,7 +61,9 @@ struct Row {
     disposition: String,
 }
 
-fn disposition_rows(list: &List) -> Vec<Row> {
+/// One row per probe and option set, answered by `answer` (reversed
+/// labels, options).
+fn disposition_rows(mut answer: impl FnMut(&[&str], MatchOpts) -> Option<Disposition>) -> Vec<Row> {
     let mut rows = Vec::new();
     for probe in probes() {
         for opts in opts_matrix() {
@@ -67,7 +71,7 @@ fn disposition_rows(list: &List) -> Vec<Row> {
                 host: probe.iter().rev().cloned().collect::<Vec<_>>().join("."),
                 include_private: opts.include_private,
                 implicit_wildcard: opts.implicit_wildcard,
-                disposition: format!("{:?}", list.disposition_reversed(&probe, opts)),
+                disposition: format!("{:?}", answer(&probe, opts)),
             });
         }
     }
@@ -96,7 +100,20 @@ fn checked_in_snapshot_loads_and_answers_the_golden_dispositions() {
     let view = SnapshotView::parse(&bytes).expect("checked-in fixture must parse");
     assert_eq!(view.rules(), embedded_list().len());
     let loaded = List::load_snapshot(&bytes).expect("checked-in fixture must load");
-    assert_golden(&fixture("snapshot_v1_dispositions.json"), &disposition_rows(&loaded));
+    let golden = fixture("snapshot_v1_dispositions.json");
+    assert_golden(&golden, &disposition_rows(|rev, opts| loaded.disposition_reversed(rev, opts)));
+    // The zero-copy view over the same bytes must give the same rows, both
+    // by string labels and by the loaded list's ids (the loader keeps the
+    // file's interner order, so the two id spaces are one).
+    assert_golden(&golden, &disposition_rows(|rev, opts| view.disposition(rev, opts)));
+    let mut ids = Vec::new();
+    assert_golden(
+        &golden,
+        &disposition_rows(|rev, opts| {
+            loaded.reversed_ids(rev, &mut ids);
+            view.disposition_by_ids(&ids, opts)
+        }),
+    );
 }
 
 #[test]
