@@ -349,7 +349,8 @@ fn cmd_conformance(args: &[String]) -> Result<(), String> {
     }
 
     // 2. Vectors derived from the generated latest list (expectations come
-    //    from the linear reference matcher, evaluation uses the trie).
+    //    from the linear reference matcher, evaluation uses the compiled
+    //    list).
     eprintln!("generating history (seed {}) ...", flags.seed);
     let history = psl_history::generate(&config.history);
     let latest = history.latest_snapshot();
@@ -366,10 +367,12 @@ fn cmd_conformance(args: &[String]) -> Result<(), String> {
         println!("  FAIL {f}");
     }
 
-    // 3. Four-way differential sweep over every history version.
+    // 3. Differential sweep over every history version: the owned and the
+    //    mapped walk against the linear oracle.
     let hosts = psl_conformance::probe_corpus(&history, flags.seed.wrapping_add(3), 10_000);
     eprintln!(
-        "differential sweep: {} versions x {} hostnames x 3 option sets x 4 executors ...",
+        "differential sweep: {} versions x {} hostnames x 3 option sets x 2 walks (owned, \
+         mapped) vs the linear oracle ...",
         history.version_count(),
         hosts.len()
     );
@@ -380,27 +383,41 @@ fn cmd_conformance(args: &[String]) -> Result<(), String> {
         sweep.versions,
         sweep.divergences.len()
     );
-    for d in sweep.divergences.iter().take(10) {
-        println!(
-            "  DIVERGENCE at {}: {} (minimized: {}) trie={} linear={} naive={} frozen={}",
-            d.version.as_deref().unwrap_or("-"),
-            d.host,
-            d.minimized,
-            d.production,
-            d.linear,
-            d.naive,
-            d.frozen
-        );
-    }
+    let print_divergences = |outcome: &psl_conformance::SweepOutcome| {
+        for d in outcome.divergences.iter().take(10) {
+            println!(
+                "  DIVERGENCE at {}: {} (minimized: {}) production={} linear={} mapped={}",
+                d.version.as_deref().unwrap_or("-"),
+                d.host,
+                d.minimized,
+                d.production,
+                d.linear,
+                d.mapped
+            );
+        }
+    };
+    print_divergences(&sweep);
+
+    // 4. Rule shapes no generated history has (rules below an exception,
+    //    wildcards below wildcards, ...), through the same two walks.
+    let shapes = psl_core::List::parse(psl_conformance::WALK_SHAPES);
+    let shape_check = psl_conformance::check_list(&shapes, &psl_conformance::list_probes(&shapes));
+    println!(
+        "rule shapes:        {} comparisons over {} curated rules, {} divergences",
+        shape_check.comparisons,
+        shapes.len(),
+        shape_check.divergences.len()
+    );
+    print_divergences(&shape_check);
 
     if let Some(path) = flags.json {
-        let payload = serde_json::to_string_pretty(&(&shipped, &generated, &sweep))
+        let payload = serde_json::to_string_pretty(&(&shipped, &generated, &sweep, &shape_check))
             .map_err(|e| e.to_string())?;
         std::fs::write(&path, payload).map_err(|e| format!("writing {path}: {e}"))?;
         eprintln!("wrote {path}");
     }
 
-    if !shipped.is_pass() || !generated.is_pass() || !sweep.is_pass() {
+    if !shipped.is_pass() || !generated.is_pass() || !sweep.is_pass() || !shape_check.is_pass() {
         return Err("conformance failures detected".into());
     }
     println!("conformance: PASS");

@@ -2,10 +2,10 @@
 //!
 //! The expected registrable domain for each synthesized hostname is
 //! computed with the *linear reference matcher*
-//! ([`psl_core::trie::disposition_linear`]), never the production trie —
+//! ([`psl_core::trie::disposition_linear`]), never the production walk —
 //! so running the generated vectors through the normal [`List`] engine
-//! (which walks the trie) is a genuine two-implementation cross-check,
-//! not a tautology.
+//! (which walks the compiled arena) is a genuine two-implementation
+//! cross-check, not a tautology.
 
 use crate::vectors::TestVector;
 use psl_core::trie::disposition_linear;
@@ -123,7 +123,7 @@ mod tests {
 
     #[test]
     fn generated_vectors_pass_against_their_own_list() {
-        // Linear-reference expectations must agree with the trie engine.
+        // Linear-reference expectations must agree with the walk.
         let list = embedded_list();
         let vectors = generate_vectors(&list, &GenerateConfig::default());
         assert!(vectors.len() > 500, "{} vectors", vectors.len());

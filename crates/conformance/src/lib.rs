@@ -7,10 +7,11 @@
 //!   upstream `checkPublicSuffix(host, expected)` format, ship a curated
 //!   vector file for the embedded mini PSL, and derive fresh vectors from
 //!   any [`psl_core::List`] using the linear reference matcher.
-//! - **Differential oracle** ([`differential`]): run every probe hostname
-//!   through three structurally independent matchers — production trie,
-//!   linear scan, naive suffix map — across all versions of a history,
-//!   reporting the first divergence with a minimized reproducer.
+//! - **Differential oracle** ([`differential`]): answer every probe
+//!   hostname by the production walk over an owned list and by the same
+//!   walk over the list's snapshot bytes, and compare both with the one
+//!   oracle, the linear scan, across all versions of a history, reporting
+//!   the first divergence with a minimized reproducer.
 //! - **Golden snapshots** ([`golden`]): byte-exact JSON and text fixtures
 //!   for analysis outputs and printed reports, re-blessed with
 //!   `PSL_BLESS=1`.
@@ -23,8 +24,8 @@ pub mod golden;
 pub mod vectors;
 
 pub use differential::{
-    check_list, first_divergence, probe_corpus, sweep_history, Divergence, ProductionMatcher,
-    SweepOutcome,
+    check_list, first_divergence, list_probes, probe_corpus, sweep_history, Divergence,
+    ProductionMatcher, SweepOutcome, WALK_SHAPES,
 };
 pub use generate::{generate_vectors, GenerateConfig};
 pub use golden::{

@@ -9,9 +9,14 @@
 //! - [`punycode`]: RFC 3492 bootstring encoding/decoding;
 //! - [`Rule`] / [`parser`]: the `.dat` file format, with ICANN / PRIVATE
 //!   sections, wildcard (`*.`) and exception (`!`) rules;
-//! - [`SuffixTrie`] / [`List`]: the prevailing-rule matching algorithm from
+//! - [`List`]: the prevailing-rule matching algorithm from
 //!   <https://publicsuffix.org/list/>, with eTLD and eTLD+1 (registrable
-//!   domain) extraction and site grouping;
+//!   domain) extraction and site grouping. Every lookup runs one walk
+//!   ([`frozen`]) over a compiled arena, owned ([`FrozenList`]) or read in
+//!   place from a snapshot ([`SnapshotView`]); [`trie::disposition_linear`]
+//!   reads the algorithm literally and is the oracle the walk is checked
+//!   against, and [`SuffixTrie`] is the mutable builder a history edits
+//!   version by version;
 //! - [`cookie`]: RFC 6265 cookie domain-matching with supercookie
 //!   rejection — the privacy decision the paper's harm model quantifies;
 //! - [`Url`]: the minimal URL parsing the crawl pipeline needs;
@@ -48,7 +53,6 @@ pub mod frozen;
 pub mod jar;
 pub mod lint;
 pub mod list;
-pub mod naive;
 pub mod parser;
 pub mod punycode;
 pub mod rule;
@@ -65,7 +69,6 @@ pub use frozen::{FnvBuild, FnvHasher, FrozenList, LabelInterner, UNKNOWN_LABEL};
 pub use jar::{Cookie, CookieJar, SetCookie, StoreError, StoredCookie};
 pub use lint::{lint, Finding};
 pub use list::List;
-pub use naive::NaiveMap;
 pub use parser::{parse_dat, parse_dat_strict, write_dat, ParsedList};
 pub use rule::{Rule, RuleKind, Section};
 pub use snapfile::{

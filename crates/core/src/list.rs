@@ -14,10 +14,10 @@ use std::collections::HashSet;
 
 /// A queryable Public Suffix List.
 ///
-/// The production matching path is the compiled [`FrozenList`] (flat arena
-/// trie over interned labels); the mutable [`crate::SuffixTrie`] remains
-/// the structure for incremental edits and serves as a differential
-/// reference for this one in tests, conformance, and the fuzzer.
+/// Every lookup runs the walk over the compiled [`FrozenList`] (flat arena
+/// trie over interned labels), the same walk a [`crate::SnapshotView`]
+/// runs over snapshot bytes. Tests, conformance and the fuzzer check it
+/// against [`crate::trie::disposition_linear`] over [`List::rules`].
 #[derive(Debug, Clone, Default)]
 pub struct List {
     rules: Vec<Rule>,

@@ -154,16 +154,13 @@ impl Rule {
     }
 
     /// Does this rule match the given hostname labels (reversed: TLD
-    /// first)? Used by the linear reference matcher and tests; the trie is
-    /// the production path.
+    /// first)? Used by the linear reference matcher and tests; lookups run
+    /// the compiled walk ([`crate::frozen`]).
     pub fn matches_reversed(&self, reversed: &[&str]) -> bool {
-        let own: Vec<&str> = self.labels.iter().rev().map(|s| s.as_str()).collect();
-        if self.kind == RuleKind::Wildcard {
-            // `*.foo` requires the labels of foo plus at least one more.
-            reversed.len() > own.len() && reversed[..own.len()] == own[..]
-        } else {
-            reversed.len() >= own.len() && reversed[..own.len()] == own[..]
-        }
+        // `*.foo` requires the labels of foo plus at least one more.
+        let wildcard = usize::from(self.kind == RuleKind::Wildcard);
+        reversed.len() >= self.labels.len() + wildcard
+            && self.labels.iter().rev().zip(reversed).all(|(own, label)| own == label)
     }
 
     /// The rule rendered as list text (`co.uk`, `*.ck`, `!www.ck`).

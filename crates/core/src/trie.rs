@@ -1,11 +1,14 @@
-//! A reversed-label trie over suffix rules.
+//! The mutable reversed-label trie, the matching types, and the literal
+//! reading of the prevailing-rule algorithm.
 //!
-//! Rules are inserted label-by-label right-to-left (TLD first). Matching a
-//! hostname is a single walk down the trie, collecting every rule that
-//! terminates along the literal path plus any wildcard rules hanging off it.
-//! This is the production matching path; `Rule::matches_reversed` provides a
-//! linear reference implementation that the tests (and an ablation bench)
-//! compare against.
+//! [`SuffixTrie`] holds rules label by label, right to left (TLD first),
+//! and takes inserts and removals in place. It is the mutable builder
+//! behind [`crate::FrozenList::freeze`]: `psl-history` edits one trie
+//! version by version and freezes each version. It does not match
+//! hostnames; every lookup runs the compiled arena's walk
+//! ([`crate::frozen`]). [`disposition_linear`] scans every rule and applies
+//! the algorithm as written, and is the one oracle that walk is checked
+//! against.
 
 use crate::rule::{Rule, RuleKind, Section};
 use std::collections::HashMap;
@@ -72,7 +75,9 @@ impl Default for MatchOpts {
     }
 }
 
-/// The reversed-label trie.
+/// The mutable reversed-label trie: inserts, removals and
+/// [`SuffixTrie::compact`] in place, compiled for lookups by
+/// [`crate::FrozenList::freeze`].
 #[derive(Debug, Default, Clone)]
 pub struct SuffixTrie {
     root: Node,
@@ -182,72 +187,15 @@ impl SuffixTrie {
             false
         }
     }
-
-    /// Decide the prevailing rule for a hostname given as reversed labels
-    /// (TLD first). Returns `None` only when nothing matches *and* the
-    /// implicit wildcard is disabled.
-    ///
-    /// Implements the algorithm from <https://publicsuffix.org/list/>:
-    /// exception beats everything and strips one label; otherwise the
-    /// longest match prevails; otherwise the implicit `*` rule.
-    pub fn disposition(&self, reversed: &[&str], opts: MatchOpts) -> Option<Disposition> {
-        let allowed = |section: Section| opts.include_private || section == Section::Icann;
-
-        let mut best_exception: Option<(usize, Section)> = None;
-        let mut best_match: Option<(usize, RuleKind, Section)> = None;
-
-        let mut node = &self.root;
-        for (i, label) in reversed.iter().enumerate() {
-            // A wildcard anchored at `node` consumes this label.
-            if let Some(section) = node.wildcard {
-                if allowed(section) {
-                    best_match = Some((i + 1, RuleKind::Wildcard, section));
-                }
-            }
-            let Some(child) = node.children.get(*label) else {
-                break;
-            };
-            if let Some(section) = child.normal {
-                if allowed(section) {
-                    best_match = Some((i + 1, RuleKind::Normal, section));
-                }
-            }
-            if let Some(section) = child.exception {
-                if allowed(section) {
-                    best_exception = Some((i + 1, section));
-                }
-            }
-            node = child;
-        }
-
-        if let Some((match_len, section)) = best_exception {
-            // Exception rules strip their leftmost label.
-            return Some(Disposition {
-                suffix_len: match_len - 1,
-                kind: MatchKind::Rule(RuleKind::Exception),
-                section: Some(section),
-            });
-        }
-        if let Some((match_len, kind, section)) = best_match {
-            return Some(Disposition {
-                suffix_len: match_len,
-                kind: MatchKind::Rule(kind),
-                section: Some(section),
-            });
-        }
-        if opts.implicit_wildcard && !reversed.is_empty() {
-            return Some(Disposition {
-                suffix_len: 1,
-                kind: MatchKind::ImplicitWildcard,
-                section: None,
-            });
-        }
-        None
-    }
 }
 
-/// Linear reference matcher used to validate the trie (and as an ablation
-/// baseline). Semantics identical to [`SuffixTrie::disposition`].
+/// The prevailing-rule algorithm from <https://publicsuffix.org/list/>,
+/// read literally: test every rule against the reversed labels (TLD
+/// first); an exception beats everything and strips one label; otherwise
+/// the longest match prevails; otherwise the implicit `*` rule. Returns
+/// `None` only when nothing matches *and* the implicit wildcard is
+/// disabled. The oracle for the compiled walk
+/// ([`crate::FrozenList::disposition`], [`crate::SnapshotView::disposition_by_ids`]).
 pub fn disposition_linear(
     rules: &[Rule],
     reversed: &[&str],
@@ -271,7 +219,7 @@ pub fn disposition_linear(
                 // Longest match wins; on equal length a Normal rule beats a
                 // Wildcard (the public suffix is identical either way — this
                 // only pins down which rule we *report*, and must agree with
-                // the trie's walk order).
+                // the walk's slot order).
                 let better = best_match.is_none_or(|b| {
                     rule.match_len() > b.match_len()
                         || (rule.match_len() == b.match_len()
@@ -311,7 +259,9 @@ pub fn disposition_linear(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frozen::{FrozenList, LabelInterner};
     use crate::rule::Rule;
+    use crate::List;
     use proptest::prelude::*;
 
     fn rules(texts: &[(&str, Section)]) -> Vec<Rule> {
@@ -322,6 +272,17 @@ mod tests {
         let rs = rules(texts);
         let t = SuffixTrie::from_rules(&rs);
         (rs, t)
+    }
+
+    /// The walk over `texts`, compiled the way every list is.
+    fn walk(texts: &[(&str, Section)]) -> List {
+        List::from_rules(rules(texts))
+    }
+
+    /// The mutable trie's answer, read through [`FrozenList::freeze`].
+    fn frozen(t: &SuffixTrie, reversed: &[&str], opts: MatchOpts) -> Option<Disposition> {
+        let mut interner = LabelInterner::new();
+        FrozenList::freeze(t, &mut interner).disposition(&interner, reversed, opts)
     }
 
     const BASIC: &[(&str, Section)] = &[
@@ -336,64 +297,64 @@ mod tests {
 
     #[test]
     fn longest_match_prevails() {
-        let (_, t) = trie(BASIC);
-        let d = t.disposition(&["uk", "co", "example"], MatchOpts::default()).unwrap();
+        let l = walk(BASIC);
+        let d = l.disposition_reversed(&["uk", "co", "example"], MatchOpts::default()).unwrap();
         assert_eq!(d.suffix_len, 2);
         assert_eq!(d.kind, MatchKind::Rule(RuleKind::Normal));
     }
 
     #[test]
     fn wildcard_matches_one_extra_label() {
-        let (_, t) = trie(BASIC);
-        let d = t.disposition(&["ck", "shop"], MatchOpts::default()).unwrap();
+        let l = walk(BASIC);
+        let d = l.disposition_reversed(&["ck", "shop"], MatchOpts::default()).unwrap();
         assert_eq!(d.suffix_len, 2);
         assert_eq!(d.kind, MatchKind::Rule(RuleKind::Wildcard));
         // Bare "ck" has no matching rule (the wildcard needs one more
         // label), so the implicit rule applies.
-        let d = t.disposition(&["ck"], MatchOpts::default()).unwrap();
+        let d = l.disposition_reversed(&["ck"], MatchOpts::default()).unwrap();
         assert_eq!(d.kind, MatchKind::ImplicitWildcard);
         assert_eq!(d.suffix_len, 1);
     }
 
     #[test]
     fn exception_beats_wildcard() {
-        let (_, t) = trie(BASIC);
-        let d = t.disposition(&["ck", "www"], MatchOpts::default()).unwrap();
+        let l = walk(BASIC);
+        let d = l.disposition_reversed(&["ck", "www"], MatchOpts::default()).unwrap();
         assert_eq!(d.kind, MatchKind::Rule(RuleKind::Exception));
         assert_eq!(d.suffix_len, 1); // suffix is "ck"
                                      // And deeper names under the exception still hit it.
-        let d = t.disposition(&["ck", "www", "deep"], MatchOpts::default()).unwrap();
+        let d = l.disposition_reversed(&["ck", "www", "deep"], MatchOpts::default()).unwrap();
         assert_eq!(d.kind, MatchKind::Rule(RuleKind::Exception));
         assert_eq!(d.suffix_len, 1);
     }
 
     #[test]
     fn private_section_filtering() {
-        let (_, t) = trie(BASIC);
+        let l = walk(BASIC);
         let with = MatchOpts::default();
         let without = MatchOpts { include_private: false, ..Default::default() };
-        let d = t.disposition(&["io", "github", "user"], with).unwrap();
+        let d = l.disposition_reversed(&["io", "github", "user"], with).unwrap();
         assert_eq!(d.suffix_len, 2);
         assert_eq!(d.section, Some(Section::Private));
-        let d = t.disposition(&["io", "github", "user"], without).unwrap();
+        let d = l.disposition_reversed(&["io", "github", "user"], without).unwrap();
         assert_eq!(d.suffix_len, 1);
         assert_eq!(d.section, Some(Section::Icann));
     }
 
     #[test]
     fn implicit_wildcard_toggle() {
-        let (_, t) = trie(BASIC);
+        let l = walk(BASIC);
         let strict = MatchOpts { implicit_wildcard: false, ..Default::default() };
-        assert!(t.disposition(&["zz", "example"], strict).is_none());
-        let d = t.disposition(&["zz", "example"], MatchOpts::default()).unwrap();
+        assert!(l.disposition_reversed(&["zz", "example"], strict).is_none());
+        let d = l.disposition_reversed(&["zz", "example"], MatchOpts::default()).unwrap();
         assert_eq!(d.kind, MatchKind::ImplicitWildcard);
         assert_eq!(d.suffix_len, 1);
     }
 
     #[test]
     fn empty_input_never_matches() {
-        let (_, t) = trie(BASIC);
-        assert!(t.disposition(&[], MatchOpts::default()).is_none());
+        let l = walk(BASIC);
+        assert!(l.disposition_reversed(&[], MatchOpts::default()).is_none());
     }
 
     #[test]
@@ -414,11 +375,11 @@ mod tests {
         assert_eq!(t.len(), n - 1);
         assert!(!t.remove(&rule), "second removal is a no-op");
         // co.uk no longer matches; uk (still present) prevails.
-        let d = t.disposition(&["uk", "co", "example"], MatchOpts::default()).unwrap();
+        let d = frozen(&t, &["uk", "co", "example"], MatchOpts::default()).unwrap();
         assert_eq!(d.suffix_len, 1);
         // Re-insert restores behaviour.
         t.insert(&rule);
-        let d = t.disposition(&["uk", "co", "example"], MatchOpts::default()).unwrap();
+        let d = frozen(&t, &["uk", "co", "example"], MatchOpts::default()).unwrap();
         assert_eq!(d.suffix_len, 2);
         assert_eq!(t.len(), n);
         let _ = rs;
@@ -438,9 +399,9 @@ mod tests {
         assert_eq!(reclaimed, 2);
         assert_eq!(t.node_count(), built_nodes - 2);
         // Compacting must not change matching.
-        let d = t.disposition(&["ck", "www"], MatchOpts::default()).unwrap();
+        let d = frozen(&t, &["ck", "www"], MatchOpts::default()).unwrap();
         assert_eq!(d.kind, MatchKind::Rule(RuleKind::Wildcard));
-        let d = t.disposition(&["io", "github", "alice"], MatchOpts::default()).unwrap();
+        let d = frozen(&t, &["io", "github", "alice"], MatchOpts::default()).unwrap();
         assert_eq!(d.suffix_len, 1);
         // Rebuilding from the live set gives the same node count.
         let live: Vec<Rule> = rs
@@ -480,6 +441,7 @@ mod tests {
     }
 
     proptest! {
+        /// The compiled arena trie's walk against the literal algorithm.
         #[test]
         fn trie_agrees_with_linear_reference(
             rule_specs in proptest::collection::vec(
@@ -503,8 +465,8 @@ mod tests {
                 };
                 rs.push(rule);
             }
-            // Dedup by text the same way the trie's slots do (last wins in
-            // the trie; make the linear list match by keeping the last).
+            // Dedup by text the same way the arena's slots do (last wins
+            // in the arena; make the linear list match by keeping the last).
             let mut seen = std::collections::HashMap::new();
             for (i, r) in rs.iter().enumerate() {
                 seen.insert(r.as_text(), i);
@@ -513,10 +475,11 @@ mod tests {
             keep.sort_unstable();
             let rs: Vec<Rule> = keep.into_iter().map(|i| rs[i].clone()).collect();
 
-            let t = SuffixTrie::from_rules(&rs);
+            let mut interner = LabelInterner::new();
+            let arena = FrozenList::compile(&rs, &mut interner);
             let reversed: Vec<&str> = host.iter().map(|s| s.as_str()).collect();
             let opts = MatchOpts { include_private, implicit_wildcard: implicit };
-            let a = t.disposition(&reversed, opts);
+            let a = arena.disposition(&interner, &reversed, opts);
             let b = disposition_linear(&rs, &reversed, opts);
             prop_assert_eq!(a, b, "rules: {:?} host: {:?}", rs.iter().map(|r| r.as_text()).collect::<Vec<_>>(), reversed);
         }
@@ -570,8 +533,8 @@ mod tests {
                 let rebuilt = SuffixTrie::from_rules(&live_rules);
                 prop_assert_eq!(trie.len(), rebuilt.len());
                 prop_assert_eq!(
-                    trie.disposition(&reversed, opts),
-                    rebuilt.disposition(&reversed, opts)
+                    frozen(&trie, &reversed, opts),
+                    frozen(&rebuilt, &reversed, opts)
                 );
             }
         }

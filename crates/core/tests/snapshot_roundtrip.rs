@@ -3,15 +3,14 @@
 //! For arbitrary rule sets, the snapshot pipeline must be lossless at
 //! three observable layers: the serialized bytes are a fixpoint
 //! (`write(load(b)) == b`), the decompiled rule set is the original set,
-//! and — the one that matters — every disposition agrees across the
-//! mutable [`SuffixTrie`], the in-memory [`FrozenList`], the loaded
-//! arena, and the zero-copy [`SnapshotView`] walk, over generated hosts
-//! and the full `MatchOpts` matrix.
+//! and — the one that matters — the in-memory [`FrozenList`], the loaded
+//! arena, and the zero-copy [`SnapshotView`] walk all give the answer of
+//! [`disposition_linear`] over the loaded rules, over generated hosts and
+//! the full `MatchOpts` matrix.
 
 use proptest::prelude::*;
-use psl_core::{
-    FrozenList, LabelInterner, List, MatchOpts, Rule, RuleKind, Section, SnapshotView, SuffixTrie,
-};
+use psl_core::trie::disposition_linear;
+use psl_core::{FrozenList, LabelInterner, List, MatchOpts, Rule, RuleKind, Section, SnapshotView};
 
 fn small_label() -> impl Strategy<Value = String> {
     prop_oneof![
@@ -64,7 +63,6 @@ proptest! {
     ) {
         let rules = build_rules(rule_specs);
         let list = List::from_rules(rules.clone());
-        let trie = SuffixTrie::from_rules(list.rules());
 
         let bytes = list.write_snapshot();
         let loaded = List::load_snapshot(&bytes).expect("own snapshot must load");
@@ -89,7 +87,7 @@ proptest! {
         for host in &hosts {
             let reversed: Vec<&str> = host.iter().map(|s| s.as_str()).collect();
             for opts in opts_matrix() {
-                let expected = trie.disposition(&reversed, opts);
+                let expected = disposition_linear(loaded.rules(), &reversed, opts);
                 prop_assert_eq!(list.disposition_reversed(&reversed, opts), expected);
                 prop_assert_eq!(loaded.disposition_reversed(&reversed, opts), expected);
                 loaded.reversed_ids(&reversed, &mut ids);

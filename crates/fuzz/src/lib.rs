@@ -8,8 +8,9 @@
 //! implementations to agree on every one of them:
 //!
 //! - **hostname** — canonicalisation idempotence, Unicode/punycode
-//!   round-trips, and a three-way matcher differential (trie vs. linear
-//!   scan vs. naive map) under the full option matrix;
+//!   round-trips, and the matcher differential (the production walk and
+//!   the walk over the list's snapshot vs. the linear oracle) under the
+//!   full option matrix;
 //! - **dat** — `parse_dat → write_dat → parse_dat` preserves the rule set
 //!   and `write_dat` output is a fixpoint;
 //! - **cookie** — `SetCookie::parse` vs. an independently written
@@ -19,8 +20,8 @@
 //!   computation;
 //! - **snapshot** — byte-level corruption of compiled binary snapshots
 //!   fed to the zero-copy loader: typed rejection or a self-consistent
-//!   accept (view walk == materialized arena == trie of decompiled
-//!   rules), never a panic.
+//!   accept (view walk == materialized arena == the linear oracle over
+//!   the decompiled rules), never a panic.
 //!
 //! Everything is deterministic: a tiny pinned SplitMix64 stream
 //! ([`rng::FuzzRng`], no external fuzzing deps) means a `(seed, iters)`

@@ -334,7 +334,7 @@ mod tests {
                 &self,
                 rules: &[psl_core::Rule],
             ) -> Box<dyn psl_conformance::ProductionMatcher> {
-                Box::new(psl_core::SuffixTrie::from_rules(rules))
+                Box::new(psl_core::List::from_rules(rules.to_vec()))
             }
         }
         let input = Input::Cookie("a.example.com".into(), "=1; Domain=example.com".into());

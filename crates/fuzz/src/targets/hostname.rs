@@ -1,8 +1,9 @@
-//! Hostname target: canonicalisation invariants + four-way matcher
-//! differential on a generated rule set.
+//! Hostname target: canonicalisation invariants + the matcher differential
+//! (owned and mapped walk against the linear oracle) on a generated rule
+//! set.
 
 use psl_conformance::{first_divergence, ProductionMatcher};
-use psl_core::{punycode, Disposition, DomainName, List, MatchOpts, NaiveMap, Rule, SuffixTrie};
+use psl_core::{punycode, Disposition, DomainName, List, MatchOpts, Rule, SnapshotView};
 
 /// Builds the production matcher under test from a rule set. The fuzzer's
 /// self-test swaps in a deliberately broken build to prove the target can
@@ -12,12 +13,12 @@ pub trait MatcherFactory {
     fn build(&self, rules: &[Rule]) -> Box<dyn ProductionMatcher>;
 }
 
-/// The real production trie.
+/// The real production walk: a [`List`] over the rules.
 pub struct TrieFactory;
 
 impl MatcherFactory for TrieFactory {
     fn build(&self, rules: &[Rule]) -> Box<dyn ProductionMatcher> {
-        Box::new(SuffixTrie::from_rules(rules))
+        Box::new(List::from_rules(rules.to_vec()))
     }
 }
 
@@ -31,35 +32,35 @@ impl ProductionMatcher for DynMatcher<'_> {
     }
 }
 
-/// One generated rule set with all four matchers built, queried for many
+/// One generated rule set with both arms built, queried for many
 /// hostnames before the next set is generated.
 pub struct ListUnderTest {
     /// The `.dat` text the rule set came from (kept for corpus entries).
     pub dat: String,
     /// The parsed rules.
     pub rules: Vec<Rule>,
-    naive: NaiveMap,
     production: Box<dyn ProductionMatcher>,
-    /// The compiled arena executor ([`List`] routes every disposition
-    /// through its `FrozenList`), cross-checked against the other three.
-    frozen: List,
+    /// The parsed list, whose label ids query the mapped arm.
+    list: List,
+    /// The mapped arm: `list`'s snapshot bytes, walked in place.
+    snapshot: Vec<u8>,
 }
 
 impl ListUnderTest {
-    /// Parse `dat` and build the production + reference matchers.
+    /// Parse `dat` and build the production and mapped arms.
     pub fn build(dat: &str, factory: &dyn MatcherFactory) -> ListUnderTest {
-        let frozen = List::parse(dat);
-        let rules = frozen.rules().to_vec();
-        let naive = NaiveMap::from_rules(&rules);
+        let list = List::parse(dat);
+        let rules = list.rules().to_vec();
         let production = factory.build(&rules);
-        ListUnderTest { dat: dat.to_string(), rules, naive, production, frozen }
+        let snapshot = list.write_snapshot();
+        ListUnderTest { dat: dat.to_string(), rules, production, list, snapshot }
     }
 }
 
 /// Check one hostname against `lut`. A host the parser *rejects* is fine
 /// (rejection is an answer); a host it accepts must canonicalise
-/// idempotently, round-trip through Unicode and punycode, and get the same
-/// disposition from all four matchers under every option set.
+/// idempotently, round-trip through Unicode and punycode, and get the
+/// linear oracle's disposition from both arms under every option set.
 pub fn check_host(lut: &ListUnderTest, host: &str) -> Result<(), String> {
     let parsed = match DomainName::parse(host) {
         Ok(d) => d,
@@ -130,22 +131,23 @@ pub fn check_host(lut: &ListUnderTest, host: &str) -> Result<(), String> {
         }
     }
 
-    // Four-way matcher differential (trie vs. linear vs. naive vs. compiled
-    // arena) under the full option matrix; `first_divergence` minimizes the
-    // host itself.
+    // Matcher differential (production and mapped walk vs. the linear
+    // oracle) under the full option matrix; `first_divergence` minimizes
+    // the host itself.
+    let mapped = SnapshotView::parse(&lut.snapshot)
+        .map_err(|e| format!("a list's own snapshot was rejected: {e}"))?;
     let mut comparisons = 0usize;
     if let Some(div) = first_divergence(
         &DynMatcher(&*lut.production),
         &lut.rules,
-        &lut.naive,
-        &lut.frozen,
+        &lut.list,
+        &mapped,
         std::slice::from_ref(&parsed),
         &mut comparisons,
     ) {
         return Err(format!(
-            "matcher divergence on {:?} (minimized {:?}): production={} linear={} naive={} \
-             frozen={}",
-            div.host, div.minimized, div.production, div.linear, div.naive, div.frozen
+            "matcher divergence on {:?} (minimized {:?}): production={} linear={} mapped={}",
+            div.host, div.minimized, div.production, div.linear, div.mapped
         ));
     }
     Ok(())
@@ -172,13 +174,13 @@ mod tests {
         check_host(&lut, "").unwrap();
     }
 
-    /// The PR 1 trick: a trie that rewrites every Exception answer must be
-    /// caught by the differential the moment a `!rule` host is queried.
-    struct ExceptionBlind(SuffixTrie);
+    /// A walk that rewrites every Exception answer must be caught by the
+    /// differential the moment a `!rule` host is queried.
+    struct ExceptionBlind(List);
 
     impl ProductionMatcher for ExceptionBlind {
         fn disposition(&self, reversed: &[&str], opts: MatchOpts) -> Option<Disposition> {
-            let d = self.0.disposition(reversed, opts)?;
+            let d = self.0.disposition_reversed(reversed, opts)?;
             match d.kind {
                 MatchKind::Rule(RuleKind::Exception) => Some(Disposition {
                     suffix_len: d.suffix_len + 1,
@@ -194,7 +196,7 @@ mod tests {
 
     impl MatcherFactory for ExceptionBlindFactory {
         fn build(&self, rules: &[Rule]) -> Box<dyn ProductionMatcher> {
-            Box::new(ExceptionBlind(SuffixTrie::from_rules(rules)))
+            Box::new(ExceptionBlind(List::from_rules(rules.to_vec())))
         }
     }
 

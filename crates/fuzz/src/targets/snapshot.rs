@@ -10,9 +10,9 @@
 //! - the loader never panics (the runner's `catch_unwind` turns one into a
 //!   finding) and rejects with a typed [`psl_core::SnapshotError`];
 //! - anything the loader *accepts* is self-consistent: the zero-copy
-//!   [`SnapshotView`] walk, the materialized arena, and a [`SuffixTrie`]
-//!   rebuilt from the decompiled rules all agree on every disposition, and
-//!   re-serializing the accepted list round-trips;
+//!   [`SnapshotView`] walk, the materialized arena, and the re-serialized
+//!   list all give the answer of [`disposition_linear`] over the
+//!   decompiled rules on every disposition;
 //! - with an empty spec the pipeline is exact: load succeeds and the bytes
 //!   are a fixpoint.
 //!
@@ -21,7 +21,8 @@
 //! buffer to `N % (2*len)` (padding with `0xa5`); `fix` recomputes the
 //! trailing checksum after all other mutations, whatever its position.
 
-use psl_core::{reseal, List, MatchOpts, SnapshotView, SuffixTrie};
+use psl_core::trie::disposition_linear;
+use psl_core::{reseal, List, MatchOpts, SnapshotView};
 
 /// Apply a mutation spec to a pristine snapshot.
 pub fn apply_spec(spec: &str, pristine: &[u8]) -> Vec<u8> {
@@ -74,32 +75,34 @@ fn probes(list: &List) -> Vec<Vec<String>> {
     out
 }
 
-/// Require that an accepted snapshot is self-consistent across all four
-/// read paths (view walk, materialized list, trie-from-decompile, and a
-/// reload of its own re-serialization).
+/// Require that an accepted snapshot is self-consistent: the view walk, the
+/// materialized list and a reload of its own re-serialization all answer
+/// as the linear oracle over the decompiled rules.
 fn check_accepted(view: &SnapshotView<'_>, bytes: &[u8]) -> Result<(), String> {
     let loaded = List::load_snapshot(bytes)
         .map_err(|e| format!("view parsed but List::load_snapshot rejected: {e}"))?;
     let rebytes = loaded.write_snapshot();
     let reloaded = List::load_snapshot(&rebytes)
         .map_err(|e| format!("accepted list failed to reload its own bytes: {e}"))?;
-    let trie = SuffixTrie::from_rules(loaded.rules());
 
     for probe in probes(&loaded) {
         let reversed: Vec<&str> = probe.iter().map(|s| s.as_str()).collect();
         for opts in opts_matrix() {
-            let expected = trie.disposition(&reversed, opts);
+            let expected = disposition_linear(loaded.rules(), &reversed, opts);
             if loaded.disposition_reversed(&reversed, opts) != expected {
                 return Err(format!(
-                    "loaded arena diverges from trie-of-decompiled-rules on {reversed:?} {opts:?}"
+                    "loaded arena diverges from linear-over-decompiled-rules on {reversed:?} \
+                     {opts:?}"
                 ));
             }
             if view.disposition(&reversed, opts) != expected {
-                return Err(format!("zero-copy view diverges from trie on {reversed:?} {opts:?}"));
+                return Err(format!(
+                    "zero-copy view diverges from linear on {reversed:?} {opts:?}"
+                ));
             }
             if reloaded.disposition_reversed(&reversed, opts) != expected {
                 return Err(format!(
-                    "re-serialized list diverges from trie on {reversed:?} {opts:?}"
+                    "re-serialized list diverges from linear on {reversed:?} {opts:?}"
                 ));
             }
         }

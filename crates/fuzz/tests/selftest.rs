@@ -5,17 +5,17 @@
 //! implementations to come up clean under the same budget.
 
 use psl_conformance::ProductionMatcher;
-use psl_core::{Disposition, MatchKind, MatchOpts, Rule, RuleKind, Section, SuffixTrie};
+use psl_core::{Disposition, List, MatchKind, MatchOpts, Rule, RuleKind, Section};
 use psl_fuzz::{run_target, run_target_with, FuzzConfig, MatcherFactory, Target};
 
-/// A production trie that silently rewrites every Exception answer into a
+/// A production walk that silently rewrites every Exception answer into a
 /// one-label-longer Wildcard answer — the classic "`!rule` support never
-/// actually wired up" bug class from PR 1.
-struct ExceptionBlind(SuffixTrie);
+/// actually wired up" bug class.
+struct ExceptionBlind(List);
 
 impl ProductionMatcher for ExceptionBlind {
     fn disposition(&self, reversed: &[&str], opts: MatchOpts) -> Option<Disposition> {
-        let d = self.0.disposition(reversed, opts)?;
+        let d = self.0.disposition_reversed(reversed, opts)?;
         match d.kind {
             MatchKind::Rule(RuleKind::Exception) => Some(Disposition {
                 suffix_len: d.suffix_len + 1,
@@ -31,7 +31,7 @@ struct ExceptionBlindFactory;
 
 impl MatcherFactory for ExceptionBlindFactory {
     fn build(&self, rules: &[Rule]) -> Box<dyn ProductionMatcher> {
-        Box::new(ExceptionBlind(SuffixTrie::from_rules(rules)))
+        Box::new(ExceptionBlind(List::from_rules(rules.to_vec())))
     }
 }
 

@@ -69,8 +69,10 @@ impl ServedList {
         }
     }
 
-    /// The cacheable suffix code for pre-interned reversed ids — the enum
-    /// twin of [`crate::lookup::suffix_code_ids`].
+    /// The cacheable suffix code (see [`crate::lookup::suffix_code`]) for
+    /// reversed ids from [`ServedList::reversed_ids_str`]. The engine's hot
+    /// path computes the id slice once as its cache key and resolves misses
+    /// here with zero further allocation.
     pub fn suffix_code_ids(&self, reversed_ids: &[u32], opts: MatchOpts) -> u32 {
         match self.disposition_ids(reversed_ids, opts) {
             Some(d) => d.suffix_len.min(reversed_ids.len()) as u32,

@@ -1,14 +1,15 @@
 //! Cross-crate invariants: the same question answered through different
 //! crates' code paths must agree.
 
-use psl_core::{DomainName, MatchOpts};
+use psl_core::{DomainName, MatchOpts, SnapshotView};
 use psl_history::{generate, DatingIndex, GeneratorConfig, ListStore};
 use psl_webcorpus::{generate_corpus, CorpusConfig};
 
 #[test]
 fn trie_and_linear_matcher_agree_on_generated_lists() {
-    // The production trie vs. the reference linear matcher, over a real
-    // generated rule set and real corpus hostnames.
+    // The production walk over the compiled arena trie vs. the reference
+    // linear matcher, over a real generated rule set and real corpus
+    // hostnames.
     let history = generate(&GeneratorConfig::small(303));
     let corpus = generate_corpus(&history, &CorpusConfig::small(17));
     let list = history.latest_snapshot();
@@ -22,12 +23,14 @@ fn trie_and_linear_matcher_agree_on_generated_lists() {
 }
 
 #[test]
-fn trie_linear_and_naive_matchers_agree_on_the_embedded_list() {
-    // Three structurally independent matchers — the production trie, the
-    // linear reference scan, and the flat longest-suffix map — answered
-    // over hostnames derived from every rule in the shipped mini PSL.
+fn owned_and_mapped_walks_agree_with_linear_on_the_embedded_list() {
+    // The walk over the owned list and over its snapshot bytes (queried
+    // with the list's ids), against the linear reference scan, over
+    // hostnames derived from every rule in the shipped mini PSL.
     let list = psl_core::embedded_list();
-    let naive = psl_core::NaiveMap::from_rules(list.rules());
+    let bytes = list.write_snapshot();
+    let view = SnapshotView::parse(&bytes).expect("own snapshot parses");
+    let mut ids = Vec::new();
     let mut hosts: Vec<String> = Vec::new();
     for rule in list.rules() {
         let suffix = rule.labels().join(".");
@@ -48,12 +51,13 @@ fn trie_linear_and_naive_matchers_agree_on_the_embedded_list() {
     for host in &hosts {
         let Ok(domain) = DomainName::parse(host) else { continue };
         let reversed = domain.labels_reversed();
+        list.reversed_ids(&reversed, &mut ids);
         for opts in opts_matrix {
-            let trie = list.disposition_reversed(&reversed, opts);
             let linear = psl_core::trie::disposition_linear(list.rules(), &reversed, opts);
-            let flat = naive.disposition(&reversed, opts);
-            assert_eq!(trie, linear, "trie vs linear on {host} ({opts:?})");
-            assert_eq!(trie, flat, "trie vs naive on {host} ({opts:?})");
+            let owned = list.disposition_reversed(&reversed, opts);
+            let mapped = view.disposition_by_ids(&ids, opts);
+            assert_eq!(owned, linear, "owned vs linear on {host} ({opts:?})");
+            assert_eq!(mapped, linear, "mapped vs linear on {host} ({opts:?})");
         }
     }
 }
