@@ -121,7 +121,7 @@ mod tests {
         let h = generate(&GeneratorConfig::small(history_seed));
         let hosts = generate_corpus(&h, &CorpusConfig::small(corpus_seed)).hosts().to_vec();
         let opts = MatchOpts::default();
-        run(&h, &hosts, &walk(&h, &hosts, opts), &RootZoneDb::embedded(), 15, opts)
+        run(&h, &hosts, &walk(&h, &hosts, opts, 1), &RootZoneDb::embedded(), 15, opts)
     }
 
     #[test]
@@ -177,7 +177,7 @@ mod tests {
             MatchOpts { include_private: true, implicit_wildcard: false },
         ] {
             let hosts = stream.hosts();
-            let report = run(&h, hosts, &walk(&h, hosts, opts), &db, 20, opts);
+            let report = run(&h, hosts, &walk(&h, hosts, opts, 1), &db, 20, opts);
             let stats =
                 sweep_stream(&h, &stream, &StreamSweepConfig { opts, ..Default::default() }).stats;
             assert_eq!(report.rows.len(), 20);

@@ -77,7 +77,7 @@ pub fn run(
         .filter(|&&(_, customers)| customers >= 2)
         .filter_map(|&(suffix, customers)| Some((DomainName::parse(suffix).ok()?, customers)))
         .unzip();
-    let suffix_lens = walk(history, &suffixes, opts).suffix_lens;
+    let suffix_lens = walk(history, &suffixes, opts, 1).suffix_lens;
     let public = |i: usize, len: Option<u32>| len == Some(suffixes[i].label_count() as u32);
     // Only suffixes the *latest* list recognises as public suffixes are
     // attempted. (The public suffix of an exception-rule host is the
@@ -132,7 +132,7 @@ mod tests {
     ) -> (History, CookieHarmReport, CertHarmReport) {
         let h = generate(&GeneratorConfig::small(history_seed));
         let hosts = generate_corpus(&h, &CorpusConfig::small(corpus_seed)).hosts().to_vec();
-        let (cookies, certs) = run(&h, &census(&walk(&h, &hosts, opts), &hosts), opts);
+        let (cookies, certs) = run(&h, &census(&walk(&h, &hosts, opts, 1), &hosts), opts);
         (h, cookies, certs)
     }
 
@@ -224,7 +224,7 @@ mod tests {
                 .filter(|(suffix, _)| latest.is_public_suffix(suffix, opts))
                 .collect();
 
-            let (cookies, certs) = run(&h, &census(&walk(&h, &hosts, opts), &hosts), opts);
+            let (cookies, certs) = run(&h, &census(&walk(&h, &hosts, opts, 1), &hosts), opts);
             assert_eq!((cookies.attempts, certs.requests), (targets.len(), targets.len()));
             for (v, list) in lists.iter().enumerate() {
                 let missing = targets.iter().filter(|(s, _)| !list.is_public_suffix(s, opts));
@@ -282,7 +282,7 @@ mod tests {
         .map(|t| DomainName::parse(t).unwrap())
         .collect();
         let opts = MatchOpts::default();
-        let census = census(&walk(&h, &hosts, opts), &hosts);
+        let census = census(&walk(&h, &hosts, opts, 1), &hosts);
         let counts: HashMap<&str, usize> = census.iter().copied().collect();
         assert_eq!(counts["zone.jp"], 3);
         assert_eq!(counts["myapp.io"], 1);

@@ -99,7 +99,7 @@ mod tests {
         let h = generate(&GeneratorConfig::small(411));
         let stream = build_stream(&h, &CorpusConfig::small(41));
         let stats = sweep_stream(&h, &stream, &StreamSweepConfig::default()).stats;
-        let walked = walk(&h, stream.hosts(), MatchOpts::default());
+        let walked = walk(&h, stream.hosts(), MatchOpts::default(), 1);
         let report = run(&h, stream.hosts(), &walked, &stats);
 
         assert_eq!(report.rows.len(), h.version_count());

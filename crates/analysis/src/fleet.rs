@@ -292,9 +292,10 @@ fn build_views(
     stream: &StreamCorpus,
     sampled: &[usize],
     opts: MatchOpts,
+    threads: usize,
 ) -> Views {
     let hosts = stream.hosts();
-    let (walked, parent_of) = walk_with_parents(history, hosts, opts);
+    let (walked, parent_of) = walk_with_parents(history, hosts, opts, threads);
     let (sites, _) = site_ids(&walked);
     let public = walked.suffix_lens.map(|i, len| len == Some(walked.labels(i) as u32));
     let parents = (0..hosts.len()).map(|h| walked.suffix_id(h, walked.labels(h) - 1)).collect();
@@ -401,11 +402,11 @@ fn table(history: &History, sampled: &[usize], accs: &[FleetAccumulator]) -> Vec
 /// scripts derive from per-session seeds).
 pub fn run_fleet(history: &History, stream: &StreamCorpus, config: &FleetConfig) -> FleetOutcome {
     let sampled = sample_versions(history, config.max_versions);
+    let threads = resolved_threads(config.threads, usize::MAX);
     let started = Instant::now();
-    let views = build_views(history, stream, &sampled, config.opts);
+    let views = build_views(history, stream, &sampled, config.opts, threads);
     let views_seconds = started.elapsed().as_secs_f64();
 
-    let threads = resolved_threads(config.threads, usize::MAX);
     let shards = if config.shards == 0 { (threads * 4).max(1) } else { config.shards };
     let session_stream = stream.sessions(config.sessions);
 
@@ -517,7 +518,7 @@ mod tests {
     /// `(session, version)` pair on the same views.
     fn full_replay(h: &History, sc: &StreamCorpus, config: &FleetConfig) -> Vec<FleetRow> {
         let sampled = sample_versions(h, config.max_versions);
-        let views = build_views(h, sc, &sampled, config.opts);
+        let views = build_views(h, sc, &sampled, config.opts, 1);
         let mut accs: Vec<FleetAccumulator> =
             sampled.iter().map(|_| FleetAccumulator::new(config.counter)).collect();
         let mut engine = SessionEngine::new(&views.parents);
@@ -685,7 +686,7 @@ mod tests {
     #[test]
     fn the_reference_rule_equals_a_self_paired_replay() {
         let (h, sc) = fixture();
-        let views = build_views(&h, &sc, &sample_versions(&h, 5), MatchOpts::default());
+        let views = build_views(&h, &sc, &sample_versions(&h, 5), MatchOpts::default(), 1);
         let sessions = sc.sessions(600);
         let mut scripts: Vec<Vec<SessionEvent>> = (0..600)
             .map(|i| {
@@ -719,7 +720,7 @@ mod tests {
             MatchOpts { include_private: true, implicit_wildcard: false },
         ]
         .into_iter()
-        .map(|opts| (opts, build_views(&h, &sc, &all, opts)))
+        .map(|opts| (opts, build_views(&h, &sc, &all, opts, 3)))
         .collect();
         for &v in &all {
             let date = h.versions()[v];

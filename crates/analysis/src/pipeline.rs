@@ -3,6 +3,7 @@
 //! [`run_all`] is what the CLI and the integration tests drive: one seed in,
 //! the full set of paper artifacts out.
 
+use crate::sweep::resolved_threads;
 use crate::sweep_stream::{sweep_walked, StreamSweepConfig};
 use crate::walker::{census, walk};
 use crate::{
@@ -102,7 +103,7 @@ pub fn run_all(subs: &Substrates, config: &PipelineConfig) -> FullReport {
     // certificate harms, DBOUND and the category shift.
     let scan = RepoScan::build(&subs.repos, &subs.history);
     let (history, hosts, opts) = (&subs.history, subs.stream.hosts(), config.sweep.opts);
-    let walked = walk(history, hosts, opts);
+    let walked = walk(history, hosts, opts, resolved_threads(config.sweep.threads, usize::MAX));
     let sweep = sweep_walked(history, &subs.stream, &walked, &config.sweep);
     let stats = &sweep.stats;
     let census = census(&walked, hosts);

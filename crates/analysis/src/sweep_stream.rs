@@ -196,7 +196,8 @@ pub fn sweep_stream(
     config: &StreamSweepConfig,
 ) -> StreamSweepOutcome {
     let started = Instant::now();
-    let walked = walk(history, stream.hosts(), config.opts);
+    let threads = resolved_threads(config.threads, usize::MAX);
+    let walked = walk(history, stream.hosts(), config.opts, threads);
     let walk_seconds = started.elapsed().as_secs_f64();
     let mut outcome = sweep_walked(history, stream, &walked, config);
     outcome.walk_seconds += walk_seconds;
@@ -277,8 +278,14 @@ fn count_sites(sites: &Timelines<u32>, site_count: usize, versions: usize) -> Ve
         .collect()
 }
 
+/// A host whose site changes across the versions, in [`third_party_pass`]'s
+/// table of constant sites.
+const MOVES: u32 = u32::MAX;
+
 /// Third-party requests at each version and the request total, from one
-/// sharded pass over the stream.
+/// sharded pass over the stream. A request between two hosts whose sites
+/// never change reads one word per host and adds to a count of requests
+/// cross-site at every version; only the others merge their timelines.
 fn third_party_pass(
     sites: &Timelines<u32>,
     stream: &StreamCorpus,
@@ -286,6 +293,13 @@ fn third_party_pass(
     threads: usize,
     shards: usize,
 ) -> (Vec<u64>, u64) {
+    let constant: Vec<u32> = (0..sites.names())
+        .map(|h| match sites.steps(h) {
+            &[(_, site)] => site,
+            _ => MOVES,
+        })
+        .collect();
+    let constant = &constant;
     let next_shard = AtomicU64::new(0);
     let parts: Vec<(Vec<u64>, u64)> = crossbeam::thread::scope(|scope| {
         let workers: Vec<_> = (0..threads)
@@ -294,6 +308,7 @@ fn third_party_pass(
                 scope.spawn(move |_| {
                     let mut diff = vec![0u64; versions + 1];
                     let mut requests = 0u64;
+                    let mut always = 0u64;
                     let mut buf: Vec<Request> = Vec::new();
                     loop {
                         let s = next_shard.fetch_add(1, Ordering::Relaxed);
@@ -304,12 +319,20 @@ fn third_party_pass(
                             stream.page_requests(page, &mut buf);
                             requests += buf.len() as u64;
                             for r in &buf {
-                                let page = sites.steps(r.page as usize);
-                                let target = sites.steps(r.request as usize);
-                                add_cross_site(&mut diff, page, target, versions);
+                                let (page, target) = (r.page as usize, r.request as usize);
+                                match (constant[page], constant[target]) {
+                                    (MOVES, _) | (_, MOVES) => add_cross_site(
+                                        &mut diff,
+                                        sites.steps(page),
+                                        sites.steps(target),
+                                        versions,
+                                    ),
+                                    (a, b) => always += u64::from(a != b),
+                                }
                             }
                         }
                     }
+                    add_interval(&mut diff, 0, versions, always);
                     (diff, requests)
                 })
             })

@@ -112,7 +112,7 @@ mod tests {
 
     /// Table 2 over the census of a walk over `hosts`.
     fn table2(history: &History, hosts: &[DomainName], scan: &RepoScan<'_>) -> Table2Report {
-        run(history, &census(&walk(history, hosts, MatchOpts::default()), hosts), scan)
+        run(history, &census(&walk(history, hosts, MatchOpts::default(), 1), hosts), scan)
     }
 
     #[test]

@@ -15,6 +15,16 @@
 //! its suffix length changes — so a caller that needs all 1,142 versions
 //! pays for the names and the changes, not for names × versions.
 //!
+//! The names and the rules form a forest: each lies under exactly one
+//! top-level label, and a rule moves only the names under it, so no two
+//! trees interact. [`walk`] hashes each name's last label, and each
+//! rule's, into one bin per worker. Each worker builds its bin's arena,
+//! replays only its bin's rule changes and emits its names' steps; the
+//! bins then join into one [`Walk`], with each bin's nodes after the
+//! shared root, every name's steps under its index and the live rule
+//! counts summed per version. One worker is the same code with one bin,
+//! run on the calling thread.
+//!
 //! [`site_len`] is the one definition of a name's site under a
 //! disposition: the walk's callers and the rebuild oracle
 //! ([`crate::sweep::sweep_rebuild`]) both go through it. A site is a
@@ -23,9 +33,8 @@
 //! public suffix from the names' last steps; Table 2 and the cookie and
 //! certificate harms read it.
 
-use psl_core::{DomainName, FnvBuild, MatchOpts, RuleKind, Section};
+use psl_core::{DomainName, FnvBuild, MatchOpts, Rule, RuleKind, Section};
 use psl_history::History;
-use std::borrow::Cow;
 use std::collections::HashMap;
 
 /// Labels in the site of a name with `labels` labels whose public suffix
@@ -48,7 +57,7 @@ pub(crate) fn site_of(host: &DomainName, suffix_len: Option<usize>) -> &str {
 /// `i` holds the value of `steps(i)[k]` from that step's version up to
 /// the next step's; every name's first step is at version 0, and
 /// consecutive steps hold different values.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Timelines<T> {
     starts: Vec<u32>,
     steps: Vec<(u32, T)>,
@@ -58,18 +67,18 @@ impl<T: Copy + PartialEq> Timelines<T> {
     /// Assemble from `(name, version, value)` changes, each name's in
     /// ascending version order: a counting sort places every change
     /// under its name, keeping that order.
-    fn from_changes(names: usize, changes: Vec<(u32, u32, T)>) -> Self {
+    fn from_changes(names: usize, changes: impl Iterator<Item = (u32, u32, T)> + Clone) -> Self {
         let mut starts = vec![0u32; names + 1];
-        for &(name, ..) in &changes {
+        for (name, ..) in changes.clone() {
             starts[name as usize + 1] += 1;
         }
         for i in 0..names {
             starts[i + 1] += starts[i];
         }
-        let Some(&(_, v, t)) = changes.first() else {
+        let Some((_, v, t)) = changes.clone().next() else {
             return Timelines { starts, steps: Vec::new() };
         };
-        let mut steps = vec![(v, t); changes.len()];
+        let mut steps = vec![(v, t); starts[names] as usize];
         let mut next = starts.clone();
         for (name, v, t) in changes {
             let at = &mut next[name as usize];
@@ -171,49 +180,44 @@ struct Suffixes {
     labels: Vec<u8>,
 }
 
-/// Node ids by suffix string. Rules with no name under them get owned
-/// keys and ids past the arena.
-type Index<'a> = HashMap<Cow<'a, str>, u32, FnvBuild>;
+/// Node ids by suffix string.
+type Index<'n> = HashMap<&'n str, u32, FnvBuild>;
 
 impl Suffixes {
-    /// The arena of every suffix of `names`, its index, and each name's
-    /// node.
-    fn build(names: &[DomainName]) -> (Self, Index<'_>, Vec<u32>) {
-        let mut arena = Suffixes { parent: vec![NONE], labels: vec![0] };
-        let mut index = Index::with_capacity_and_hasher(names.len() * 3 / 2, FnvBuild::default());
-        let mut missing: Vec<&str> = Vec::new();
-        let nodes = names
-            .iter()
-            .map(|name| {
-                // The longest suffix that has a node: usually the name
-                // itself or its parent.
-                let mut suffix = name.as_str();
-                let mut node = loop {
-                    if let Some(&node) = index.get(suffix) {
-                        break node;
-                    }
-                    missing.push(suffix);
-                    match suffix.split_once('.') {
-                        Some((_, rest)) => suffix = rest,
-                        None => break ROOT,
-                    }
-                };
-                for &suffix in missing.iter().rev() {
-                    let child = arena.parent.len() as u32;
-                    arena.parent.push(node);
-                    arena.labels.push(arena.labels[node as usize] + 1);
-                    index.insert(Cow::Borrowed(suffix), child);
-                    node = child;
-                }
-                missing.clear();
-                node
-            })
-            .collect();
-        (arena, index, nodes)
-    }
-
     fn len(&self) -> usize {
         self.parent.len()
+    }
+
+    /// The node of `name`, after adding a node for each of its suffixes
+    /// that has none. `missing` is working space.
+    fn insert<'n>(
+        &mut self,
+        index: &mut Index<'n>,
+        name: &'n str,
+        missing: &mut Vec<&'n str>,
+    ) -> u32 {
+        // The longest suffix that has a node: usually the name itself or
+        // its parent.
+        let mut suffix = name;
+        let mut node = loop {
+            if let Some(&node) = index.get(suffix) {
+                break node;
+            }
+            missing.push(suffix);
+            match suffix.split_once('.') {
+                Some((_, rest)) => suffix = rest,
+                None => break ROOT,
+            }
+        };
+        for &suffix in missing.iter().rev() {
+            let child = self.len() as u32;
+            self.parent.push(node);
+            self.labels.push(self.labels[node as usize] + 1);
+            index.insert(suffix, child);
+            node = child;
+        }
+        missing.clear();
+        node
     }
 
     /// The node of `node`'s suffix that is `labels` labels long.
@@ -225,39 +229,44 @@ impl Suffixes {
     }
 
     /// Positions for `names` (a node each) in depth-first order, so the
-    /// names at or under any node hold one contiguous range of positions.
-    /// Returns each node's range and the name at each position.
-    fn dfs_order(&self, names: &[u32]) -> (Vec<(u32, u32)>, Vec<u32>) {
-        let mut own = vec![0u32; self.len()];
+    /// names at or under any node hold one contiguous range of positions:
+    /// fills each node's range and the name at each position. `next` is
+    /// working space.
+    fn dfs_order(
+        &self,
+        names: &[u32],
+        next: &mut Vec<u32>,
+        ranges: &mut Vec<(u32, u32)>,
+        order: &mut Vec<u32>,
+    ) {
+        // Names at each node, then at or under it (a child's id exceeds
+        // its parent's), counted in the end of its range.
+        ranges.resize(self.len(), (0, 0));
         for &node in names {
-            own[node as usize] += 1;
+            ranges[node as usize].1 += 1;
         }
-        // Names at or under each node; a child's id exceeds its parent's.
-        let mut under = own.clone();
+        next.extend(ranges.iter().map(|r| r.1));
         for node in (1..self.len()).rev() {
-            under[self.parent[node] as usize] += under[node];
+            ranges[self.parent[node] as usize].1 += ranges[node].1;
         }
         // A node's own names come first in its range, then its children's
         // ranges; `next` is the first position not yet handed out, and
         // still a node's own count when its range starts.
-        let mut ranges = vec![(0, under[0]); self.len()];
-        let mut next = own;
         for node in 1..self.len() {
             let parent = self.parent[node] as usize;
-            let start = next[parent];
-            next[parent] += under[node];
-            ranges[node] = (start, start + under[node]);
+            let (start, under) = (next[parent], ranges[node].1);
+            next[parent] += under;
+            ranges[node] = (start, start + under);
             next[node] += start;
         }
-        let mut order = vec![0u32; names.len()];
-        for (free, range) in next.iter_mut().zip(&ranges) {
+        for (free, range) in next.iter_mut().zip(ranges.iter()) {
             *free = range.0;
         }
+        order.resize(names.len(), 0);
         for (name, &node) in names.iter().enumerate() {
             order[next[node as usize] as usize] = name as u32;
             next[node as usize] += 1;
         }
-        (ranges, order)
     }
 }
 
@@ -333,10 +342,10 @@ impl Walk {
 }
 
 /// Walk every version of `history` once, tracking the disposition of each
-/// of `names` under `opts`.
-pub fn walk(history: &History, names: &[DomainName], opts: MatchOpts) -> Walk {
-    let (arena, index, nodes) = Suffixes::build(names);
-    walk_nodes(history, arena, index, nodes, opts)
+/// of `names` under `opts`, on `threads` workers: one per bin of
+/// top-level labels (see the module docs).
+pub fn walk(history: &History, names: &[DomainName], opts: MatchOpts, threads: usize) -> Walk {
+    walk_bins(history, names, opts, threads, false).0
 }
 
 /// [`walk`] over `names` and, in the same pass, each name's parent (the
@@ -348,95 +357,312 @@ pub(crate) fn walk_with_parents(
     history: &History,
     names: &[DomainName],
     opts: MatchOpts,
+    threads: usize,
 ) -> (Walk, Vec<Option<u32>>) {
-    let (arena, index, mut nodes) = Suffixes::build(names);
-    let mut timeline = vec![NONE; arena.len()];
-    for (name, &node) in nodes.iter().enumerate() {
-        timeline[node as usize] = name as u32;
-    }
-    let parents = (0..names.len())
-        .map(|name| {
-            let parent = arena.parent[nodes[name] as usize];
-            (parent != ROOT).then(|| {
-                if timeline[parent as usize] == NONE {
-                    timeline[parent as usize] = nodes.len() as u32;
-                    nodes.push(parent);
-                }
-                timeline[parent as usize]
-            })
-        })
-        .collect();
-    (walk_nodes(history, arena, index, nodes, opts), parents)
+    walk_bins(history, names, opts, threads, true)
 }
 
-/// The walk over names given as arena nodes.
-fn walk_nodes(
+/// The bin of a top-level label among `bins`.
+fn bin_of(tld: &str, bins: usize) -> usize {
+    if bins == 1 {
+        0
+    } else {
+        (psl_stats::hash64(tld.as_bytes()) % bins as u64) as usize
+    }
+}
+
+/// Split the names and the rule changes into `threads` bins by top-level
+/// label, walk each bin on its own worker (the first on the calling
+/// thread), and join the bins' walks.
+fn walk_bins(
     history: &History,
-    arena: Suffixes,
-    mut index: Index<'_>,
-    nodes: Vec<u32>,
+    names: &[DomainName],
     opts: MatchOpts,
-) -> Walk {
-    let (ranges, order) = arena.dfs_order(&nodes);
-    let at: Vec<u32> = order.iter().map(|&name| nodes[name as usize]).collect();
-    let mut slots: Vec<Slots> = vec![[None; 3]; arena.len()];
-    let mut live = 0;
-    let mut key = String::new();
-    let mut dirty: Vec<(u32, u32)> = Vec::new();
-    let mut current: Vec<Option<u32>> = vec![None; at.len()];
-    let mut changes: Vec<(u32, u32, Option<u32>)> = Vec::with_capacity(at.len() * 5 / 4);
-    let mut rule_counts = Vec::with_capacity(history.version_count());
-    history.replay_changes(|vi, _, diff| {
+    threads: usize,
+    parents: bool,
+) -> (Walk, Vec<Option<u32>>) {
+    let bins = threads.max(1);
+    let mut split: Vec<Split<'_>> = (0..bins).map(|_| Split::default()).collect();
+    for (i, name) in names.iter().enumerate() {
+        let text = name.as_str();
+        let bin = &mut split[bin_of(text.rsplit_once('.').map_or(text, |(_, tld)| tld), bins)];
+        bin.names.push(i as u32);
+    }
+    history.replay_changes(|_, _, diff| {
         for &(is_add, rule) in diff {
-            key.clear();
-            for (i, label) in rule.labels().iter().enumerate() {
-                if i > 0 {
-                    key.push('.');
-                }
-                key.push_str(label);
-            }
-            let node = match index.get(key.as_str()) {
-                Some(&node) => node,
-                None => {
-                    slots.push([None; 3]);
-                    index.insert(Cow::Owned(key.clone()), slots.len() as u32 - 1);
-                    slots.len() as u32 - 1
-                }
-            };
-            let slot = &mut slots[node as usize][slot(rule.kind())];
-            if is_add {
-                live += usize::from(slot.is_none());
-                *slot = Some(rule.section());
-            } else if slot.take().is_some() {
-                live -= 1;
-            }
-            // A rule past the arena has no name under it.
-            dirty.extend(ranges.get(node as usize));
+            let labels = rule.labels();
+            let bin = &mut split[bin_of(&labels[labels.len() - 1], bins)];
+            bin.changes.push((is_add, rule));
+            bin.adds += usize::from(is_add);
         }
-        if vi == 0 {
-            dirty.clear();
-            dirty.push((0, at.len() as u32));
+        for bin in &mut split {
+            bin.ends.push(bin.changes.len() as u32);
         }
-        // Ranges nest or are disjoint: visit each position once.
-        dirty.sort_unstable();
-        let mut done = 0;
-        for &(lo, hi) in &dirty {
-            for pos in lo.max(done)..hi {
-                let len = suffix_len(&arena, &slots, at[pos as usize], opts);
-                if vi == 0 || len != current[pos as usize] {
-                    current[pos as usize] = len;
-                    changes.push((order[pos as usize], vi as u32, len));
-                }
-            }
-            done = done.max(hi);
-        }
-        dirty.clear();
-        rule_counts.push(live);
     });
-    // Free the index before the steps are placed, to lower peak memory.
-    drop(index);
-    let suffix_lens = Timelines::from_changes(nodes.len(), changes);
-    Walk { rule_counts, suffix_lens, arena, nodes }
+    let bins: Vec<Bin<'_, '_>> = split.into_iter().map(|s| Bin::new(s, parents)).collect();
+    let mut bins = bins.into_iter();
+    let first = bins.next().expect("at least one bin");
+    let walked: Vec<BinWalk> = std::thread::scope(|scope| {
+        let workers: Vec<_> =
+            bins.map(|bin| scope.spawn(move || bin.walk(names, opts, parents))).collect();
+        let mut walked = vec![first.walk(names, opts, parents)];
+        walked.extend(workers.into_iter().map(|w| w.join().expect("walk worker panicked")));
+        walked
+    });
+    join(&walked, names.len(), history.version_count(), parents)
+}
+
+/// The names and rule changes under one bin's top-level labels.
+#[derive(Default)]
+struct Split<'h> {
+    /// The names, by index, ascending.
+    names: Vec<u32>,
+    /// The rule changes in replay order.
+    changes: Vec<(bool, &'h Rule)>,
+    /// The end of each version's changes in `changes`.
+    ends: Vec<u32>,
+    /// Additions among the changes.
+    adds: usize,
+}
+
+/// One bin of a walk and every buffer its walk fills. The calling
+/// thread allocates every bin's buffers before the workers start, and the
+/// workers only fill them: glibc gives each thread its own heap, where
+/// buffers a worker allocated would stay resident beside the caller's
+/// and raise the peak.
+struct Bin<'n, 'h> {
+    split: Split<'h>,
+    arena: Suffixes,
+    index: Index<'n>,
+    /// Nodes past the arena for rules with no name under them.
+    rule_nodes: HashMap<&'h [String], u32, FnvBuild>,
+    /// Each walked name's node: the bin's names, then the parents of
+    /// theirs that are not names.
+    nodes: Vec<u32>,
+    /// Each name's parent, as a walked name (`None` for a single label).
+    parents: Vec<Option<u32>>,
+    /// Working space of the depth-first numbering.
+    next: Vec<u32>,
+    /// Each node's range of positions.
+    ranges: Vec<(u32, u32)>,
+    /// The walked name at each position, and its node.
+    order: Vec<u32>,
+    at: Vec<u32>,
+    slots: Vec<Slots>,
+    /// The suffix length at each position.
+    current: Vec<Option<u32>>,
+    /// The ranges a version's changes touched.
+    dirty: Vec<(u32, u32)>,
+    missing: Vec<&'n str>,
+    /// A rule's labels joined, to look up its node.
+    key: String,
+    /// `(walked name, version, suffix length)` at every change.
+    steps: Vec<(u32, u32, Option<u32>)>,
+    rule_counts: Vec<usize>,
+}
+
+/// What one bin's walk leaves for [`join`].
+struct BinWalk {
+    names: Vec<u32>,
+    arena: Suffixes,
+    nodes: Vec<u32>,
+    parents: Vec<Option<u32>>,
+    steps: Vec<(u32, u32, Option<u32>)>,
+    rule_counts: Vec<usize>,
+}
+
+impl<'n, 'h> Bin<'n, 'h> {
+    /// Buffers with room for the usual shapes: at paper scale a name
+    /// brings about 1.2 arena nodes, a walk with parents 1.15 walked
+    /// names, and a walked name 1.6 steps. A bin past that grows a buffer
+    /// on its worker. Room for the worst case (a node per label) made the
+    /// paper-scale walk about a quarter slower.
+    fn new(split: Split<'h>, parents: bool) -> Self {
+        let names = split.names.len();
+        let walked = if parents { names + names / 4 } else { names };
+        let nodes = names * 3 / 2 + 1;
+        let most = split.ends.iter().scan(0, |end, &e| Some(e - std::mem::replace(end, e))).max();
+        Bin {
+            arena: Suffixes {
+                parent: Vec::with_capacity(nodes),
+                labels: Vec::with_capacity(nodes),
+            },
+            index: Index::with_capacity_and_hasher(nodes, FnvBuild::default()),
+            rule_nodes: HashMap::with_capacity_and_hasher(split.adds, FnvBuild::default()),
+            nodes: Vec::with_capacity(walked),
+            parents: Vec::with_capacity(if parents { names } else { 0 }),
+            next: Vec::with_capacity(nodes),
+            ranges: Vec::with_capacity(nodes),
+            order: Vec::with_capacity(walked),
+            at: Vec::with_capacity(walked),
+            slots: Vec::with_capacity(nodes + split.adds),
+            current: Vec::with_capacity(walked),
+            dirty: Vec::with_capacity(most.unwrap_or(0) as usize + 1),
+            missing: Vec::with_capacity(128),
+            key: String::with_capacity(256),
+            steps: Vec::with_capacity(walked * 2),
+            rule_counts: Vec::with_capacity(split.ends.len()),
+            split,
+        }
+    }
+
+    /// Build the bin's arena over its names (and their parents), number
+    /// them depth first, and replay its rule changes, re-matching only
+    /// the names under each changed node. `all` holds every name of the
+    /// walk; the bin's are `all[i]` for `i` in its split.
+    fn walk(self, all: &'n [DomainName], opts: MatchOpts, with_parents: bool) -> BinWalk {
+        let Bin {
+            split,
+            mut arena,
+            mut index,
+            mut rule_nodes,
+            mut nodes,
+            mut parents,
+            mut next,
+            mut ranges,
+            mut order,
+            mut at,
+            mut slots,
+            mut current,
+            mut dirty,
+            mut missing,
+            mut key,
+            mut steps,
+            mut rule_counts,
+        } = self;
+        arena.parent.push(NONE);
+        arena.labels.push(0);
+        for &name in &split.names {
+            nodes.push(arena.insert(&mut index, all[name as usize].as_str(), &mut missing));
+        }
+        if with_parents {
+            // `next` maps a node to its walked name until the numbering.
+            next.resize(arena.len(), NONE);
+            for (name, &node) in nodes.iter().enumerate() {
+                next[node as usize] = name as u32;
+            }
+            for name in 0..split.names.len() {
+                let parent = arena.parent[nodes[name] as usize];
+                parents.push((parent != ROOT).then(|| {
+                    if next[parent as usize] == NONE {
+                        next[parent as usize] = nodes.len() as u32;
+                        nodes.push(parent);
+                    }
+                    next[parent as usize]
+                }));
+            }
+            next.clear();
+        }
+        arena.dfs_order(&nodes, &mut next, &mut ranges, &mut order);
+        at.extend(order.iter().map(|&name| nodes[name as usize]));
+        slots.resize(arena.len(), [None; 3]);
+        current.resize(at.len(), None);
+        let mut live = 0;
+        let mut start = 0;
+        for (vi, &end) in split.ends.iter().enumerate() {
+            for &(is_add, rule) in &split.changes[start..end as usize] {
+                key.clear();
+                for (i, label) in rule.labels().iter().enumerate() {
+                    if i > 0 {
+                        key.push('.');
+                    }
+                    key.push_str(label);
+                }
+                let node = match index.get(key.as_str()) {
+                    Some(&node) => node,
+                    None => *rule_nodes.entry(rule.labels()).or_insert_with(|| {
+                        slots.push([None; 3]);
+                        slots.len() as u32 - 1
+                    }),
+                };
+                let slot = &mut slots[node as usize][slot(rule.kind())];
+                if is_add {
+                    live += usize::from(slot.is_none());
+                    *slot = Some(rule.section());
+                } else if slot.take().is_some() {
+                    live -= 1;
+                }
+                // A rule past the arena has no name under it.
+                dirty.extend(ranges.get(node as usize));
+            }
+            start = end as usize;
+            if vi == 0 {
+                dirty.clear();
+                dirty.push((0, at.len() as u32));
+            }
+            // Ranges nest or are disjoint: visit each position once.
+            dirty.sort_unstable();
+            let mut done = 0;
+            for &(lo, hi) in &dirty {
+                for pos in lo.max(done)..hi {
+                    let len = suffix_len(&arena, &slots, at[pos as usize], opts);
+                    if vi == 0 || len != current[pos as usize] {
+                        current[pos as usize] = len;
+                        steps.push((order[pos as usize], vi as u32, len));
+                    }
+                }
+                done = done.max(hi);
+            }
+            dirty.clear();
+            rule_counts.push(live);
+        }
+        BinWalk { names: split.names, arena, nodes, parents, steps, rule_counts }
+    }
+}
+
+/// Join the bins' walks into one: one arena with each bin's nodes after
+/// the shared root, the steps of every walked name under its index (the
+/// names first, then each bin's parents that are not names, bin by bin),
+/// and the live rules summed per version. Also returns each name's
+/// parent when the bins walked `parents`.
+fn join(
+    bins: &[BinWalk],
+    names: usize,
+    versions: usize,
+    parents: bool,
+) -> (Walk, Vec<Option<u32>>) {
+    // Bin `b`'s walked name `k` past its names is walked name
+    // `firsts[b] + k`: after every name and every earlier bin's parents.
+    let mut firsts = Vec::with_capacity(bins.len());
+    let mut walked = names;
+    for bin in bins {
+        firsts.push(walked - bin.names.len());
+        walked += bin.nodes.len() - bin.names.len();
+    }
+    let index = |b: usize, name: u32| -> u32 {
+        let bin = &bins[b];
+        bin.names.get(name as usize).copied().unwrap_or((firsts[b] + name as usize) as u32)
+    };
+    let total = 1 + bins.iter().map(|bin| bin.arena.len() - 1).sum::<usize>();
+    let mut arena =
+        Suffixes { parent: Vec::with_capacity(total), labels: Vec::with_capacity(total) };
+    arena.parent.push(NONE);
+    arena.labels.push(0);
+    let mut nodes = vec![0u32; walked];
+    let mut parent_of = vec![None; if parents { names } else { 0 }];
+    let mut rule_counts = vec![0usize; versions];
+    for (b, bin) in bins.iter().enumerate() {
+        // The bin's node `n > 0` is node `n + offset`.
+        let offset = arena.len() as u32 - 1;
+        let moved = |n: u32| if n == ROOT { ROOT } else { n + offset };
+        arena.parent.extend(bin.arena.parent[1..].iter().map(|&p| moved(p)));
+        arena.labels.extend_from_slice(&bin.arena.labels[1..]);
+        for (name, &node) in bin.nodes.iter().enumerate() {
+            nodes[index(b, name as u32) as usize] = moved(node);
+        }
+        for (&name, &parent) in bin.names.iter().zip(&bin.parents) {
+            parent_of[name as usize] = parent.map(|p| index(b, p));
+        }
+        for (sum, &count) in rule_counts.iter_mut().zip(&bin.rule_counts) {
+            *sum += count;
+        }
+    }
+    let steps = bins
+        .iter()
+        .enumerate()
+        .flat_map(|(b, bin)| bin.steps.iter().map(move |&(name, v, len)| (index(b, name), v, len)));
+    let suffix_lens = Timelines::from_changes(walked, steps);
+    (Walk { rule_counts, suffix_lens, arena, nodes }, parent_of)
 }
 
 /// The census of a walk over `hosts` (the names it walked): each latest
@@ -489,7 +715,7 @@ pub fn site_ids(walk: &Walk) -> (Timelines<u32>, usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use psl_core::{Date, Rule};
+    use psl_core::Date;
     use psl_history::{generate, GeneratorConfig, RuleSpan};
     use psl_webcorpus::{generate_corpus, CorpusConfig};
 
@@ -498,6 +724,10 @@ mod tests {
         MatchOpts { include_private: false, implicit_wildcard: true },
         MatchOpts { include_private: true, implicit_wildcard: false },
     ];
+
+    /// One bin, two, an uneven count, and more bins than the hand-built
+    /// worlds have top-level labels.
+    const THREADS: [usize; 4] = [1, 2, 3, 8];
 
     fn names(texts: &[&str]) -> Vec<DomainName> {
         texts.iter().map(|t| DomainName::parse(t).unwrap()).collect()
@@ -516,18 +746,18 @@ mod tests {
     }
 
     /// The walk's rule counts and suffix lengths equal `snapshot_at`'s at
-    /// every version, under every match option.
+    /// every version, under every match option and worker count.
     fn assert_walk_matches_snapshots(h: &History, names: &[DomainName]) {
-        for opts in ALL_OPTS {
-            let w = walk(h, names, opts);
+        for (opts, threads) in ALL_OPTS.into_iter().flat_map(|o| THREADS.map(|t| (o, t))) {
+            let w = walk(h, names, opts, threads);
             for (v, &date) in h.versions().iter().enumerate() {
                 let list = h.snapshot_at(date);
-                assert_eq!(w.rule_counts[v], list.len(), "rule count at {date}");
+                assert_eq!(w.rule_counts[v], list.len(), "rule count at {date}, {threads} threads");
                 for (i, name) in names.iter().enumerate() {
                     assert_eq!(
                         w.suffix_lens.at(i, v).map(|l| l as usize),
                         list.suffix_len(name, opts),
-                        "{name} at {date} under {opts:?}"
+                        "{name} at {date} under {opts:?}, {threads} threads"
                     );
                 }
             }
@@ -537,7 +767,7 @@ mod tests {
     /// Two `(name, version)` pairs share a site id iff their sites under
     /// `snapshot_at` are the same string.
     fn assert_site_ids_match_snapshots(h: &History, names: &[DomainName], opts: MatchOpts) {
-        let (sites, count) = site_ids(&walk(h, names, opts));
+        let (sites, count) = site_ids(&walk(h, names, opts, 1));
         let mut id_of: HashMap<String, u32> = HashMap::new();
         let mut site_of_id: HashMap<u32, String> = HashMap::new();
         for (v, &date) in h.versions().iter().enumerate() {
@@ -570,7 +800,7 @@ mod tests {
             MatchOpts { include_private: false, implicit_wildcard: true },
             MatchOpts { include_private: true, implicit_wildcard: false },
         ];
-        let walks: Vec<Walk> = all_opts.iter().map(|&opts| walk(&h, &names, opts)).collect();
+        let walks: Vec<Walk> = all_opts.iter().map(|&opts| walk(&h, &names, opts, 1)).collect();
         for (v, &date) in h.versions().iter().enumerate() {
             let list = h.snapshot_at(date);
             for (w, &opts) in walks.iter().zip(&all_opts) {
@@ -601,7 +831,7 @@ mod tests {
     fn tally_sums_the_values_in_force() {
         let t = Timelines::from_changes(
             2,
-            vec![(0, 0, 1u32), (1, 0, 5), (0, 2, 3), (1, 3, 7), (0, 4, 1)],
+            vec![(0, 0, 1u32), (1, 0, 5), (0, 2, 3), (1, 3, 7), (0, 4, 1)].into_iter(),
         );
         assert_eq!(t.at(0, 3), 3);
         assert_eq!(t.latest(1), 7);
@@ -655,7 +885,7 @@ mod tests {
                     *want.entry(suffix).or_default() += 1;
                 }
             }
-            let counts = census(&walk(&h, &hosts, opts), &hosts);
+            let counts = census(&walk(&h, &hosts, opts, 1), &hosts);
             let got: HashMap<&str, usize> = counts.iter().copied().collect();
             assert_eq!(got.len(), counts.len(), "a suffix listed twice under {opts:?}");
             assert_eq!(got, want, "{opts:?}");
@@ -666,8 +896,7 @@ mod tests {
     }
 
     /// Hand-built names and rules the generated worlds rarely combine.
-    #[test]
-    fn name_shapes_match_snapshots() {
+    fn shapes() -> (History, Vec<DomainName>) {
         let h = history(
             vec![
                 span("com", Section::Icann, "2007-03-22", None),
@@ -706,11 +935,17 @@ mod tests {
             "x.foo.ck",
             "a.city.www.ck",
         ]);
+        (h, names)
+    }
+
+    #[test]
+    fn name_shapes_match_snapshots() {
+        let (h, names) = shapes();
         assert_walk_matches_snapshots(&h, &names);
         for opts in ALL_OPTS {
             assert_site_ids_match_snapshots(&h, &names, opts);
         }
-        let w = walk(&h, &names, MatchOpts::default());
+        let w = walk(&h, &names, MatchOpts::default(), 1);
         assert_eq!(w.rule_counts, [4, 8, 10, 8, 8]);
         assert_eq!(w.suffix_lens.steps(1), [(0, Some(1)), (2, Some(3))]);
         assert_eq!(w.suffix_lens.steps(4), w.suffix_lens.steps(3));
@@ -718,6 +953,64 @@ mod tests {
         assert_eq!(w.suffix_lens.steps(9), [(0, Some(1))]);
         assert_eq!(w.suffix_lens.steps(11), [(0, Some(1)), (1, Some(2)), (3, Some(1))]);
         assert_eq!(w.suffix_lens.steps(12), [(0, Some(1)), (3, Some(3))]);
+    }
+
+    /// A name's parent as its readers see it: the parent's steps, and its
+    /// id renumbered by first appearance.
+    type ParentSeen = (Option<Vec<(u32, Option<u32>)>>, u32);
+
+    /// Each name's parent through the versions, by its parent's steps, and
+    /// its parent id renumbered by first appearance (ids are arena nodes,
+    /// which the bins number differently).
+    fn parents_seen(w: &Walk, parents: &[Option<u32>]) -> Vec<ParentSeen> {
+        let mut first: HashMap<u32, u32> = HashMap::new();
+        parents
+            .iter()
+            .enumerate()
+            .map(|(i, p)| {
+                let id = w.suffix_id(i, w.labels(i) - 1);
+                let next = first.len() as u32;
+                (
+                    p.map(|p| w.suffix_lens.steps(p as usize).to_vec()),
+                    *first.entry(id).or_insert(next),
+                )
+            })
+            .collect()
+    }
+
+    /// Every worker count reads the same out of the walk: the suffix
+    /// lengths, rule counts, site ids, census and parents of one worker.
+    /// The hand-built world holds a single-label name (`localhost`), a
+    /// name equal to its top-level rule (`ck`), rules under a top-level
+    /// label no name is under (`uk`), rules added and later removed, and
+    /// `*.ck` with `!www.ck`.
+    #[test]
+    fn every_thread_count_walks_alike() {
+        let small = generate(&GeneratorConfig::small(611));
+        let hosts = generate_corpus(&small, &CorpusConfig::small(17)).hosts().to_vec();
+        let (shaped, names) = shapes();
+        for (h, names) in [(&small, &hosts), (&shaped, &names)] {
+            for opts in ALL_OPTS {
+                let one = walk(h, names, opts, 1);
+                let (with_parents, parents) = walk_with_parents(h, names, opts, 1);
+                let one_parents = parents_seen(&with_parents, &parents);
+                for name in 0..names.len() {
+                    assert_eq!(with_parents.suffix_lens.steps(name), one.suffix_lens.steps(name));
+                }
+                for threads in THREADS {
+                    let shape = format!("{opts:?}, {threads} threads");
+                    let w = walk(h, names, opts, threads);
+                    assert_eq!(w.suffix_lens, one.suffix_lens, "{shape}");
+                    assert_eq!(w.rule_counts, one.rule_counts, "{shape}");
+                    assert_eq!(site_ids(&w), site_ids(&one), "{shape}");
+                    assert_eq!(census(&w, names), census(&one, names), "{shape}");
+                    let (w, parents) = walk_with_parents(h, names, opts, threads);
+                    assert_eq!(parents_seen(&w, &parents), one_parents, "{shape}");
+                }
+            }
+        }
+        // The rules under `uk` move the count with no name under them.
+        assert_eq!(walk(&shaped, &names, MatchOpts::default(), 2).rule_counts, [4, 8, 10, 8, 8]);
     }
 
     /// History's replay edge cases: a span removed before the first

@@ -12,7 +12,7 @@ fn bench_cookie_and_cert_harm(c: &mut Criterion) {
     let w = world();
     let hosts = w.stream.hosts();
     let opts = MatchOpts::default();
-    let census = census(&walk(&w.history, hosts, opts), hosts);
+    let census = census(&walk(&w.history, hosts, opts, 1), hosts);
     let mut g = c.benchmark_group("ext_cookie_and_cert_harm");
     g.sample_size(10);
     g.bench_function("cookies_and_certs_all_versions", |b| {
@@ -46,7 +46,7 @@ fn bench_dbound(c: &mut Criterion) {
     g.bench_function("full_comparison", |b| {
         let stats = sweep_stream(&w.history, &w.stream, &StreamSweepConfig::default()).stats;
         let hosts = w.stream.hosts();
-        let walked = walk(&w.history, hosts, MatchOpts::default());
+        let walked = walk(&w.history, hosts, MatchOpts::default(), 1);
         b.iter(|| {
             let report = psl_analysis::dbound_exp::run(&w.history, hosts, &walked, &stats);
             std::hint::black_box(report.dbound_misgrouped)

@@ -35,7 +35,7 @@ fn bench_table2_missing_etlds(c: &mut Criterion) {
     let w = world();
     let scan = RepoScan::build(&w.repos, &w.history);
     let hosts = w.stream.hosts();
-    let census = census(&walk(&w.history, hosts, MatchOpts::default()), hosts);
+    let census = census(&walk(&w.history, hosts, MatchOpts::default(), 1), hosts);
     let mut g = c.benchmark_group("table2_missing_etlds");
     g.sample_size(10);
     g.bench_function("impact_ranking", |b| {
