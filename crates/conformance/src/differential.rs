@@ -33,7 +33,7 @@ pub struct Divergence {
     pub host: String,
     /// The shortest hostname (by label dropping) still diverging.
     pub minimized: String,
-    /// The production answer (`Debug`-rendered disposition).
+    /// The production answer (`Debug`-rendered disposition, or `panic`).
     pub production: String,
     /// The linear oracle's answer.
     pub linear: String,
@@ -75,11 +75,20 @@ impl ProductionMatcher for List {
     }
 }
 
-fn render(d: Option<Disposition>) -> String {
-    match d {
-        None => "None".to_string(),
-        Some(d) => format!("{d:?}"),
+/// An arm's answer, or `Err` when the arm panicked: a walk that crashes
+/// on a host diverges like one that answers it wrongly.
+type Answer = Result<Option<Disposition>, ()>;
+
+fn render(answer: Answer) -> String {
+    match answer {
+        Err(()) => "panic".to_string(),
+        Ok(None) => "None".to_string(),
+        Ok(Some(d)) => format!("{d:?}"),
     }
+}
+
+fn guarded(arm: impl FnOnce() -> Option<Disposition>) -> Answer {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(arm)).map_err(drop)
 }
 
 /// The option sets every comparison is run under.
@@ -101,6 +110,22 @@ fn mapped_disposition(
     mapped.disposition_by_ids(&ids, opts)
 }
 
+/// The production, linear and mapped answers for one host.
+fn answers(
+    production: &impl ProductionMatcher,
+    rules: &[Rule],
+    list: &List,
+    mapped: &SnapshotView<'_>,
+    reversed: &[&str],
+    opts: MatchOpts,
+) -> [Answer; 3] {
+    [
+        guarded(|| production.disposition(reversed, opts)),
+        guarded(|| disposition_linear(rules, reversed, opts)),
+        guarded(|| mapped_disposition(list, mapped, reversed, opts)),
+    ]
+}
+
 /// Compare both arms with the linear oracle over `rules` on a host corpus,
 /// returning the first divergence (with a minimized reproducer). `mapped`
 /// is a view over `list.write_snapshot()` (a mutation test may pass
@@ -117,9 +142,7 @@ pub fn first_divergence(
         let reversed = host.labels_reversed();
         for opts in OPTS_MATRIX {
             *comparisons += 1;
-            let p = production.disposition(&reversed, opts);
-            let l = disposition_linear(rules, &reversed, opts);
-            let m = mapped_disposition(list, mapped, &reversed, opts);
+            let [p, l, m] = answers(production, rules, list, mapped, &reversed, opts);
             if p != l || m != l {
                 let minimized = minimize(production, rules, list, mapped, &reversed, opts);
                 return Some(Divergence {
@@ -147,8 +170,8 @@ fn minimize(
     opts: MatchOpts,
 ) -> String {
     let diverges = |rev: &[&str]| {
-        let l = disposition_linear(rules, rev, opts);
-        production.disposition(rev, opts) != l || mapped_disposition(list, mapped, rev, opts) != l
+        let [p, l, m] = answers(production, rules, list, mapped, rev, opts);
+        p != l || m != l
     };
 
     // Labels here are in reversed (TLD-first) order; the leftmost label of
@@ -207,8 +230,12 @@ pub fn sweep_history(history: &History, hosts: &[DomainName], limit: usize) -> S
 
 /// Build a probe corpus of at least `n` hostnames for a history: every
 /// rule that ever existed contributes its bare suffix plus hosts one and
-/// two labels beneath it (wildcards get their variable label filled), and
-/// the remainder is topped up with random unlisted-TLD probes.
+/// two labels beneath it (wildcards get their variable label filled).
+/// While the corpus is short of `n`, each label a rule has below its TLD
+/// then becomes a TLD under a random label (`x.kobe` for `kobe.jp`): a
+/// label the list interns but the root has no edge for, which a root
+/// dispatch reading past its table answers wrongly. The remainder is
+/// topped up with random unlisted-TLD probes.
 pub fn probe_corpus(history: &History, seed: u64, n: usize) -> Vec<DomainName> {
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
     let mut seen = std::collections::HashSet::new();
@@ -227,6 +254,15 @@ pub fn probe_corpus(history: &History, seed: u64, n: usize) -> Vec<DomainName> {
         let l2 = label(&mut rng);
         push(format!("{l1}.{body}"), &mut out);
         push(format!("{l2}.{l1}.{body}"), &mut out);
+    }
+    let mut below = std::collections::HashSet::new();
+    for span in history.spans() {
+        let labels = span.rule.labels();
+        for l in &labels[..labels.len() - 1] {
+            if out.len() < n && below.insert(l.as_str()) {
+                push(format!("{}.{l}", label(&mut rng)), &mut out);
+            }
+        }
     }
     while out.len() < n {
         let tld = format!("{}x", label(&mut rng));
@@ -371,6 +407,31 @@ mod tests {
         assert_ne!(d.linear, d.mapped);
     }
 
+    /// A matcher that panics on a host.
+    struct Panicking;
+
+    impl ProductionMatcher for Panicking {
+        fn disposition(&self, _: &[&str], _: MatchOpts) -> Option<Disposition> {
+            panic!("planted panic")
+        }
+    }
+
+    /// An arm that crashes on a host diverges like one that answers wrongly,
+    /// so one bad host does not end the sweep unreported.
+    #[test]
+    fn panicking_matcher_is_a_divergence() {
+        let list = List::parse("jp\n*.kobe.jp\n");
+        let bytes = list.write_snapshot();
+        let mapped = SnapshotView::parse(&bytes).unwrap();
+        let hosts = vec![DomainName::parse("x.kobe.jp").unwrap()];
+        let mut comparisons = 0;
+        let d =
+            first_divergence(&Panicking, list.rules(), &list, &mapped, &hosts, &mut comparisons)
+                .expect("a panicking arm diverges");
+        assert_eq!((d.production.as_str(), d.minimized.as_str()), ("panic", "a"));
+        assert_eq!(d.linear, d.mapped);
+    }
+
     #[test]
     fn probe_corpus_reaches_requested_size_and_is_deterministic() {
         let h = psl_history::generate(&psl_history::GeneratorConfig::small(7));
@@ -381,6 +442,23 @@ mod tests {
             a.iter().map(|d| d.as_str()).collect::<Vec<_>>(),
             b.iter().map(|d| d.as_str()).collect::<Vec<_>>()
         );
+    }
+
+    /// Within the budget, every label a rule has below its TLD is some
+    /// probe's TLD.
+    #[test]
+    fn probe_corpus_puts_rule_labels_at_the_tld() {
+        let h = psl_history::generate(&psl_history::GeneratorConfig::small(7));
+        let hosts = probe_corpus(&h, 1, 10_000);
+        assert_eq!(hosts.len(), 10_000);
+        let tlds: std::collections::HashSet<&str> =
+            hosts.iter().map(|d| d.labels().next_back().unwrap()).collect();
+        let below: Vec<&String> =
+            h.spans().iter().flat_map(|s| s.rule.labels().split_last().unwrap().1).collect();
+        assert!(!below.is_empty());
+        for label in below {
+            assert!(tlds.contains(label.as_str()), "no probe has {label} as its TLD");
+        }
     }
 
     #[test]
