@@ -18,7 +18,6 @@ pub mod ecdf;
 pub mod histogram;
 pub mod hll;
 pub mod process;
-pub mod regression;
 pub mod sampler;
 
 pub use correlation::{pearson, ranks, spearman};
@@ -29,5 +28,4 @@ pub use ecdf::Ecdf;
 pub use histogram::Histogram;
 pub use hll::{hash64, mix64, HyperLogLog};
 pub use process::{current_rss_bytes, peak_rss_bytes, reset_peak_rss};
-pub use regression::{classify_trend, linear_fit, trend, LinearFit, Trend};
 pub use sampler::{derive_seed, exponential, log_normal, standard_normal, weighted_index, Zipf};
