@@ -30,7 +30,9 @@
 //!    every step, so they behave alike: a run costs one `(V, R)` replay,
 //!    shared by all its versions, and none at all when its versions hold
 //!    the reference's values at those hosts. Those take the reference
-//!    result, which needs no replay either (see `answer_session`). At
+//!    result, which needs no replay either (see `answer_session`): no
+//!    divergence, no victim, and the session's events, which every
+//!    version counts alike, so a shard counts them once for all. At
 //!    paper scale about a fifth of the `(session, version)` pairs are
 //!    answered by a replay, and one replay answers about five of them.
 //! 3. **Sharded generation.** Shard `s` of `K` owns sessions `s, s+K, …`;
@@ -273,6 +275,39 @@ impl Views {
     }
 }
 
+/// One shard's answers: an accumulator per sampled version holding the
+/// replayed runs' divergences and victims, and the counts every version
+/// shares, which [`Shard::into_accumulators`] folds in.
+struct Shard {
+    accs: Vec<FleetAccumulator>,
+    /// Sessions answered.
+    sessions: u64,
+    /// Events those sessions count: [`reference_harm`]'s, which every
+    /// `(V, R)` replay counts too.
+    events: u64,
+    /// `(session, version)` pairs answered by a replay.
+    pairs: u64,
+    /// Engine replays executed.
+    replays: u64,
+}
+
+impl Shard {
+    fn new(versions: usize, counter: SiteCounter) -> Self {
+        let accs = (0..versions).map(|_| FleetAccumulator::new(counter)).collect();
+        Shard { accs, sessions: 0, events: 0, pairs: 0, replays: 0 }
+    }
+
+    /// Every version's accumulator, with the shard's sessions and events.
+    fn into_accumulators(self) -> Vec<FleetAccumulator> {
+        let mut accs = self.accs;
+        for acc in &mut accs {
+            acc.sessions += self.sessions;
+            acc.harm.events += self.events;
+        }
+        accs
+    }
+}
+
 /// Bit `v` of a multi-word mask.
 fn bit(mask: &[u64], v: usize) -> bool {
     mask[v / 64] & (1 << (v % 64)) != 0
@@ -313,55 +348,63 @@ fn build_views(
     Views::new(views, parents)
 }
 
-/// Answer one session for every sampled version into `accs` (one per
-/// view), with `touched` as scratch (one word per word of a host's
-/// masks). The engine reads views only at the hosts the events name
+/// Answer one session for every sampled version into `shard`, with
+/// `touched` as scratch (one word per word of a host's masks). The engine
+/// reads views only at the hosts the events name
 /// ([`SessionEvent::hosts`]), and the parent ids do not depend on the
 /// version. So the edges of those hosts split the versions into runs
 /// whose versions execute the same comparisons and earn the same harm
 /// and victims. A run that moved none of those hosts holds the
-/// reference's values there: its versions take [`reference_harm`]. Any
-/// other run replays its first version under `(V, R)` once and absorbs
-/// that replay into each of its accumulators. Returns the pairs answered
-/// by a replay and the replays executed.
+/// reference's values there: its versions take [`reference_harm`], whose
+/// only nonzero count, the events, every version shares, so the shard
+/// counts it once. Any other run replays its first version under
+/// `(V, R)` once and adds that replay's divergences and distinct victims
+/// to each of its accumulators; its events are the reference's too.
 fn answer_session(
     engine: &mut SessionEngine<'_>,
     events: &[SessionEvent],
     views: &Views,
     touched: &mut [u64],
-    accs: &mut [FleetAccumulator],
-) -> (u64, u64) {
+    shard: &mut Shard,
+) {
+    shard.sessions += 1;
+    shard.events += reference_harm(events).events;
+    // One pass over the events' host pairs, ORing both hosts' words.
     touched.fill(0);
-    for h in events.iter().flat_map(|ev| ev.hosts()) {
-        for (t, m) in touched.iter_mut().zip(views.masks(h)) {
-            *t |= m;
+    for ev in events {
+        if let Some((a, b)) = ev.hosts() {
+            let (a, b) = (views.masks(a), views.masks(b));
+            for w in 0..touched.len() {
+                touched[w] |= a[w] | b[w];
+            }
         }
     }
     let (moved, edges) = touched.split_at(views.words);
-    let reference = reference_harm(events);
-    let (mut harm, mut replayed) = (reference, false);
-    let (mut pairs, mut replays) = (0, 0);
-    for (v, acc) in accs.iter_mut().enumerate() {
-        // A run starts at the first version and after every touched edge.
-        if v == 0 || bit(edges, v - 1) {
-            replayed = bit(moved, v);
-            harm = if replayed {
-                replays += 1;
-                execute_session(engine, events, &views.views[v], views.reference())
-            } else {
-                reference
-            };
-        }
-        acc.sessions += 1;
-        acc.harm.absorb(&harm);
-        if replayed {
-            pairs += 1;
+    if moved.iter().all(|&word| word == 0) {
+        return;
+    }
+    // Only moved versions diverge. A version starts a run at version 0
+    // and after every touched edge; versions of one run share their moved
+    // bit, so a moved run's first version comes before the rest.
+    let mut harm = SessionHarm::default();
+    for (w, &word) in moved.iter().enumerate() {
+        let mut bits = word;
+        while bits != 0 {
+            let v = w * 64 + bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            if v == 0 || bit(edges, v - 1) {
+                shard.replays += 1;
+                let replay = execute_session(engine, events, &views.views[v], views.reference());
+                harm = SessionHarm { events: 0, ..replay };
+            }
+            shard.pairs += 1;
+            let acc = &mut shard.accs[v];
+            acc.harm.absorb(&harm);
             for &victim in engine.victims() {
                 acc.victims.insert(victim);
             }
         }
     }
-    (pairs, replays)
 }
 
 /// The sampled history version indices: at most `max_versions` (0 = 12),
@@ -413,7 +456,8 @@ pub fn run_fleet(history: &History, stream: &StreamCorpus, config: &FleetConfig)
     // Work queue: shards drained off one atomic counter. Each worker
     // generates a shard's scripts once and answers every sampled version
     // for a script before moving on: one replay per run of versions that
-    // moved a host the script touches.
+    // moved a host the script touches. The sessions and events every
+    // version shares join the accumulators when the shard ends.
     let master: Mutex<Vec<FleetAccumulator>> =
         Mutex::new(sampled.iter().map(|_| FleetAccumulator::new(config.counter)).collect());
     let next = AtomicU64::new(0);
@@ -436,19 +480,15 @@ pub fn run_fleet(history: &History, stream: &StreamCorpus, config: &FleetConfig)
                     if s >= shards as u64 {
                         break;
                     }
-                    let mut accs: Vec<FleetAccumulator> =
-                        views.views.iter().map(|_| FleetAccumulator::new(config.counter)).collect();
-                    let (mut shard_pairs, mut shard_replays) = (0, 0);
+                    let mut shard = Shard::new(views.views.len(), config.counter);
                     for i in session_stream.shard_sessions(s, shards as u64) {
                         session_stream.session_events(i, &mut events);
-                        let (pairs, runs) =
-                            answer_session(&mut engine, &events, views, &mut touched, &mut accs);
-                        shard_pairs += pairs;
-                        shard_replays += runs;
+                        answer_session(&mut engine, &events, views, &mut touched, &mut shard);
                     }
                     // Statistics read after the scope joins: no ordering needed.
-                    replayed_pairs.fetch_add(shard_pairs, Ordering::Relaxed);
-                    replays.fetch_add(shard_replays, Ordering::Relaxed);
+                    replayed_pairs.fetch_add(shard.pairs, Ordering::Relaxed);
+                    replays.fetch_add(shard.replays, Ordering::Relaxed);
+                    let accs = shard.into_accumulators();
                     let mut m = master.lock().expect("fleet master poisoned");
                     for (mv, a) in m.iter_mut().zip(&accs) {
                         mv.merge(a);
@@ -583,10 +623,10 @@ mod tests {
     /// replay, the replays executed, and one accumulator per view.
     fn answer(views: &Views, script: &[SessionEvent]) -> (u64, u64, Vec<FleetAccumulator>) {
         let mut engine = SessionEngine::new(&views.parents);
-        let mut accs = vec![FleetAccumulator::new(SiteCounter::Exact); views.views.len()];
+        let mut shard = Shard::new(views.views.len(), SiteCounter::Exact);
         let mut touched = vec![0; 2 * views.words];
-        let (pairs, replays) = answer_session(&mut engine, script, views, &mut touched, &mut accs);
-        (pairs, replays, accs)
+        answer_session(&mut engine, script, views, &mut touched, &mut shard);
+        (shard.pairs, shard.replays, shard.into_accumulators())
     }
 
     /// `script` answered with a `(V, R)` replay for every view.
@@ -681,10 +721,23 @@ mod tests {
         assert_eq!((pairs, replays), (68, 2));
         assert_eq!(accs, every_pair(&views, &ALICE_LOADS_BOB));
         assert_ne!(accs[0].harm, accs[6].harm, "the two runs behave differently");
+
+        // Bob moves only at versions 66 to 68, all in the second word.
+        let views = Views::new(
+            (0..70).map(|v| if (66..=68).contains(&v) { stale() } else { latest() }).collect(),
+            vec![0, 0],
+        );
+        assert_eq!(views.masks(1), [0, 0b11100, 0, 0b10010]);
+        let (pairs, replays, accs) = answer(&views, &ALICE_LOADS_BOB);
+        assert_eq!((pairs, replays), (3, 1));
+        assert_eq!(accs, every_pair(&views, &ALICE_LOADS_BOB));
     }
 
-    #[test]
-    fn the_reference_rule_equals_a_self_paired_replay() {
+    /// The fixture's views at 5 sampled versions, and 600 generated
+    /// scripts plus three hand-built ones: empty, no visit, and events
+    /// before the first visit. Generated scripts open with a visit; the
+    /// engine ignores events that come before any.
+    fn views_and_scripts() -> (Views, Vec<Vec<SessionEvent>>) {
         let (h, sc) = fixture();
         let views = build_views(&h, &sc, &sample_versions(&h, 5), MatchOpts::default(), 1);
         let sessions = sc.sessions(600);
@@ -695,11 +748,15 @@ mod tests {
                 events
             })
             .collect();
-        // Generated scripts open with a visit; the engine ignores events
-        // that come before any.
         let (visit, load) = (SessionEvent::Visit(1), SessionEvent::Load(0));
         let (set, save) = (SessionEvent::SetCookie, SessionEvent::SaveCredential);
         scripts.extend([vec![], vec![set, load], vec![set, save, load, visit, set, load]]);
+        (views, scripts)
+    }
+
+    #[test]
+    fn the_reference_rule_equals_a_self_paired_replay() {
+        let (views, scripts) = views_and_scripts();
         let mut engine = SessionEngine::new(&views.parents);
         for script in &scripts {
             for view in &views.views {
@@ -708,6 +765,26 @@ mod tests {
                 assert!(engine.victims().is_empty());
             }
         }
+    }
+
+    /// The engine counts events alike under any views, so a shard counts
+    /// every version's events once, from the reference rule.
+    #[test]
+    fn every_paired_replay_counts_the_reference_events() {
+        let (views, scripts) = views_and_scripts();
+        let mut engine = SessionEngine::new(&views.parents);
+        let mut diverged = 0;
+        for script in &scripts {
+            let events = reference_harm(script).events;
+            for v in &views.views {
+                for r in &views.views {
+                    let replayed = execute_session(&mut engine, script, v, r);
+                    assert_eq!(replayed.events, events, "{script:?}");
+                    diverged += usize::from(!replayed.is_harmless());
+                }
+            }
+        }
+        assert!(diverged > 0, "no pair of views diverged, so the pairs were all alike");
     }
 
     #[test]

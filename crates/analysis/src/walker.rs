@@ -18,12 +18,14 @@
 //! The names and the rules form a forest: each lies under exactly one
 //! top-level label, and a rule moves only the names under it, so no two
 //! trees interact. [`walk`] hashes each name's last label, and each
-//! rule's, into one bin per worker. Each worker builds its bin's arena,
-//! replays only its bin's rule changes and emits its names' steps; the
-//! bins then join into one [`Walk`], with each bin's nodes after the
-//! shared root, every name's steps under its index and the live rule
-//! counts summed per version. One worker is the same code with one bin,
-//! run on the calling thread.
+//! rule's, into one of many buckets, and hands the buckets to one bin
+//! per worker by name count, largest first, so the bins hold about as
+//! many names each. Each worker builds its bin's arena, replays only its
+//! bin's rule changes and emits its names' steps; the bins then join
+//! into one [`Walk`], with each bin's nodes after the shared root, every
+//! name's steps under its index and the live rule counts summed per
+//! version. One worker is the same code with one bin, run on the calling
+//! thread.
 //!
 //! [`site_len`] is the one definition of a name's site under a
 //! disposition: the walk's callers and the rebuild oracle
@@ -362,13 +364,69 @@ pub(crate) fn walk_with_parents(
     walk_bins(history, names, opts, threads, true)
 }
 
-/// The bin of a top-level label among `bins`.
-fn bin_of(tld: &str, bins: usize) -> usize {
-    if bins == 1 {
+/// Buckets per bin: top-level labels hash into this many buckets per
+/// bin, and whole buckets go to the bins, so each label's names and rules
+/// share a bin while the bins' name counts come out nearly even.
+const BUCKETS_PER_BIN: usize = 64;
+
+/// The bucket of top-level label `tld` among `buckets`.
+fn bucket_of(tld: &str, buckets: usize) -> usize {
+    if buckets == 1 {
         0
     } else {
-        (psl_stats::hash64(tld.as_bytes()) % bins as u64) as usize
+        (psl_stats::hash64(tld.as_bytes()) % buckets as u64) as usize
     }
+}
+
+/// Each bucket's bin among `bins`, given the names in each bucket: the
+/// buckets go largest first, each to the bin with the fewest names so
+/// far.
+fn balance(names: &[usize], bins: usize) -> Vec<usize> {
+    let mut largest_first: Vec<usize> = (0..names.len()).collect();
+    largest_first.sort_by_key(|&b| std::cmp::Reverse(names[b]));
+    let mut load = vec![0; bins];
+    let mut bin_of = vec![0; names.len()];
+    for b in largest_first {
+        let bin = (0..bins).min_by_key(|&bin| load[bin]).expect("at least one bin");
+        bin_of[b] = bin;
+        load[bin] += names[b];
+    }
+    bin_of
+}
+
+/// A name's top-level label.
+fn tld(name: &DomainName) -> &str {
+    let text = name.as_str();
+    text.rsplit_once('.').map_or(text, |(_, tld)| tld)
+}
+
+/// Split the names and the rule changes into `bins` bins by top-level
+/// label: each label hashes into one of [`BUCKETS_PER_BIN`] buckets per
+/// bin, and [`balance`] hands the buckets to the bins.
+fn split_bins<'h>(history: &'h History, names: &[DomainName], bins: usize) -> Vec<Split<'h>> {
+    let buckets = if bins == 1 { 1 } else { bins * BUCKETS_PER_BIN };
+    let bucket: Vec<u32> = names.iter().map(|name| bucket_of(tld(name), buckets) as u32).collect();
+    let mut counts = vec![0; buckets];
+    for &b in &bucket {
+        counts[b as usize] += 1;
+    }
+    let bin_of = balance(&counts, bins);
+    let mut split: Vec<Split<'h>> = (0..bins).map(|_| Split::default()).collect();
+    for (i, &b) in bucket.iter().enumerate() {
+        split[bin_of[b as usize]].names.push(i as u32);
+    }
+    history.replay_changes(|_, _, diff| {
+        for &(is_add, rule) in diff {
+            let labels = rule.labels();
+            let bin = &mut split[bin_of[bucket_of(&labels[labels.len() - 1], buckets)]];
+            bin.changes.push((is_add, rule));
+            bin.adds += usize::from(is_add);
+        }
+        for bin in &mut split {
+            bin.ends.push(bin.changes.len() as u32);
+        }
+    });
+    split
 }
 
 /// Split the names and the rule changes into `threads` bins by top-level
@@ -381,24 +439,7 @@ fn walk_bins(
     threads: usize,
     parents: bool,
 ) -> (Walk, Vec<Option<u32>>) {
-    let bins = threads.max(1);
-    let mut split: Vec<Split<'_>> = (0..bins).map(|_| Split::default()).collect();
-    for (i, name) in names.iter().enumerate() {
-        let text = name.as_str();
-        let bin = &mut split[bin_of(text.rsplit_once('.').map_or(text, |(_, tld)| tld), bins)];
-        bin.names.push(i as u32);
-    }
-    history.replay_changes(|_, _, diff| {
-        for &(is_add, rule) in diff {
-            let labels = rule.labels();
-            let bin = &mut split[bin_of(&labels[labels.len() - 1], bins)];
-            bin.changes.push((is_add, rule));
-            bin.adds += usize::from(is_add);
-        }
-        for bin in &mut split {
-            bin.ends.push(bin.changes.len() as u32);
-        }
-    });
+    let split = split_bins(history, names, threads.max(1));
     let bins: Vec<Bin<'_, '_>> = split.into_iter().map(|s| Bin::new(s, parents)).collect();
     let mut bins = bins.into_iter();
     let first = bins.next().expect("at least one bin");
@@ -1011,6 +1052,23 @@ mod tests {
         }
         // The rules under `uk` move the count with no name under them.
         assert_eq!(walk(&shaped, &names, MatchOpts::default(), 2).rule_counts, [4, 8, 10, 8, 8]);
+    }
+
+    /// The buckets go largest first to the bin with the fewest names, so
+    /// the bins end within the largest bucket of each other.
+    #[test]
+    fn balance_hands_the_largest_buckets_out_first() {
+        let names = [2055, 10, 700, 700, 5, 1400, 0, 1300];
+        assert_eq!(balance(&names, 2), [0, 0, 0, 1, 0, 1, 0, 1]);
+        for bins in 1..=4 {
+            let mut load = vec![0; bins];
+            for (b, bin) in balance(&names, bins).into_iter().enumerate() {
+                load[bin] += names[b];
+            }
+            let (lo, hi) = (load.iter().min().unwrap(), load.iter().max().unwrap());
+            assert!(hi - lo <= 2055, "{bins} bins: {load:?}");
+            assert_eq!(load.iter().sum::<usize>(), names.iter().sum::<usize>());
+        }
     }
 
     /// History's replay edge cases: a span removed before the first

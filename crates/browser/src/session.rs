@@ -139,8 +139,8 @@ pub struct SessionEngine<'p> {
     /// Hosts on which a credential was saved this session.
     creds: Vec<u32>,
     /// Host ids harmed this session (cookie setters whose cookies leaked,
-    /// supercookie targets, autofill victims, misjudged pages). May
-    /// repeat; callers dedupe via their victim set/sketch.
+    /// supercookie targets, autofill victims, misjudged pages), each
+    /// once, in order of first harm.
     victims: Vec<u32>,
     harm: SessionHarm,
     current: Option<PageVisit>,
@@ -186,7 +186,7 @@ impl<'p> SessionEngine<'p> {
             let offered_r = r.site_id[saved as usize] == pv.site_r;
             if offered_v && !offered_r {
                 self.harm.wrong_autofill += 1;
-                self.victims.push(saved);
+                record(&mut self.victims, saved);
             }
         }
         self.pages.push(pv);
@@ -206,7 +206,7 @@ impl<'p> SessionEngine<'p> {
             self.harm.cookie_set_flips += 1;
             if ok_v {
                 // Accepted under the stale version only: a supercookie.
-                self.victims.push(cur.host);
+                record(&mut self.victims, cur.host);
             }
         }
         if ok_v || ok_r {
@@ -249,7 +249,7 @@ impl<'p> SessionEngine<'p> {
         self.harm.events += 1;
         if same_v != same_r {
             self.harm.same_site_flips += 1;
-            self.victims.push(cur.host);
+            record(&mut self.victims, cur.host);
         }
         // Cookie attachment (conservative SameSite=Lax model, like
         // `Browser`): domain-matching cookies attach only in same-site
@@ -264,7 +264,7 @@ impl<'p> SessionEngine<'p> {
             let attach_r = same_r && c.ok_r;
             if attach_v && !attach_r {
                 self.harm.leaked_cookies += 1;
-                self.victims.push(c.setter);
+                record(&mut self.victims, c.setter);
             }
         }
     }
@@ -287,9 +287,20 @@ impl<'p> SessionEngine<'p> {
         &self.harm
     }
 
-    /// Hosts harmed this session (with repeats; dedupe downstream).
+    /// Hosts harmed this session, each listed once however often it was
+    /// harmed (the harm counters count every harm), in order of first
+    /// harm. A session harms a handful of hosts, so a caller inserts each
+    /// into its victim set once per replay.
     pub fn victims(&self) -> &[u32] {
         &self.victims
+    }
+}
+
+/// Add `host` to a session's victims unless it is there already: a
+/// session harms a few hosts, so a scan beats hashing.
+fn record(victims: &mut Vec<u32>, host: u32) {
+    if !victims.contains(&host) {
+        victims.push(host);
     }
 }
 
@@ -367,6 +378,25 @@ mod tests {
         assert!(harm.is_harmless(), "{harm:?}");
         assert!(harm.events > 0);
         assert!(e.victims().is_empty());
+    }
+
+    #[test]
+    fn victims_list_each_harmed_host_once() {
+        let v = stale();
+        let r = current();
+        let mut e = SessionEngine::new(&PARENTS);
+        e.begin();
+        // Alice sets the platform cookie, then bob's page loads alice's
+        // asset twice: both loads flip and both attach alice's cookie.
+        e.visit(0, &v, &r);
+        e.set_parent_cookie(&v, &r);
+        e.visit(1, &v, &r);
+        e.load(0, &v, &r);
+        e.load(0, &v, &r);
+        let harm = e.finish();
+        assert_eq!(harm.leaked_cookies, 2, "one setter's cookie leaks on two loads");
+        assert_eq!(harm.same_site_flips, 2, "two loads on one page flip");
+        assert_eq!(e.victims(), &[0, 1], "alice (the setter) and bob (the page), once each");
     }
 
     #[test]

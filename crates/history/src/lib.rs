@@ -5,8 +5,6 @@
 //!
 //! - [`History`]: rule lifespans + publication dates, with snapshots,
 //!   diffs, and O(spans + versions) growth series;
-//! - [`store::ListStore`]: a git-like, delta-encoded commit store (the
-//!   repository substrate the real list lives in) with version extraction;
 //! - [`generator`]: a synthetic history calibrated to the paper's Figure 2
 //!   (growth 2,447 → 9,368 rules, the mid-2012 JP spike, the final
 //!   component mix), with analysis-critical real suffixes pinned at real
@@ -26,7 +24,6 @@ pub mod growth;
 pub mod histfile;
 pub mod history;
 pub mod seeds;
-pub mod store;
 
 pub use blame::{blame, churn_by_year, publication_cadence_days, removed_rule_lifetimes, Blame};
 pub use compile::CompiledHistory;
@@ -39,4 +36,3 @@ pub use histfile::{
     HISTORY_MAGIC,
 };
 pub use history::{Diff, History, RuleSpan};
-pub use store::{Commit, CommitId, Delta, ListStore};

@@ -52,18 +52,18 @@ pub enum SessionEvent {
 }
 
 impl SessionEvent {
-    /// The hosts this event names: the visited page, the load target, or
-    /// both the frame owner and the target of a framed load. Over a whole
-    /// script these are every host whose list facts executing it can read
-    /// (cookie and credential events act on the current page, which a
-    /// `Visit` named).
-    pub fn hosts(self) -> impl Iterator<Item = HostId> {
-        let (first, second) = match self {
-            SessionEvent::Visit(h) | SessionEvent::Load(h) => (Some(h), None),
-            SessionEvent::FramedLoad { frame, target } => (Some(frame), Some(target)),
-            SessionEvent::SetCookie | SessionEvent::SaveCredential => (None, None),
-        };
-        first.into_iter().chain(second)
+    /// The hosts this event names, as a pair: a framed load's frame owner
+    /// and target, or a visited page or load target twice, so a caller
+    /// treats every event that names hosts alike. Cookie and credential
+    /// events name none: they act on the current page, which a `Visit`
+    /// named. Over a whole script these are every host whose list facts
+    /// executing it can read.
+    pub fn hosts(self) -> Option<(HostId, HostId)> {
+        match self {
+            SessionEvent::Visit(h) | SessionEvent::Load(h) => Some((h, h)),
+            SessionEvent::FramedLoad { frame, target } => Some((frame, target)),
+            SessionEvent::SetCookie | SessionEvent::SaveCredential => None,
+        }
     }
 }
 
@@ -236,18 +236,18 @@ mod tests {
         for i in 0..300 {
             ss.session_events(i, &mut buf);
             assert!(matches!(buf[0], SessionEvent::Visit(_)), "session {i}");
-            assert!(buf.iter().flat_map(|ev| ev.hosts()).all(|h| h < n_hosts), "session {i}");
+            let valid = |(a, b): (HostId, HostId)| a < n_hosts && b < n_hosts;
+            assert!(buf.iter().filter_map(|ev| ev.hosts()).all(valid), "session {i}");
         }
     }
 
     #[test]
     fn event_hosts_name_the_frame_and_the_target() {
-        let hosts = |ev: SessionEvent| ev.hosts().collect::<Vec<_>>();
-        assert_eq!(hosts(SessionEvent::Visit(3)), [3]);
-        assert_eq!(hosts(SessionEvent::Load(5)), [5]);
-        assert_eq!(hosts(SessionEvent::FramedLoad { frame: 7, target: 2 }), [7, 2]);
-        assert!(hosts(SessionEvent::SetCookie).is_empty());
-        assert!(hosts(SessionEvent::SaveCredential).is_empty());
+        assert_eq!(SessionEvent::Visit(3).hosts(), Some((3, 3)));
+        assert_eq!(SessionEvent::Load(5).hosts(), Some((5, 5)));
+        assert_eq!(SessionEvent::FramedLoad { frame: 7, target: 2 }.hosts(), Some((7, 2)));
+        assert_eq!(SessionEvent::SetCookie.hosts(), None);
+        assert_eq!(SessionEvent::SaveCredential.hosts(), None);
     }
 
     #[test]

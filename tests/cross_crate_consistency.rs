@@ -2,7 +2,7 @@
 //! crates' code paths must agree.
 
 use psl_core::{DomainName, MatchOpts, SnapshotView};
-use psl_history::{generate, DatingIndex, GeneratorConfig, ListStore};
+use psl_history::{generate, GeneratorConfig};
 use psl_webcorpus::{generate_corpus, CorpusConfig};
 
 #[test]
@@ -69,28 +69,6 @@ fn corpus_hostnames_respect_core_validation() {
     for host in corpus.hosts() {
         let reparsed = DomainName::parse(host.as_str()).unwrap();
         assert_eq!(&reparsed, host);
-    }
-}
-
-#[test]
-fn store_checkout_dates_back_to_itself() {
-    // Committing every version into the git-like store, checking each out
-    // again, and dating the checkout must recover a version with the same
-    // rule set.
-    let history = generate(&GeneratorConfig::small(307));
-    let store = ListStore::from_history(&history, 0);
-    let index = DatingIndex::build(&history);
-    let commits: Vec<_> = store.log().map(|c| (c.id, c.date)).collect();
-    for &(id, date) in commits.iter().step_by(commits.len() / 6 + 1) {
-        let rules = store.checkout(id).unwrap();
-        if rules.is_empty() {
-            continue;
-        }
-        let dated = index.date_rules(&rules).unwrap();
-        let a: std::collections::BTreeSet<String> = rules.iter().map(|r| r.as_text()).collect();
-        let b: std::collections::BTreeSet<String> =
-            history.rules_at(dated.version).iter().map(|r| r.as_text()).collect();
-        assert_eq!(a, b, "commit at {date} dated to {}", dated.version);
     }
 }
 

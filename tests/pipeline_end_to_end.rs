@@ -68,25 +68,6 @@ fn pipeline_is_deterministic_per_seed() {
 }
 
 #[test]
-fn commit_store_roundtrips_the_generated_history() {
-    // The git-like store must reproduce the history it was built from —
-    // the "extract all versions" step of the paper's methodology.
-    let config = PipelineConfig::small(99);
-    let subs = build_substrates(&config);
-    let store = psl_history::ListStore::from_history(&subs.history, 10);
-    assert!(store.len() > store.version_count());
-
-    let extracted = store.extract_versions();
-    // Every extracted version's rule set matches the history at its date.
-    for (date, rules) in extracted.iter().step_by(extracted.len() / 7 + 1) {
-        let expect: std::collections::BTreeSet<String> =
-            subs.history.rules_at(*date).iter().map(|r| r.as_text()).collect();
-        let got: std::collections::BTreeSet<String> = rules.iter().map(|r| r.as_text()).collect();
-        assert_eq!(got, expect, "at {date}");
-    }
-}
-
-#[test]
 fn detector_dates_agree_with_table3_ages() {
     use psl_repocorpus::RepoScan;
 
