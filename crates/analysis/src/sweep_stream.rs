@@ -2,26 +2,29 @@
 //! the requests.
 //!
 //! 1. **Walk.** [`walk`] gives every host's disposition timeline across
-//!    all versions in O(hosts + changes); [`site_ids`] turns it into site
-//!    timelines whose ids hold across versions (equal ids iff equal site
-//!    strings).
+//!    all versions in O(hosts + changes); one pass numbers the sites as
+//!    [`crate::walker::site_ids`] does (equal ids iff equal site strings,
+//!    across versions) and keeps one record per host: its site if it
+//!    never changes, else where its site steps lie in one array of every
+//!    moving host's steps.
 //! 2. **Sites and moved hosts.** Per-version site counts come from one
-//!    reference count per site id, moved along each host's site changes in
-//!    version order (Figure 5); hosts whose site differs from the latest
-//!    are a difference array over their timelines (Figure 7).
+//!    reference count per site id, moved along the moving hosts' site
+//!    changes in version order (Figure 5); hosts whose site differs from
+//!    the latest are a difference array over their steps (Figure 7).
 //! 3. **One pass over the stream.** A [`StreamCorpus`] yields each shard's
 //!    `(page, request)` pairs on demand, so the corpus is never
 //!    materialized. Workers drain shards off an atomic counter; for each
-//!    request they merge the two hosts' site timelines and add the version
-//!    intervals where the sites differ to a per-version difference array
-//!    (Figure 6). The arrays merge by addition, so the counts are exact
-//!    and identical for any thread or shard count.
+//!    request they read the target's record (the page's once per page)
+//!    and add the version intervals where the two sites differ to a
+//!    per-version difference array (Figure 6). The arrays merge by
+//!    addition, so the counts are exact and identical for any thread or
+//!    shard count.
 //!
 //! Memory is O(hosts + changes + threads × versions), independent of the
 //! request count, which only sets how long the pass runs.
 
 use crate::sweep::{resolved_threads, VersionStats};
-use crate::walker::{add_interval, prefix_sums, site_ids, walk, Timelines, Walk};
+use crate::walker::{add_interval, prefix_sums, walk, SiteNumbers, Walk};
 use psl_core::MatchOpts;
 use psl_history::History;
 use psl_stats::HyperLogLog;
@@ -216,9 +219,9 @@ pub(crate) fn sweep_walked(
 ) -> StreamSweepOutcome {
     let versions = history.version_count();
     let started = Instant::now();
-    let (sites, site_count) = site_ids(walked);
-    let site_counts = count_sites(&sites, site_count, versions);
-    let moved = sites.tally(versions, |h, site| u64::from(site != sites.latest(h)));
+    let sites = HostSites::number(walked);
+    let site_counts = count_sites(&sites, versions);
+    let moved = moved_hosts(&sites, versions);
     let walk_seconds = started.elapsed().as_secs_f64();
 
     let threads = resolved_threads(config.threads, usize::MAX);
@@ -250,24 +253,122 @@ pub(crate) fn sweep_walked(
     }
 }
 
-/// Distinct sites at each version: one reference count per site id,
-/// moved along each host's site changes in version order.
-fn count_sites(sites: &Timelines<u32>, site_count: usize, versions: usize) -> Vec<usize> {
-    let mut refs = vec![0u32; site_count];
-    let mut live = 0usize;
-    let mut moves: Vec<(u32, u32, u32)> = Vec::new();
-    for h in 0..sites.names() {
-        let steps = sites.steps(h);
-        let first = steps[0].1 as usize;
-        refs[first] += 1;
-        live += usize::from(refs[first] == 1);
-        moves.extend(steps.windows(2).map(|w| (w[1].0, w[0].1, w[1].1)));
+/// Every host's site through the versions, as the request pass reads
+/// it: one record per host, and one array of the steps of every host
+/// whose site changes.
+#[derive(Debug, Clone, Default)]
+struct HostSites {
+    records: Vec<HostRecord>,
+    /// The moving hosts' `(first version, site id)` steps, host after
+    /// host, each host's in version order with a new site at every step.
+    moving: Vec<(u32, u32)>,
+    /// Distinct site ids.
+    count: usize,
+}
+
+/// A host's entry in [`HostSites`]: `(site, CONSTANT)` when its site never
+/// changes, else the range `start..end` of its steps in the moving
+/// hosts' array.
+#[derive(Debug, Clone, Copy)]
+struct HostRecord {
+    start: u32,
+    end: u32,
+}
+
+/// [`HostRecord::end`] of a host whose site never changes.
+const CONSTANT: u32 = u32::MAX;
+
+impl HostRecord {
+    /// The host's site, when it never changes.
+    fn constant(self) -> Option<u32> {
+        (self.end == CONSTANT).then_some(self.start)
     }
-    moves.sort_unstable_by_key(|m| m.0);
-    let mut moves = moves.into_iter().peekable();
-    (0..versions as u32)
+}
+
+impl HostSites {
+    /// Number the sites of `walk`'s names as [`crate::walker::site_ids`]
+    /// does, in the same pass that lays out each host's record.
+    fn number(walk: &Walk) -> Self {
+        let names = walk.suffix_lens.names();
+        let mut numbers = SiteNumbers::new(walk);
+        let mut sites = HostSites {
+            records: Vec::with_capacity(names),
+            moving: Vec::with_capacity(walk.suffix_lens.step_count()),
+            count: 0,
+        };
+        for name in 0..names {
+            let start = sites.moving.len();
+            for &(v, len) in walk.suffix_lens.steps(name) {
+                let site = numbers.id(name, len);
+                if sites.moving[start..].last().is_none_or(|last| last.1 != site) {
+                    sites.moving.push((v, site));
+                }
+            }
+            sites.close_host(start);
+        }
+        sites.count = numbers.count();
+        sites
+    }
+
+    /// Record the host whose steps are the moving array's past `start`:
+    /// a host with one step keeps its site in its record instead.
+    fn close_host(&mut self, start: usize) {
+        let record = match self.moving.len() - start {
+            1 => HostRecord { start: self.moving.pop().expect("one step").1, end: CONSTANT },
+            _ => HostRecord { start: start as u32, end: self.moving.len() as u32 },
+        };
+        self.records.push(record);
+    }
+
+    /// The steps of a host whose site changes.
+    fn steps(&self, record: HostRecord) -> &[(u32, u32)] {
+        &self.moving[record.start as usize..record.end as usize]
+    }
+
+    /// Each moving host's steps.
+    fn moving_hosts(&self) -> impl Iterator<Item = &[(u32, u32)]> + '_ {
+        self.records.iter().filter(|r| r.constant().is_none()).map(|&r| self.steps(r))
+    }
+}
+
+/// Distinct sites at each version: one reference count per site id,
+/// moved along the moving hosts' site changes, which a counting sort
+/// places by version (the order within a version does not change the
+/// counts).
+fn count_sites(sites: &HostSites, versions: usize) -> Vec<usize> {
+    let mut refs = vec![0u32; sites.count];
+    let mut live = 0usize;
+    // Moves per version, then the first of each version's in `moves`.
+    let mut starts = vec![0u32; versions + 1];
+    for record in &sites.records {
+        let first = match record.constant() {
+            Some(site) => site,
+            None => {
+                let steps = sites.steps(*record);
+                for &(v, _) in &steps[1..] {
+                    starts[v as usize + 1] += 1;
+                }
+                steps[0].1
+            }
+        };
+        refs[first as usize] += 1;
+        live += usize::from(refs[first as usize] == 1);
+    }
+    for v in 0..versions {
+        starts[v + 1] += starts[v];
+    }
+    let mut next = starts.clone();
+    let mut moves = vec![(0u32, 0u32); starts[versions] as usize];
+    for steps in sites.moving_hosts() {
+        for w in steps.windows(2) {
+            let at = &mut next[w[1].0 as usize];
+            moves[*at as usize] = (w[0].1, w[1].1);
+            *at += 1;
+        }
+    }
+    (0..versions)
         .map(|v| {
-            while let Some((_, from, to)) = moves.next_if(|m| m.0 == v) {
+            for &(from, to) in &moves[starts[v] as usize..starts[v + 1] as usize] {
                 refs[from as usize] -= 1;
                 live -= usize::from(refs[from as usize] == 0);
                 refs[to as usize] += 1;
@@ -278,28 +379,32 @@ fn count_sites(sites: &Timelines<u32>, site_count: usize, versions: usize) -> Ve
         .collect()
 }
 
-/// A host whose site changes across the versions, in [`third_party_pass`]'s
-/// table of constant sites.
-const MOVES: u32 = u32::MAX;
+/// Hosts whose site differs from the latest version's, at each version:
+/// only a moving host ever does, before its last step.
+fn moved_hosts(sites: &HostSites, versions: usize) -> Vec<u64> {
+    let mut diff = vec![0u64; versions + 1];
+    for steps in sites.moving_hosts() {
+        let latest = steps[steps.len() - 1].1;
+        for w in steps.windows(2).filter(|w| w[0].1 != latest) {
+            add_interval(&mut diff, w[0].0 as usize, w[1].0 as usize, 1);
+        }
+    }
+    prefix_sums(&diff)
+}
 
 /// Third-party requests at each version and the request total, from one
-/// sharded pass over the stream. A request between two hosts whose sites
-/// never change reads one word per host and adds to a count of requests
-/// cross-site at every version; only the others merge their timelines.
+/// sharded pass over the stream. Each page reads its host's record once,
+/// and each request its target's. A request to the page's own host is
+/// never cross-site; one between two constant hosts adds to a count of
+/// requests cross-site at every version; otherwise the two hosts' steps
+/// merge, a constant host's as one step.
 fn third_party_pass(
-    sites: &Timelines<u32>,
+    sites: &HostSites,
     stream: &StreamCorpus,
     versions: usize,
     threads: usize,
     shards: usize,
 ) -> (Vec<u64>, u64) {
-    let constant: Vec<u32> = (0..sites.names())
-        .map(|h| match sites.steps(h) {
-            &[(_, site)] => site,
-            _ => MOVES,
-        })
-        .collect();
-    let constant = &constant;
     let next_shard = AtomicU64::new(0);
     let parts: Vec<(Vec<u64>, u64)> = crossbeam::thread::scope(|scope| {
         let workers: Vec<_> = (0..threads)
@@ -318,16 +423,36 @@ fn third_party_pass(
                         for page in stream.shard_pages(s, shards as u64) {
                             stream.page_requests(page, &mut buf);
                             requests += buf.len() as u64;
+                            let Some(&Request { page: host, .. }) = buf.first() else {
+                                continue;
+                            };
+                            let page_sites = sites.records[host as usize];
                             for r in &buf {
-                                let (page, target) = (r.page as usize, r.request as usize);
-                                match (constant[page], constant[target]) {
-                                    (MOVES, _) | (_, MOVES) => add_cross_site(
+                                debug_assert_eq!(r.page, host, "one page host per page");
+                                if r.request == host {
+                                    continue;
+                                }
+                                let target = sites.records[r.request as usize];
+                                match (page_sites.constant(), target.constant()) {
+                                    (Some(a), Some(b)) => always += u64::from(a != b),
+                                    (Some(site), None) => add_cross_site(
                                         &mut diff,
-                                        sites.steps(page),
+                                        &[(0, site)],
                                         sites.steps(target),
                                         versions,
                                     ),
-                                    (a, b) => always += u64::from(a != b),
+                                    (None, Some(site)) => add_cross_site(
+                                        &mut diff,
+                                        sites.steps(page_sites),
+                                        &[(0, site)],
+                                        versions,
+                                    ),
+                                    (None, None) => add_cross_site(
+                                        &mut diff,
+                                        sites.steps(page_sites),
+                                        sites.steps(target),
+                                        versions,
+                                    ),
                                 }
                             }
                         }
@@ -463,6 +588,82 @@ mod tests {
         assert_eq!(one_thread.stats, reference.stats);
         assert_eq!(one_thread.total_requests, reference.total_requests);
         assert_eq!((reference.version_blocks, one_thread.version_blocks), (1, 1));
+    }
+
+    /// Host sites from hand-built steps, one list per host.
+    fn host_sites(hosts: &[&[(u32, u32)]]) -> HostSites {
+        let mut sites = HostSites::default();
+        for steps in hosts {
+            let start = sites.moving.len();
+            sites.moving.extend_from_slice(steps);
+            sites.close_host(start);
+        }
+        sites.count = hosts
+            .iter()
+            .flat_map(|s| s.iter())
+            .map(|&(_, site)| site as usize + 1)
+            .max()
+            .unwrap_or(0);
+        sites
+    }
+
+    /// A host's site at version `v`, from its steps.
+    fn site_at(steps: &[(u32, u32)], v: u32) -> u32 {
+        steps.iter().rev().find(|s| s.0 <= v).expect("a step at version 0").1
+    }
+
+    /// The site counts and moved hosts equal a brute-force count per
+    /// version over hand-built timelines: three hosts move in version 2,
+    /// where site 0 loses both its hosts and gains another; later hosts
+    /// move in earlier versions than earlier hosts; site 5 empties for
+    /// good, site 3 appears late, and site 4 loses and regains a host.
+    #[test]
+    fn site_counts_equal_a_distinct_count_per_version() {
+        let hosts: [&[(u32, u32)]; 7] = [
+            &[(0, 0), (2, 1)],
+            &[(0, 0), (2, 2), (4, 0)],
+            &[(0, 1), (2, 0)],
+            &[(0, 4)],
+            &[(0, 2), (1, 3), (3, 2)],
+            &[(0, 5), (1, 4)],
+            &[(0, 4), (3, 3), (4, 4)],
+        ];
+        let versions = 6;
+        let sites = host_sites(&hosts);
+        let distinct: Vec<usize> = (0..versions as u32)
+            .map(|v| {
+                hosts.iter().map(|s| site_at(s, v)).collect::<std::collections::HashSet<_>>().len()
+            })
+            .collect();
+        assert_eq!(distinct, [5, 4, 5, 5, 4, 4]);
+        assert_eq!(count_sites(&sites, versions), distinct);
+        let moved: Vec<u64> = (0..versions as u32)
+            .map(|v| hosts.iter().filter(|s| site_at(s, v) != s[s.len() - 1].1).count() as u64)
+            .collect();
+        assert_eq!(moved_hosts(&sites, versions), moved);
+    }
+
+    /// Each host's record holds its `site_ids` timeline: the site of a
+    /// host with one step, else its steps.
+    #[test]
+    fn host_records_hold_the_site_timelines() {
+        let (h, sc) = fixture();
+        for opts in
+            [MatchOpts::default(), MatchOpts { include_private: false, implicit_wildcard: true }]
+        {
+            let walked = walk(&h, sc.hosts(), opts, 2);
+            let (timelines, count) = crate::walker::site_ids(&walked);
+            let sites = HostSites::number(&walked);
+            assert_eq!(sites.count, count);
+            assert_eq!(sites.records.len(), sc.host_count());
+            for (host, &record) in sites.records.iter().enumerate() {
+                match (record.constant(), timelines.steps(host)) {
+                    (Some(site), &[(0, only)]) => assert_eq!(site, only),
+                    (None, steps) => assert_eq!(sites.steps(record), steps, "host {host}"),
+                    (constant, steps) => panic!("host {host}: {constant:?} against {steps:?}"),
+                }
+            }
+        }
     }
 
     /// Build an accumulator from scripted observations.

@@ -17,15 +17,15 @@
 //!
 //! The names and the rules form a forest: each lies under exactly one
 //! top-level label, and a rule moves only the names under it, so no two
-//! trees interact. [`walk`] hashes each name's last label, and each
-//! rule's, into one of many buckets, and hands the buckets to one bin
+//! trees interact. [`walk`]'s workers hash each name's last label, and
+//! each rule's, into one of many buckets, and the buckets go to one bin
 //! per worker by name count, largest first, so the bins hold about as
-//! many names each. Each worker builds its bin's arena, replays only its
-//! bin's rule changes and emits its names' steps; the bins then join
-//! into one [`Walk`], with each bin's nodes after the shared root, every
-//! name's steps under its index and the live rule counts summed per
-//! version. One worker is the same code with one bin, run on the calling
-//! thread.
+//! many names each. Each worker takes its bin's names, builds its arena,
+//! replays only its bin's rule changes from the history's change log and
+//! sorts its names' steps by name; the bins then join into one [`Walk`],
+//! with each bin's nodes after the shared root, every name's steps under
+//! its index and the live rule counts summed per version. One worker is
+//! the same code with one bin, run on the calling thread.
 //!
 //! [`site_len`] is the one definition of a name's site under a
 //! disposition: the walk's callers and the rebuild oracle
@@ -36,7 +36,7 @@
 //! certificate harms read it.
 
 use psl_core::{DomainName, FnvBuild, MatchOpts, Rule, RuleKind, Section};
-use psl_history::History;
+use psl_history::{History, RuleSpan};
 use std::collections::HashMap;
 
 /// Labels in the site of a name with `labels` labels whose public suffix
@@ -66,33 +66,14 @@ pub struct Timelines<T> {
 }
 
 impl<T: Copy + PartialEq> Timelines<T> {
-    /// Assemble from `(name, version, value)` changes, each name's in
-    /// ascending version order: a counting sort places every change
-    /// under its name, keeping that order.
-    fn from_changes(names: usize, changes: impl Iterator<Item = (u32, u32, T)> + Clone) -> Self {
-        let mut starts = vec![0u32; names + 1];
-        for (name, ..) in changes.clone() {
-            starts[name as usize + 1] += 1;
-        }
-        for i in 0..names {
-            starts[i + 1] += starts[i];
-        }
-        let Some((_, v, t)) = changes.clone().next() else {
-            return Timelines { starts, steps: Vec::new() };
-        };
-        let mut steps = vec![(v, t); starts[names] as usize];
-        let mut next = starts.clone();
-        for (name, v, t) in changes {
-            let at = &mut next[name as usize];
-            steps[*at as usize] = (v, t);
-            *at += 1;
-        }
-        Timelines { starts, steps }
-    }
-
     /// Number of names.
     pub fn names(&self) -> usize {
         self.starts.len() - 1
+    }
+
+    /// Steps over all names.
+    pub(crate) fn step_count(&self) -> usize {
+        self.steps.len()
     }
 
     /// Name `name`'s `(first version, value)` steps, ascending.
@@ -165,6 +146,64 @@ pub(crate) fn prefix_sums(diff: &[u64]) -> Vec<u64> {
             sum
         })
         .collect()
+}
+
+/// `(name, version, value)` steps by name, where every name steps at
+/// version 0: name `i`'s step there is `steps[i]`, and its later ones are
+/// `steps[starts[i]..starts[i + 1]]`, in version order.
+struct ByName<T> {
+    starts: Vec<u32>,
+    steps: Vec<(u32, u32, T)>,
+}
+
+impl<T: Copy> ByName<T> {
+    /// Sort `steps` by name among `names`: they hold every name's step at
+    /// version 0, in name order, then the later steps in version order.
+    /// A counting pass fills `starts` (cleared first), every later step
+    /// then moves once, into its name's run (an American flag sort, in
+    /// place), and each run goes back into version order. `next` is
+    /// working space.
+    fn sort(
+        names: usize,
+        mut steps: Vec<(u32, u32, T)>,
+        mut starts: Vec<u32>,
+        next: &mut Vec<u32>,
+    ) -> Self {
+        starts.clear();
+        starts.resize(names + 1, 0);
+        starts[0] = names as u32;
+        for &(name, ..) in &steps[names..] {
+            starts[name as usize + 1] += 1;
+        }
+        for i in 0..names {
+            starts[i + 1] += starts[i];
+        }
+        next.clear();
+        next.extend_from_slice(&starts[..names]);
+        for name in 0..names {
+            while next[name] < starts[name + 1] {
+                let at = next[name] as usize;
+                let home = steps[at].0 as usize;
+                if home != name {
+                    steps.swap(at, next[home] as usize);
+                }
+                next[home] += 1;
+            }
+        }
+        for name in 0..names {
+            let run = &mut steps[starts[name] as usize..starts[name + 1] as usize];
+            if run.len() > 1 {
+                run.sort_unstable_by_key(|s| s.1);
+            }
+        }
+        ByName { starts, steps }
+    }
+
+    /// Name `name`'s steps, in version order.
+    fn run(&self, name: usize) -> impl Iterator<Item = &(u32, u32, T)> {
+        let later = &self.steps[self.starts[name] as usize..self.starts[name + 1] as usize];
+        std::iter::once(&self.steps[name]).chain(later)
+    }
 }
 
 /// The arena's root: the empty suffix, above every name's top label.
@@ -400,38 +439,100 @@ fn tld(name: &DomainName) -> &str {
     text.rsplit_once('.').map_or(text, |(_, tld)| tld)
 }
 
-/// Split the names and the rule changes into `bins` bins by top-level
-/// label: each label hashes into one of [`BUCKETS_PER_BIN`] buckets per
-/// bin, and [`balance`] hands the buckets to the bins.
-fn split_bins<'h>(history: &'h History, names: &[DomainName], bins: usize) -> Vec<Split<'h>> {
-    let buckets = if bins == 1 { 1 } else { bins * BUCKETS_PER_BIN };
-    let bucket: Vec<u32> = names.iter().map(|name| bucket_of(tld(name), buckets) as u32).collect();
-    let mut counts = vec![0; buckets];
-    for &b in &bucket {
-        counts[b as usize] += 1;
-    }
-    let bin_of = balance(&counts, bins);
-    let mut split: Vec<Split<'h>> = (0..bins).map(|_| Split::default()).collect();
-    for (i, &b) in bucket.iter().enumerate() {
-        split[bin_of[b as usize]].names.push(i as u32);
-    }
-    history.replay_changes(|_, _, diff| {
-        for &(is_add, rule) in diff {
-            let labels = rule.labels();
-            let bin = &mut split[bin_of[bucket_of(&labels[labels.len() - 1], buckets)]];
-            bin.changes.push((is_add, rule));
-            bin.adds += usize::from(is_add);
-        }
-        for bin in &mut split {
-            bin.ends.push(bin.changes.len() as u32);
-        }
-    });
-    split
+/// Where a walk's names and rules go: each name's bucket, each rule
+/// span's, and each bucket's bin.
+struct Buckets {
+    of_name: Vec<u32>,
+    of_span: Vec<u32>,
+    bin_of: Vec<usize>,
+    /// Names and rule spans in each bin.
+    sizes: Vec<(usize, usize)>,
 }
 
-/// Split the names and the rule changes into `threads` bins by top-level
-/// label, walk each bin on its own worker (the first on the calling
-/// thread), and join the bins' walks.
+impl Buckets {
+    /// Hash every name's top-level label, and every rule span's, into one
+    /// of [`BUCKETS_PER_BIN`] buckets per bin, on `bins` workers that take
+    /// one run of the names and one of the spans each; [`balance`] then
+    /// hands the buckets to the bins. One bin hashes nothing.
+    fn new(history: &History, names: &[DomainName], bins: usize) -> Self {
+        let spans = history.spans();
+        let mut of_name = vec![0u32; names.len()];
+        let mut of_span = vec![0u32; spans.len()];
+        if bins == 1 {
+            let sizes = vec![(names.len(), spans.len())];
+            return Buckets { of_name, of_span, bin_of: vec![0], sizes };
+        }
+        let buckets = bins * BUCKETS_PER_BIN;
+        // Names and spans per bucket, one table per worker.
+        let mut counts = vec![(0usize, 0usize); bins * buckets];
+        let (name_run, span_run) = (names.len().div_ceil(bins), spans.len().div_ceil(bins));
+        let mut name_runs = names.chunks(name_run.max(1)).zip(of_name.chunks_mut(name_run.max(1)));
+        let mut span_runs = spans.chunks(span_run.max(1)).zip(of_span.chunks_mut(span_run.max(1)));
+        let mut runs = counts.chunks_mut(buckets).map(|counts| {
+            let (names, of_name) = name_runs.next().unwrap_or_default();
+            let (spans, of_span) = span_runs.next().unwrap_or_default();
+            HashRun { names, of_name, spans, of_span, counts }
+        });
+        std::thread::scope(|scope| {
+            let first = runs.next().expect("at least one worker");
+            let workers: Vec<_> = runs.map(|run| scope.spawn(move || run.hash())).collect();
+            first.hash();
+            // Joined, not left to the scope: a joined thread's stack goes
+            // back to the C library's cache before the bins' workers start.
+            for worker in workers {
+                worker.join().expect("hash worker panicked");
+            }
+        });
+        let mut per_bucket = vec![(0, 0); buckets];
+        for part in counts.chunks(buckets) {
+            for (sum, &(names, spans)) in per_bucket.iter_mut().zip(part) {
+                *sum = (sum.0 + names, sum.1 + spans);
+            }
+        }
+        let names_in: Vec<usize> = per_bucket.iter().map(|c| c.0).collect();
+        let bin_of = balance(&names_in, bins);
+        let mut sizes = vec![(0, 0); bins];
+        for (&bin, &(names, spans)) in bin_of.iter().zip(&per_bucket) {
+            sizes[bin] = (sizes[bin].0 + names, sizes[bin].1 + spans);
+        }
+        Buckets { of_name, of_span, bin_of, sizes }
+    }
+
+    /// Name `name`'s bin.
+    fn name_bin(&self, name: usize) -> usize {
+        self.bin_of[self.of_name[name] as usize]
+    }
+}
+
+/// One hashing worker's share of [`Buckets::new`]: a run of the names
+/// and one of the rule spans, the buckets it fills for them, and its
+/// count of names and spans per bucket.
+struct HashRun<'a> {
+    names: &'a [DomainName],
+    of_name: &'a mut [u32],
+    spans: &'a [RuleSpan],
+    of_span: &'a mut [u32],
+    counts: &'a mut [(usize, usize)],
+}
+
+impl HashRun<'_> {
+    fn hash(self) {
+        let buckets = self.counts.len();
+        for (name, bucket) in self.names.iter().zip(self.of_name) {
+            *bucket = bucket_of(tld(name), buckets) as u32;
+            self.counts[*bucket as usize].0 += 1;
+        }
+        for (span, bucket) in self.spans.iter().zip(self.of_span) {
+            let labels = span.rule.labels();
+            *bucket = bucket_of(&labels[labels.len() - 1], buckets) as u32;
+            self.counts[*bucket as usize].1 += 1;
+        }
+    }
+}
+
+/// Hash the names and the rules into `threads` bins by top-level label,
+/// walk each bin on its own worker (the first on the calling thread), and
+/// join the bins' walks.
 fn walk_bins(
     history: &History,
     names: &[DomainName],
@@ -439,31 +540,32 @@ fn walk_bins(
     threads: usize,
     parents: bool,
 ) -> (Walk, Vec<Option<u32>>) {
-    let split = split_bins(history, names, threads.max(1));
-    let bins: Vec<Bin<'_, '_>> = split.into_iter().map(|s| Bin::new(s, parents)).collect();
-    let mut bins = bins.into_iter();
-    let first = bins.next().expect("at least one bin");
+    let buckets = Buckets::new(history, names, threads.max(1));
+    let bins: Vec<Bin<'_, '_>> = buckets
+        .sizes
+        .iter()
+        .map(|&(names, spans)| Bin::new(names, spans, history, parents))
+        .collect();
+    let mut bins = bins.into_iter().enumerate();
+    let (_, first) = bins.next().expect("at least one bin");
+    let source = &Source { history, names, buckets: &buckets, opts, parents };
     let walked: Vec<BinWalk> = std::thread::scope(|scope| {
         let workers: Vec<_> =
-            bins.map(|bin| scope.spawn(move || bin.walk(names, opts, parents))).collect();
-        let mut walked = vec![first.walk(names, opts, parents)];
+            bins.map(|(b, bin)| scope.spawn(move || bin.walk(b, source))).collect();
+        let mut walked = vec![first.walk(0, source)];
         walked.extend(workers.into_iter().map(|w| w.join().expect("walk worker panicked")));
         walked
     });
-    join(&walked, names.len(), history.version_count(), parents)
+    join(&walked, &buckets, history.version_count(), parents)
 }
 
-/// The names and rule changes under one bin's top-level labels.
-#[derive(Default)]
-struct Split<'h> {
-    /// The names, by index, ascending.
-    names: Vec<u32>,
-    /// The rule changes in replay order.
-    changes: Vec<(bool, &'h Rule)>,
-    /// The end of each version's changes in `changes`.
-    ends: Vec<u32>,
-    /// Additions among the changes.
-    adds: usize,
+/// What every bin of one walk reads.
+struct Source<'a> {
+    history: &'a History,
+    names: &'a [DomainName],
+    buckets: &'a Buckets,
+    opts: MatchOpts,
+    parents: bool,
 }
 
 /// One bin of a walk and every buffer its walk fills. The calling
@@ -472,7 +574,8 @@ struct Split<'h> {
 /// buffers a worker allocated would stay resident beside the caller's
 /// and raise the peak.
 struct Bin<'n, 'h> {
-    split: Split<'h>,
+    /// The bin's names, by index, ascending.
+    names: Vec<u32>,
     arena: Suffixes,
     index: Index<'n>,
     /// Nodes past the arena for rules with no name under them.
@@ -482,7 +585,7 @@ struct Bin<'n, 'h> {
     nodes: Vec<u32>,
     /// Each name's parent, as a walked name (`None` for a single label).
     parents: Vec<Option<u32>>,
-    /// Working space of the depth-first numbering.
+    /// Working space of the depth-first numbering and the step sort.
     next: Vec<u32>,
     /// Each node's range of positions.
     ranges: Vec<(u32, u32)>,
@@ -499,6 +602,8 @@ struct Bin<'n, 'h> {
     key: String,
     /// `(walked name, version, suffix length)` at every change.
     steps: Vec<(u32, u32, Option<u32>)>,
+    /// Each walked name's first step once the steps are sorted by name.
+    starts: Vec<u32>,
     rule_counts: Vec<usize>,
 }
 
@@ -508,52 +613,58 @@ struct BinWalk {
     arena: Suffixes,
     nodes: Vec<u32>,
     parents: Vec<Option<u32>>,
-    steps: Vec<(u32, u32, Option<u32>)>,
+    /// Each walked name's suffix length steps, by its index in the bin.
+    steps: ByName<Option<u32>>,
     rule_counts: Vec<usize>,
 }
 
 impl<'n, 'h> Bin<'n, 'h> {
-    /// Buffers with room for the usual shapes: at paper scale a name
+    /// Buffers for a bin of `names` names and `spans` of `history`'s rule
+    /// spans, with room for the usual shapes: at paper scale a name
     /// brings about 1.2 arena nodes, a walk with parents 1.15 walked
     /// names, and a walked name 1.6 steps. A bin past that grows a buffer
     /// on its worker. Room for the worst case (a node per label) made the
     /// paper-scale walk about a quarter slower.
-    fn new(split: Split<'h>, parents: bool) -> Self {
-        let names = split.names.len();
+    fn new(names: usize, spans: usize, history: &History, parents: bool) -> Self {
         let walked = if parents { names + names / 4 } else { names };
         let nodes = names * 3 / 2 + 1;
-        let most = split.ends.iter().scan(0, |end, &e| Some(e - std::mem::replace(end, e))).max();
+        let versions = history.version_count();
+        let most = (0..versions).map(|v| history.version_changes(v).len()).max().unwrap_or(0);
         Bin {
+            names: Vec::with_capacity(names),
             arena: Suffixes {
                 parent: Vec::with_capacity(nodes),
                 labels: Vec::with_capacity(nodes),
             },
             index: Index::with_capacity_and_hasher(nodes, FnvBuild::default()),
-            rule_nodes: HashMap::with_capacity_and_hasher(split.adds, FnvBuild::default()),
+            rule_nodes: HashMap::with_capacity_and_hasher(spans, FnvBuild::default()),
             nodes: Vec::with_capacity(walked),
             parents: Vec::with_capacity(if parents { names } else { 0 }),
             next: Vec::with_capacity(nodes),
             ranges: Vec::with_capacity(nodes),
             order: Vec::with_capacity(walked),
             at: Vec::with_capacity(walked),
-            slots: Vec::with_capacity(nodes + split.adds),
+            slots: Vec::with_capacity(nodes + spans),
             current: Vec::with_capacity(walked),
-            dirty: Vec::with_capacity(most.unwrap_or(0) as usize + 1),
+            dirty: Vec::with_capacity(most + 1),
             missing: Vec::with_capacity(128),
             key: String::with_capacity(256),
             steps: Vec::with_capacity(walked * 2),
-            rule_counts: Vec::with_capacity(split.ends.len()),
-            split,
+            starts: Vec::with_capacity(walked + 1),
+            rule_counts: Vec::with_capacity(versions),
         }
     }
 
-    /// Build the bin's arena over its names (and their parents), number
-    /// them depth first, and replay its rule changes, re-matching only
-    /// the names under each changed node. `all` holds every name of the
-    /// walk; the bin's are `all[i]` for `i` in its split.
-    fn walk(self, all: &'n [DomainName], opts: MatchOpts, with_parents: bool) -> BinWalk {
+    /// Take bin `bin`'s names, build its arena over them (and their
+    /// parents), number them depth first, and replay its rule changes,
+    /// re-matching only the names under each changed node; then sort the
+    /// steps by walked name.
+    fn walk(self, bin: usize, source: &Source<'n>) -> BinWalk
+    where
+        'n: 'h,
+    {
         let Bin {
-            split,
+            mut names,
             mut arena,
             mut index,
             mut rule_nodes,
@@ -569,11 +680,15 @@ impl<'n, 'h> Bin<'n, 'h> {
             mut missing,
             mut key,
             mut steps,
+            starts,
             mut rule_counts,
         } = self;
+        let &Source { history, names: all, buckets, opts, parents: with_parents } = source;
+        let spans = history.spans();
+        names.extend((0..all.len() as u32).filter(|&i| buckets.name_bin(i as usize) == bin));
         arena.parent.push(NONE);
         arena.labels.push(0);
-        for &name in &split.names {
+        for &name in &names {
             nodes.push(arena.insert(&mut index, all[name as usize].as_str(), &mut missing));
         }
         if with_parents {
@@ -582,7 +697,7 @@ impl<'n, 'h> Bin<'n, 'h> {
             for (name, &node) in nodes.iter().enumerate() {
                 next[node as usize] = name as u32;
             }
-            for name in 0..split.names.len() {
+            for name in 0..names.len() {
                 let parent = arena.parent[nodes[name] as usize];
                 parents.push((parent != ROOT).then(|| {
                     if next[parent as usize] == NONE {
@@ -599,9 +714,12 @@ impl<'n, 'h> Bin<'n, 'h> {
         slots.resize(arena.len(), [None; 3]);
         current.resize(at.len(), None);
         let mut live = 0;
-        let mut start = 0;
-        for (vi, &end) in split.ends.iter().enumerate() {
-            for &(is_add, rule) in &split.changes[start..end as usize] {
+        for vi in 0..history.version_count() {
+            for &(is_add, span) in history.version_changes(vi) {
+                if buckets.bin_of[buckets.of_span[span as usize] as usize] != bin {
+                    continue;
+                }
+                let rule: &'h Rule = &spans[span as usize].rule;
                 key.clear();
                 for (i, label) in rule.labels().iter().enumerate() {
                     if i > 0 {
@@ -626,42 +744,52 @@ impl<'n, 'h> Bin<'n, 'h> {
                 // A rule past the arena has no name under it.
                 dirty.extend(ranges.get(node as usize));
             }
-            start = end as usize;
             if vi == 0 {
-                dirty.clear();
-                dirty.push((0, at.len() as u32));
-            }
-            // Ranges nest or are disjoint: visit each position once.
-            dirty.sort_unstable();
-            let mut done = 0;
-            for &(lo, hi) in &dirty {
-                for pos in lo.max(done)..hi {
-                    let len = suffix_len(&arena, &slots, at[pos as usize], opts);
-                    if vi == 0 || len != current[pos as usize] {
-                        current[pos as usize] = len;
-                        steps.push((order[pos as usize], vi as u32, len));
-                    }
+                // Every walked name steps here, in name order, so only the
+                // later steps need sorting by name.
+                for (name, &node) in nodes.iter().enumerate() {
+                    steps.push((name as u32, 0, suffix_len(&arena, &slots, node, opts)));
                 }
-                done = done.max(hi);
+                for (len, &name) in current.iter_mut().zip(&order) {
+                    *len = steps[name as usize].2;
+                }
+            } else {
+                // Ranges nest or are disjoint: visit each position once.
+                dirty.sort_unstable();
+                let mut done = 0;
+                for &(lo, hi) in &dirty {
+                    for pos in lo.max(done)..hi {
+                        let len = suffix_len(&arena, &slots, at[pos as usize], opts);
+                        if len != current[pos as usize] {
+                            current[pos as usize] = len;
+                            steps.push((order[pos as usize], vi as u32, len));
+                        }
+                    }
+                    done = done.max(hi);
+                }
             }
             dirty.clear();
             rule_counts.push(live);
         }
-        BinWalk { names: split.names, arena, nodes, parents, steps, rule_counts }
+        let steps = ByName::sort(nodes.len(), steps, starts, &mut next);
+        BinWalk { names, arena, nodes, parents, steps, rule_counts }
     }
 }
 
 /// Join the bins' walks into one: one arena with each bin's nodes after
 /// the shared root, the steps of every walked name under its index (the
 /// names first, then each bin's parents that are not names, bin by bin),
-/// and the live rules summed per version. Also returns each name's
+/// and the live rules summed per version. Each bin holds its steps
+/// sorted by its own walked names, ascending with the walk's, so the
+/// join lays each name's run after the last. Also returns each name's
 /// parent when the bins walked `parents`.
 fn join(
     bins: &[BinWalk],
-    names: usize,
+    buckets: &Buckets,
     versions: usize,
     parents: bool,
 ) -> (Walk, Vec<Option<u32>>) {
+    let names = buckets.of_name.len();
     // Bin `b`'s walked name `k` past its names is walked name
     // `firsts[b] + k`: after every name and every earlier bin's parents.
     let mut firsts = Vec::with_capacity(bins.len());
@@ -698,11 +826,22 @@ fn join(
             *sum += count;
         }
     }
-    let steps = bins
+    let mut starts = Vec::with_capacity(walked + 1);
+    let mut steps = Vec::with_capacity(bins.iter().map(|bin| bin.steps.steps.len()).sum());
+    starts.push(0);
+    // Each bin's next walked name.
+    let mut next = vec![0usize; bins.len()];
+    let walked_names = (0..names).map(|name| buckets.name_bin(name));
+    let walked_parents = bins
         .iter()
         .enumerate()
-        .flat_map(|(b, bin)| bin.steps.iter().map(move |&(name, v, len)| (index(b, name), v, len)));
-    let suffix_lens = Timelines::from_changes(walked, steps);
+        .flat_map(|(b, bin)| std::iter::repeat_n(b, bin.nodes.len() - bin.names.len()));
+    for b in walked_names.chain(walked_parents) {
+        steps.extend(bins[b].steps.run(next[b]).map(|&(_, v, len)| (v, len)));
+        next[b] += 1;
+        starts.push(steps.len() as u32);
+    }
+    let suffix_lens = Timelines { starts, steps };
     (Walk { rule_counts, suffix_lens, arena, nodes }, parent_of)
 }
 
@@ -739,18 +878,41 @@ pub fn census<'h>(walk: &Walk, hosts: &'h [DomainName]) -> Vec<(&'h str, usize)>
 /// the site nodes in order of first appearance. Returns the timelines
 /// and the number of ids.
 pub fn site_ids(walk: &Walk) -> (Timelines<u32>, usize) {
-    let mut ids = vec![NONE; walk.arena.len()];
-    let mut count = 0;
-    let sites = walk.suffix_lens.map(|name, len| {
-        let site = site_len(len.map(|l| l as usize), walk.labels(name));
-        let id = &mut ids[walk.suffix_id(name, site) as usize];
+    let mut numbers = SiteNumbers::new(walk);
+    let sites = walk.suffix_lens.map(|name, len| numbers.id(name, len));
+    (sites, numbers.count())
+}
+
+/// [`site_ids`]' numbering, for a caller that reads the steps one by one:
+/// asked for every step in name order, it hands out the same ids.
+pub(crate) struct SiteNumbers<'w> {
+    walk: &'w Walk,
+    /// Each arena node's site id, once it has one.
+    ids: Vec<u32>,
+    count: u32,
+}
+
+impl<'w> SiteNumbers<'w> {
+    pub(crate) fn new(walk: &'w Walk) -> Self {
+        SiteNumbers { walk, ids: vec![NONE; walk.arena.len()], count: 0 }
+    }
+
+    /// The id of walked name `name`'s site under a public suffix of `len`
+    /// labels.
+    pub(crate) fn id(&mut self, name: usize, len: Option<u32>) -> u32 {
+        let site = site_len(len.map(|l| l as usize), self.walk.labels(name));
+        let id = &mut self.ids[self.walk.suffix_id(name, site) as usize];
         if *id == NONE {
-            *id = count;
-            count += 1;
+            *id = self.count;
+            self.count += 1;
         }
         *id
-    });
-    (sites, count as usize)
+    }
+
+    /// Ids handed out so far.
+    pub(crate) fn count(&self) -> usize {
+        self.count as usize
+    }
 }
 
 #[cfg(test)]
@@ -870,10 +1032,10 @@ mod tests {
 
     #[test]
     fn tally_sums_the_values_in_force() {
-        let t = Timelines::from_changes(
-            2,
-            vec![(0, 0, 1u32), (1, 0, 5), (0, 2, 3), (1, 3, 7), (0, 4, 1)].into_iter(),
-        );
+        let t = Timelines {
+            starts: vec![0, 3, 5],
+            steps: vec![(0, 1u32), (2, 3), (4, 1), (0, 5), (3, 7)],
+        };
         assert_eq!(t.at(0, 3), 3);
         assert_eq!(t.latest(1), 7);
         assert_eq!(t.tally(5, |_, x| u64::from(x)), vec![6, 6, 8, 10, 8]);
@@ -1052,6 +1214,27 @@ mod tests {
         }
         // The rules under `uk` move the count with no name under them.
         assert_eq!(walk(&shaped, &names, MatchOpts::default(), 2).rule_counts, [4, 8, 10, 8, 8]);
+    }
+
+    proptest::proptest! {
+        /// The sort by name keeps each name's steps in version order: its
+        /// step at version 0, then its later ones.
+        #[test]
+        fn by_name_keeps_each_names_steps_in_version_order(
+            later in proptest::collection::vec(0u32..12, 0..200),
+        ) {
+            let mut steps: Vec<(u32, u32, u32)> = (0..12).map(|name| (name, 0, name)).collect();
+            steps.extend(later.iter().enumerate().map(|(v, &name)| (name, v as u32 + 1, v as u32)));
+            let mut want: Vec<Vec<(u32, u32, u32)>> = vec![Vec::new(); 12];
+            for &step in &steps {
+                want[step.0 as usize].push(step);
+            }
+            let sorted = ByName::sort(12, steps, Vec::new(), &mut Vec::new());
+            for (name, want) in want.iter().enumerate() {
+                let got: Vec<(u32, u32, u32)> = sorted.run(name).copied().collect();
+                proptest::prop_assert_eq!(&got, want);
+            }
+        }
     }
 
     /// The buckets go largest first to the bin with the fewest names, so

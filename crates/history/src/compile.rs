@@ -35,7 +35,8 @@ impl CompiledHistory {
         let mut versions = Vec::with_capacity(history.version_count());
         history.replay_changes(|_, v, changes| {
             let mut removed = false;
-            for &(is_add, rule) in changes {
+            let changed = changes.len() > 0;
+            for (is_add, rule) in changes {
                 if is_add {
                     trie.insert(rule);
                 } else {
@@ -45,7 +46,7 @@ impl CompiledHistory {
             if removed {
                 trie.compact();
             }
-            let frozen = if !changes.is_empty() || versions.is_empty() {
+            let frozen = if changed || versions.is_empty() {
                 FrozenList::freeze(&trie, &mut interner)
             } else {
                 // Identical rule set: reuse the previous arena verbatim.

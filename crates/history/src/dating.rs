@@ -77,7 +77,7 @@ impl<'h> DatingIndex<'h> {
         // Incremental fingerprint: XOR in added rules, XOR out removed.
         let mut acc = 0u64;
         history.replay_changes(|_, v, changes| {
-            for &(_, rule) in changes {
+            for (_, rule) in changes {
                 acc ^= fingerprint(std::iter::once(rule.as_text().as_str()));
             }
             by_fingerprint.entry(acc).or_insert(v);
@@ -109,7 +109,7 @@ impl<'h> DatingIndex<'h> {
         let (mut v_size, mut inter) = (0i64, 0i64);
         let mut best: Option<(i64, Date, i64, i64)> = None;
         self.history.replay_changes(|_, v, changes| {
-            for &(added, rule) in changes {
+            for (added, rule) in changes {
                 let delta = if added { 1 } else { -1 };
                 v_size += delta;
                 if texts.contains(&rule.as_text()) {

@@ -32,7 +32,7 @@ impl GrowthSeries {
         let mut counts = [0i64; 4];
         let mut points = Vec::with_capacity(history.version_count());
         history.replay_changes(|_, v, changes| {
-            for &(added, rule) in changes {
+            for (added, rule) in changes {
                 counts[rule.component_count().min(4) - 1] += if added { 1 } else { -1 };
             }
             let by: [usize; 4] = [

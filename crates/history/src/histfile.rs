@@ -143,7 +143,7 @@ pub fn write_history_file(history: &History, checkpoint_every: u32) -> Vec<u8> {
 
     history.replay_changes(|vi, _, changes| {
         let prev = map.clone();
-        for &(is_add, rule) in changes {
+        for (is_add, rule) in changes {
             let path: Vec<u32> = rule.labels().iter().rev().map(|l| interner.intern(l)).collect();
             let key = (path, kind_code(rule.kind()));
             if is_add {

@@ -10,6 +10,7 @@
 
 use psl_core::{Date, List, Rule};
 use serde::{Deserialize, Serialize};
+use std::slice;
 
 /// A rule's lifetime within the list.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -47,23 +48,30 @@ impl Diff {
 }
 
 /// A dated, versioned Public Suffix List.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct History {
     spans: Vec<RuleSpan>,
     /// Sorted, deduplicated publication dates.
     versions: Vec<Date>,
+    /// The change log: `(added, span)` for every span's rule entering
+    /// (`true`) or leaving the list, in replay order (see
+    /// [`History::replay_changes`]), up to the latest version.
+    log: Vec<(bool, u32)>,
+    /// The end of each version's changes in `log`.
+    ends: Vec<u32>,
 }
 
 impl History {
     /// Build a history from rule spans and version dates. Version dates are
     /// sorted and deduplicated; spans whose `added` date precedes the first
-    /// version are clamped to it.
+    /// version are clamped to it. Also builds the change log every
+    /// [`History::replay_changes`] reads.
     pub fn new(spans: Vec<RuleSpan>, mut versions: Vec<Date>) -> Self {
         versions.sort_unstable();
         versions.dedup();
         assert!(!versions.is_empty(), "history needs at least one version");
         let first = versions[0];
-        let spans = spans
+        let spans: Vec<RuleSpan> = spans
             .into_iter()
             .map(|mut s| {
                 if s.added < first {
@@ -72,7 +80,26 @@ impl History {
                 s
             })
             .collect();
-        History { spans, versions }
+        let mut events: Vec<(Date, bool, u32)> = Vec::with_capacity(spans.len() * 2);
+        for (i, span) in spans.iter().enumerate() {
+            if span.removed.is_some_and(|r| r <= span.added) {
+                continue;
+            }
+            events.push((span.added, true, i as u32));
+            if let Some(r) = span.removed {
+                events.push((r, false, i as u32));
+            }
+        }
+        // `false` (removal) sorts first on a date, span order within.
+        events.sort_unstable();
+        let mut ends = Vec::with_capacity(versions.len());
+        let mut end = 0;
+        for &v in &versions {
+            end += events[end..].partition_point(|e| e.0 <= v);
+            ends.push(end as u32);
+        }
+        let log = events[..end].iter().map(|&(_, added, span)| (added, span)).collect();
+        History { spans, versions, log, ends }
     }
 
     /// All rule spans.
@@ -149,7 +176,7 @@ impl History {
         let mut out = Vec::with_capacity(self.versions.len());
         let mut count: i64 = 0;
         self.replay_changes(|_, v, changes| {
-            count += changes.iter().map(|&(added, _)| if added { 1 } else { -1 }).sum::<i64>();
+            count += changes.map(|(added, _)| if added { 1 } else { -1 }).sum::<i64>();
             out.push((v, count.max(0) as usize));
         });
         out
@@ -166,27 +193,44 @@ impl History {
     /// before its addition, after the clamp of [`History::new`]) yields
     /// no change. Applied in order to a set keyed by rule text, the
     /// changes rebuild [`History::rules_at`] at every version, provided
-    /// no two spans of one rule overlap.
-    pub fn replay_changes<'a>(&'a self, mut f: impl FnMut(usize, Date, &[(bool, &'a Rule)])) {
-        let mut events: Vec<(Date, bool, &Rule)> = Vec::with_capacity(self.spans.len() * 2);
-        for span in self.spans.iter().filter(|s| s.removed.is_none_or(|r| s.added < r)) {
-            events.push((span.added, true, &span.rule));
-            if let Some(r) = span.removed {
-                events.push((r, false, &span.rule));
-            }
-        }
-        // Stable: `false` (removal) sorts first on a date, span order within.
-        events.sort_by_key(|e| (e.0, e.1));
-        let changes: Vec<(bool, &Rule)> =
-            events.iter().map(|&(_, added, rule)| (added, rule)).collect();
-        let mut start = 0;
+    /// no two spans of one rule overlap. The order is fixed once, by
+    /// [`History::new`]; a replay only reads it.
+    pub fn replay_changes<'a>(&'a self, mut f: impl FnMut(usize, Date, Changes<'a>)) {
         for (vi, &v) in self.versions.iter().enumerate() {
-            let end = start + events[start..].partition_point(|e| e.0 <= v);
-            f(vi, v, &changes[start..end]);
-            start = end;
+            f(vi, v, Changes { spans: &self.spans, log: self.version_changes(vi).iter() });
         }
     }
+
+    /// Version `version`'s changes as [`History::replay_changes`] hands
+    /// them over, by span index: `(added, span)`, the rule being
+    /// `spans()[span].rule`.
+    pub fn version_changes(&self, version: usize) -> &[(bool, u32)] {
+        let start = version.checked_sub(1).map_or(0, |p| self.ends[p] as usize);
+        &self.log[start..self.ends[version] as usize]
+    }
 }
+
+/// One version's rule changes in replay order, as `(added, rule)` (see
+/// [`History::replay_changes`]).
+#[derive(Debug, Clone)]
+pub struct Changes<'a> {
+    spans: &'a [RuleSpan],
+    log: slice::Iter<'a, (bool, u32)>,
+}
+
+impl<'a> Iterator for Changes<'a> {
+    type Item = (bool, &'a Rule);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        self.log.next().map(|&(added, span)| (added, &self.spans[span as usize].rule))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.log.size_hint()
+    }
+}
+
+impl ExactSizeIterator for Changes<'_> {}
 
 #[cfg(test)]
 pub(crate) mod tests {
@@ -284,7 +328,7 @@ pub(crate) mod tests {
         let mut live = std::collections::BTreeMap::new();
         let mut visited = Vec::new();
         h.replay_changes(|i, v, changes| {
-            for &(added, rule) in changes {
+            for (added, rule) in changes {
                 if added {
                     live.insert(rule.as_text(), rule.section());
                 } else {
@@ -338,6 +382,88 @@ pub(crate) mod tests {
         assert_replay_rebuilds_every_version(&removed_early);
         assert_eq!(removed_early.version_sizes(), [(d("2007-03-22"), 1), (d("2008-01-01"), 1)]);
         assert_replay_rebuilds_every_version(&moved);
+    }
+
+    /// The replay as it was before the change log: every live span's
+    /// events collected and stable-sorted by `(date, added)` on every
+    /// call, then cut at each version. The oracle of the stored log.
+    fn collected_replay(h: &History) -> Vec<Vec<(bool, String, Section)>> {
+        let mut events: Vec<(Date, bool, &Rule)> = Vec::new();
+        for span in h.spans().iter().filter(|s| s.removed.is_none_or(|r| s.added < r)) {
+            events.push((span.added, true, &span.rule));
+            if let Some(r) = span.removed {
+                events.push((r, false, &span.rule));
+            }
+        }
+        events.sort_by_key(|e| (e.0, e.1));
+        let mut start = 0;
+        h.versions()
+            .iter()
+            .map(|&v| {
+                let end = start + events[start..].partition_point(|e| e.0 <= v);
+                let changes = events[start..end]
+                    .iter()
+                    .map(|&(_, added, rule)| (added, rule.as_text(), rule.section()))
+                    .collect();
+                start = end;
+                changes
+            })
+            .collect()
+    }
+
+    proptest::proptest! {
+        /// The stored log replays what the collect-and-sort replay did, and
+        /// `version_sizes` counts what it counted, over random spans of a
+        /// few rule texts (so one text has several spans, some moving
+        /// between sections on one date) on a few days: spans added
+        /// before the first version (clamped), removed on or before their
+        /// addition (never live), and removed on the day another is added.
+        #[test]
+        fn the_stored_log_replays_the_collected_changes(
+            raw in proptest::collection::vec(
+                (0usize..4, proptest::bool::ANY, 0i32..12, proptest::option::of(0i32..14)),
+                0..40,
+            ),
+            days in proptest::collection::vec(2i32..13, 1..8),
+        ) {
+            let texts = ["com", "a.com", "*.b.com", "!x.b.com"];
+            let date = |day: i32| Date::from_days_since_epoch(13_000 + day);
+            let spans: Vec<RuleSpan> = raw
+                .iter()
+                .map(|&(text, private, added, removed)| RuleSpan {
+                    rule: Rule::parse(
+                        texts[text],
+                        if private { Section::Private } else { Section::Icann },
+                    )
+                    .unwrap(),
+                    added: date(added),
+                    removed: removed.map(date),
+                })
+                .collect();
+            let h = History::new(spans, days.iter().map(|&d| date(d)).collect());
+            let want = collected_replay(&h);
+            let mut got = Vec::new();
+            h.replay_changes(|i, v, changes| {
+                assert_eq!(v, h.versions()[i]);
+                got.push(
+                    changes
+                        .map(|(added, rule)| (added, rule.as_text(), rule.section()))
+                        .collect::<Vec<_>>(),
+                );
+            });
+            proptest::prop_assert_eq!(&got, &want);
+            let mut count = 0i64;
+            let sizes: Vec<(Date, usize)> = h
+                .versions()
+                .iter()
+                .zip(&want)
+                .map(|(&v, changes)| {
+                    count += changes.iter().map(|c| if c.0 { 1 } else { -1 }).sum::<i64>();
+                    (v, count.max(0) as usize)
+                })
+                .collect();
+            proptest::prop_assert_eq!(h.version_sizes(), sizes);
+        }
     }
 
     #[test]

@@ -35,4 +35,4 @@ pub use histfile::{
     write_history_file, CompiledHistoryFile, DEFAULT_CHECKPOINT_EVERY, HISTORY_FORMAT_VERSION,
     HISTORY_MAGIC,
 };
-pub use history::{Diff, History, RuleSpan};
+pub use history::{Changes, Diff, History, RuleSpan};

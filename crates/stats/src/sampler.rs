@@ -8,13 +8,27 @@
 use rand::Rng;
 
 /// A Zipf distribution over ranks `1..=n` with exponent `s`, sampled via a
-/// precomputed cumulative table and binary search. O(n) setup, O(log n) per
-/// sample; exact (no rejection), which keeps the generators fast at corpus
-/// scale.
+/// precomputed cumulative table. O(n) setup; exact (no rejection), which
+/// keeps the generators fast at corpus scale.
+///
+/// A draw `u` ranks at the first entry of the cumulative table not below
+/// it. A second table holds that rank at every multiple of
+/// `2^-TABLE_BITS`, so a draw's top bits name a bucket and the ranks at
+/// its two ends bound the draw's: when they agree the draw ranks there,
+/// and otherwise a binary search covers only the ranks between them.
+/// Every rank equals a binary search over the whole cumulative table.
 #[derive(Debug, Clone)]
 pub struct Zipf {
     cdf: Vec<f64>,
+    /// `edges[b]`: the index in `cdf` of a draw of exactly `b / 2^bits`,
+    /// for `b` in `0..=2^bits`, where `bits` is [`TABLE_BITS`] outside
+    /// the tests.
+    edges: Vec<u32>,
 }
+
+/// Bits of the draw that pick a bucket of [`Zipf`]'s rank table: 4,097
+/// entries, 16 KiB.
+const TABLE_BITS: u32 = 12;
 
 impl Zipf {
     /// Create a Zipf sampler over `1..=n` with exponent `s > 0`.
@@ -24,8 +38,17 @@ impl Zipf {
     /// Panics if `n == 0` or `s` is not finite and positive — both are
     /// construction-time programming errors, not data errors.
     pub fn new(n: usize, s: f64) -> Self {
+        Self::with_table_bits(n, s, TABLE_BITS)
+    }
+
+    /// [`Zipf::new`] with a rank table over the draw's top `bits` bits
+    /// (at most [`TABLE_BITS`]); 0 makes one bucket, so every draw
+    /// searches the whole cumulative table. The samples are the same for
+    /// every `bits`.
+    fn with_table_bits(n: usize, s: f64, bits: u32) -> Self {
         assert!(n > 0, "Zipf needs at least one rank");
         assert!(s.is_finite() && s > 0.0, "Zipf exponent must be positive");
+        assert!(bits <= TABLE_BITS, "Zipf rank table too large");
         let mut cdf = Vec::with_capacity(n);
         let mut acc = 0.0;
         for k in 1..=n {
@@ -36,7 +59,16 @@ impl Zipf {
         for v in &mut cdf {
             *v /= total;
         }
-        Zipf { cdf }
+        // The bucket edges ascend, so one pass over the table places them.
+        let buckets = 1usize << bits;
+        let mut edges = Vec::with_capacity(buckets + 1);
+        let mut rank = 0;
+        for b in 0..=buckets {
+            let u = b as f64 / buckets as f64;
+            rank += cdf[rank..].partition_point(|&c| c < u);
+            edges.push(rank as u32);
+        }
+        Zipf { cdf, edges }
     }
 
     /// Number of ranks.
@@ -46,9 +78,17 @@ impl Zipf {
 
     /// Draw a rank in `1..=n` (rank 1 is the most probable).
     pub fn sample(&self, rng: &mut impl Rng) -> usize {
-        let u: f64 = rng.gen();
-        // partition_point returns the first index with cdf[i] >= u.
-        let idx = self.cdf.partition_point(|&c| c < u);
+        self.rank(rng.gen())
+    }
+
+    /// The rank of draw `u` in `[0, 1)`: the first index with
+    /// `cdf[i] >= u`, plus one, clamped to `n`.
+    fn rank(&self, u: f64) -> usize {
+        let buckets = self.edges.len() - 1;
+        // Exact: `u` times a power of two, truncated.
+        let b = ((u * buckets as f64) as usize).min(buckets - 1);
+        let (lo, hi) = (self.edges[b] as usize, self.edges[b + 1] as usize);
+        let idx = if lo == hi { lo } else { lo + self.cdf[lo..hi].partition_point(|&c| c < u) };
         idx.min(self.cdf.len() - 1) + 1
     }
 
@@ -211,7 +251,50 @@ mod tests {
         assert_eq!(a, b);
     }
 
+    /// The rank of draw `u` by a binary search over the whole table.
+    fn searched(z: &Zipf, u: f64) -> usize {
+        z.cdf.partition_point(|&c| c < u).min(z.n() - 1) + 1
+    }
+
+    #[test]
+    fn one_bucket_searches_the_whole_table() {
+        let (tabled, one) = (Zipf::new(300, 1.1), Zipf::with_table_bits(300, 1.1, 0));
+        assert_eq!(one.edges.len(), 2);
+        let (mut a, mut b) = (rng(9), rng(9));
+        for _ in 0..10_000 {
+            assert_eq!(tabled.sample(&mut a), one.sample(&mut b));
+        }
+    }
+
     proptest! {
+        /// Every rank equals the whole-table search's, at every bucket
+        /// boundary, one draw (`2^-53`) either side of it, and at random
+        /// draws.
+        #[test]
+        fn bucketed_ranks_equal_the_whole_table_search(
+            n in 1usize..5000,
+            s in 0.3f64..3.0,
+            bits in 0u32..13,
+            seed in 0u64..1000,
+        ) {
+            let z = Zipf::with_table_bits(n, s, bits);
+            let step = 1.0 / (1u64 << 53) as f64;
+            let buckets = 1u64 << bits;
+            for b in 0..=buckets {
+                let edge = b as f64 / buckets as f64;
+                for u in [edge - step, edge, edge + step] {
+                    if (0.0..1.0).contains(&u) {
+                        prop_assert_eq!(z.rank(u), searched(&z, u), "u = {}", u);
+                    }
+                }
+            }
+            let mut r = rng(seed);
+            for _ in 0..1000 {
+                let u: f64 = r.gen();
+                prop_assert_eq!(z.rank(u), searched(&z, u), "u = {}", u);
+            }
+        }
+
         #[test]
         fn zipf_samples_in_range(n in 1usize..200, s in 0.5f64..2.5, seed in 0u64..1000) {
             let z = Zipf::new(n, s);

@@ -146,9 +146,9 @@ impl StreamCorpus {
     }
 
     /// Generate the requests page `page_index` emits into `out`
-    /// (cleared first). Deterministic: the page's draws come from its
-    /// own RNG stream derived from the corpus seed, independent of any
-    /// other page.
+    /// (cleared first), possibly none, all naming the same page host.
+    /// Deterministic: the page's draws come from its own RNG stream
+    /// derived from the corpus seed, independent of any other page.
     pub fn page_requests(&self, page_index: u64, out: &mut Vec<Request>) {
         out.clear();
         let mut rng = StdRng::seed_from_u64(derive_seed(self.page_stream_seed, page_index));
@@ -267,6 +267,16 @@ mod tests {
     fn fixture() -> StreamCorpus {
         let h = generate(&GeneratorConfig::small(61));
         build_stream(&h, &CorpusConfig::small(21))
+    }
+
+    #[test]
+    fn every_page_names_one_page_host() {
+        let sc = fixture();
+        let mut buf = Vec::new();
+        for page in 0..sc.pages() {
+            sc.page_requests(page, &mut buf);
+            assert!(buf.iter().all(|r| r.page == buf[0].page), "page {page}");
+        }
     }
 
     #[test]
