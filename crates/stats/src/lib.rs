@@ -28,4 +28,7 @@ pub use ecdf::Ecdf;
 pub use histogram::Histogram;
 pub use hll::{hash64, mix64, HyperLogLog};
 pub use process::{current_rss_bytes, peak_rss_bytes, reset_peak_rss};
-pub use sampler::{derive_seed, exponential, log_normal, standard_normal, weighted_index, Zipf};
+pub use sampler::{
+    derive_seed, exponential, index_below, log_normal, standard_normal, unit_f64, weighted_index,
+    Zipf,
+};

@@ -4,8 +4,28 @@
 //! is heavy-tailed (log-normal), and the generators must be reproducible
 //! bit-for-bit from a `u64` seed. All samplers take `&mut impl Rng` so a
 //! single seeded [`rand::rngs::StdRng`] can drive a whole pipeline.
+//!
+//! A generator that draws first and decides after takes raw `u64` draws
+//! and maps them here, with [`unit_f64`], [`index_below`] and
+//! [`Zipf::rank`]. Each gives exactly what the vendored `rand` shim's
+//! `gen::<f64>()`, `gen_range(0..n)` and [`Zipf::sample`] give for the
+//! same draw (tested below), so the two styles make one stream.
 
 use rand::Rng;
+
+/// The `f64` in `[0, 1)` that `rng.gen::<f64>()` makes of the raw draw
+/// `x`: its top 53 bits, scaled by `2^-53`.
+#[inline]
+pub fn unit_f64(x: u64) -> f64 {
+    (x >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+}
+
+/// The index in `0..n` that `rng.gen_range(0..n)` makes of the raw draw
+/// `x`: the high word of `x · n` (Lemire's multiply-shift).
+#[inline]
+pub fn index_below(x: u64, n: usize) -> usize {
+    ((u128::from(x) * n as u128) >> 64) as usize
+}
 
 /// A Zipf distribution over ranks `1..=n` with exponent `s`, sampled via a
 /// precomputed cumulative table. O(n) setup; exact (no rejection), which
@@ -16,7 +36,9 @@ use rand::Rng;
 /// `2^-TABLE_BITS`, so a draw's top bits name a bucket and the ranks at
 /// its two ends bound the draw's: when they agree the draw ranks there,
 /// and otherwise a binary search covers only the ranks between them.
-/// Every rank equals a binary search over the whole cumulative table.
+/// The bucket comes straight from the raw draw's bits, and the `f64` is
+/// formed only for that search. Every rank equals a binary search over
+/// the whole cumulative table.
 #[derive(Debug, Clone)]
 pub struct Zipf {
     cdf: Vec<f64>,
@@ -24,6 +46,9 @@ pub struct Zipf {
     /// for `b` in `0..=2^bits`, where `bits` is [`TABLE_BITS`] outside
     /// the tests.
     edges: Vec<u32>,
+    /// `53 - bits`: a draw's 53 mantissa bits shifted right by this name
+    /// its bucket.
+    shift: u32,
 }
 
 /// Bits of the draw that pick a bucket of [`Zipf`]'s rank table: 4,097
@@ -68,7 +93,7 @@ impl Zipf {
             rank += cdf[rank..].partition_point(|&c| c < u);
             edges.push(rank as u32);
         }
-        Zipf { cdf, edges }
+        Zipf { cdf, edges, shift: 53 - bits }
     }
 
     /// Number of ranks.
@@ -78,17 +103,24 @@ impl Zipf {
 
     /// Draw a rank in `1..=n` (rank 1 is the most probable).
     pub fn sample(&self, rng: &mut impl Rng) -> usize {
-        self.rank(rng.gen())
+        self.rank(rng.next_u64())
     }
 
-    /// The rank of draw `u` in `[0, 1)`: the first index with
-    /// `cdf[i] >= u`, plus one, clamped to `n`.
-    fn rank(&self, u: f64) -> usize {
-        let buckets = self.edges.len() - 1;
-        // Exact: `u` times a power of two, truncated.
-        let b = ((u * buckets as f64) as usize).min(buckets - 1);
+    /// The rank in `1..=n` of the raw draw `x`: the first index with
+    /// `cdf[i] >= unit_f64(x)`, plus one, clamped to `n`.
+    ///
+    /// The bucket is the top bits of the draw's 53 mantissa bits, which
+    /// is exactly `(unit_f64(x) · 2^bits)` truncated.
+    #[inline]
+    pub fn rank(&self, x: u64) -> usize {
+        let b = ((x >> 11) >> self.shift) as usize;
         let (lo, hi) = (self.edges[b] as usize, self.edges[b + 1] as usize);
-        let idx = if lo == hi { lo } else { lo + self.cdf[lo..hi].partition_point(|&c| c < u) };
+        let idx = if lo == hi {
+            lo
+        } else {
+            let u = unit_f64(x);
+            lo + self.cdf[lo..hi].partition_point(|&c| c < u)
+        };
         idx.min(self.cdf.len() - 1) + 1
     }
 
@@ -256,6 +288,18 @@ mod tests {
         z.cdf.partition_point(|&c| c < u).min(z.n() - 1) + 1
     }
 
+    /// A raw draw whose [`unit_f64`] is `u` (a multiple of `2^-53`), with
+    /// `low`'s bottom 11 bits in the bits the mapping drops.
+    fn raw(u: f64, low: u64) -> u64 {
+        (((u * (1u64 << 53) as f64) as u64) << 11) | (low & 0x7ff)
+    }
+
+    /// The pool sizes the page and session generators index in the
+    /// paper-scale worlds of seeds 7 and 23: organisations, platforms
+    /// (987 and 1,042), excepted cities, trackers and spike hosts, then
+    /// the largest platform, organisation and city.
+    const POOL_SIZES: [usize; 9] = [3000, 987, 1042, 320, 40, 660, 785, 7, 4];
+
     #[test]
     fn one_bucket_searches_the_whole_table() {
         let (tabled, one) = (Zipf::new(300, 1.1), Zipf::with_table_bits(300, 1.1, 0));
@@ -280,18 +324,40 @@ mod tests {
             let z = Zipf::with_table_bits(n, s, bits);
             let step = 1.0 / (1u64 << 53) as f64;
             let buckets = 1u64 << bits;
+            let mut r = rng(seed);
             for b in 0..=buckets {
                 let edge = b as f64 / buckets as f64;
                 for u in [edge - step, edge, edge + step] {
                     if (0.0..1.0).contains(&u) {
-                        prop_assert_eq!(z.rank(u), searched(&z, u), "u = {}", u);
+                        let x = raw(u, r.next_u64());
+                        prop_assert_eq!(unit_f64(x), u);
+                        prop_assert_eq!(z.rank(x), searched(&z, u), "u = {}", u);
                     }
                 }
             }
-            let mut r = rng(seed);
             for _ in 0..1000 {
-                let u: f64 = r.gen();
-                prop_assert_eq!(z.rank(u), searched(&z, u), "u = {}", u);
+                let x = r.next_u64();
+                prop_assert_eq!(z.rank(x), searched(&z, unit_f64(x)), "x = {:#x}", x);
+            }
+        }
+
+        /// A raw draw maps to what an identically seeded `StdRng` gives
+        /// for it: the `f64` of `gen`, the index of `gen_range(0..n)` and,
+        /// for the two Zipf tables the generators build, the whole-table
+        /// rank of `gen`'s `f64`.
+        #[test]
+        fn raw_draws_map_like_the_rng(seed in 0u64..u64::MAX, n in 1usize..=u32::MAX as usize) {
+            let (mut raw, mut rng) = (rng(seed), rng(seed));
+            for n in [1, 2, n, u32::MAX as usize].into_iter().chain(POOL_SIZES) {
+                for _ in 0..50 {
+                    prop_assert_eq!(unit_f64(raw.next_u64()), rng.gen::<f64>());
+                    prop_assert_eq!(index_below(raw.next_u64(), n), rng.gen_range(0..n), "n = {}", n);
+                }
+            }
+            for z in [Zipf::new(3000, 1.05), Zipf::new(40, 1.2)] {
+                for _ in 0..500 {
+                    prop_assert_eq!(z.rank(raw.next_u64()), searched(&z, rng.gen::<f64>()));
+                }
             }
         }
 
