@@ -4,7 +4,6 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use psl_bench::world;
 use psl_core::{
     parse_dat, punycode, DomainName, FrozenList, LabelInterner, List, MatchOpts, SnapshotView,
-    SuffixTrie,
 };
 use psl_history::DatingIndex;
 
@@ -13,14 +12,6 @@ fn bench_parse_dat(c: &mut Criterion) {
     let text = w.history.latest_snapshot().to_dat();
     c.bench_function("parse_dat_full_list", |b| {
         b.iter(|| std::hint::black_box(parse_dat(&text).len()))
-    });
-}
-
-fn bench_trie_build(c: &mut Criterion) {
-    let w = world();
-    let rules = w.history.rules_at(w.history.latest_version());
-    c.bench_function("trie_build_full_list", |b| {
-        b.iter(|| std::hint::black_box(SuffixTrie::from_rules(&rules).len()))
     });
 }
 
@@ -179,7 +170,6 @@ fn bench_dating(c: &mut Criterion) {
 criterion_group!(
     engine,
     bench_parse_dat,
-    bench_trie_build,
     bench_frozen_compile,
     bench_snapshot_load,
     bench_lookup,

@@ -16,8 +16,8 @@
 //! pslharm loadgen [--addr A] [--requests N] [--check]        replay load, report throughput
 //! pslharm sweep   [--requests N] [--shards auto]             streaming Figs 5-7 at paper scale
 //! pslharm fleet   [--sessions N] [--shards auto] [--sketch]  executed per-version-age harms
-//! pslharm compile [LIST.dat] --out PATH [--history]          compiled snapshot / history file
-//! pslharm inspect PATH                                       decode a compiled file's header
+//! pslharm compile [LIST.dat] --out PATH                      compiled snapshot
+//! pslharm inspect PATH                                       decode a snapshot's header
 //! pslharm lint    [LIST.dat...]                              rule-hygiene findings
 //! pslharm blame   RULE...                                    when a rule was added / removed
 //! pslharm fuzz    [TARGET] [--seed N] [--iters N]            differential fuzzing
@@ -85,7 +85,7 @@ certharm|updatefail|replay|categories> [--seed N] [--paper-scale] [--threads N] 
        pslharm loadgen [--addr HOST:PORT] [--requests N] [--connections N] [--batch N] [--check | --pipeline [--window N]]
        pslharm sweep [--seed N] [--requests N] [--shards N|auto] [--threads N] [--json PATH]
        pslharm fleet [--seed N] [--sessions N] [--shards N|auto] [--threads N] [--sketch] [--max-versions N] [--json PATH]
-       pslharm compile [LIST.dat] --out PATH [--embedded | --history [--checkpoint-every N]] [--seed N]
+       pslharm compile [LIST.dat] --out PATH [--embedded] [--seed N]
        pslharm inspect PATH
        pslharm lint [LIST.dat...]
        pslharm blame RULE...
@@ -114,8 +114,6 @@ struct Flags {
     time_budget: Option<u64>,
     write_corpus: bool,
     out: Option<String>,
-    history: bool,
-    checkpoint_every: u32,
     shards: usize,
     sketch: bool,
     sessions: u64,
@@ -147,8 +145,6 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
         time_budget: None,
         write_corpus: false,
         out: None,
-        history: false,
-        checkpoint_every: psl_history::DEFAULT_CHECKPOINT_EVERY,
         shards: 0,
         sketch: false,
         sessions: 10_000,
@@ -240,15 +236,6 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
             "--mmap" => flags.mmap = true,
             "--out" => {
                 flags.out = Some(it.next().ok_or("--out needs a path")?.clone());
-            }
-            "--history" => flags.history = true,
-            "--checkpoint-every" => {
-                let v = it.next().ok_or("--checkpoint-every needs a value")?;
-                flags.checkpoint_every =
-                    v.parse().map_err(|_| format!("bad checkpoint cadence {v:?}"))?;
-                if flags.checkpoint_every == 0 {
-                    return Err("--checkpoint-every must be >= 1".into());
-                }
             }
             other if other.starts_with("--") => {
                 return Err(format!("unknown flag {other:?}"));
@@ -367,39 +354,49 @@ fn cmd_conformance(args: &[String]) -> Result<(), String> {
         println!("  FAIL {f}");
     }
 
-    // 3. Differential sweep over every history version: the owned and the
-    //    mapped walk against the linear oracle.
+    // 3. Differential sweep over every history version: the owned, the
+    //    mapped and the versioned walk against the linear oracle.
     let hosts = psl_conformance::probe_corpus(&history, flags.seed.wrapping_add(3), 10_000);
     eprintln!(
-        "differential sweep: {} versions x {} hostnames x 3 option sets x 2 walks (owned, \
-         mapped) vs the linear oracle ...",
+        "differential sweep: {} versions x {} hostnames x 3 option sets x 3 walks (owned, \
+         mapped, versioned) vs the linear oracle ...",
         history.version_count(),
         hosts.len()
     );
     let sweep = psl_conformance::sweep_history(&history, &hosts, 0);
     println!(
-        "differential sweep: {} comparisons over {} versions, {} divergences",
+        "differential sweep: {} comparisons over {} versions, each by the owned, mapped and \
+         versioned walk, {} divergences",
         sweep.comparisons,
         sweep.versions,
         sweep.divergences.len()
     );
+    let arena = history.versioned_list();
+    println!(
+        "versioned arena:    {} nodes, {} steps over {} versions (the walk ASOF reads)",
+        arena.node_count(),
+        arena.step_count(),
+        history.version_count()
+    );
     let print_divergences = |outcome: &psl_conformance::SweepOutcome| {
         for d in outcome.divergences.iter().take(10) {
             println!(
-                "  DIVERGENCE at {}: {} (minimized: {}) production={} linear={} mapped={}",
+                "  DIVERGENCE at {}: {} (minimized: {}) production={} linear={} mapped={} \
+                 versioned={}",
                 d.version.as_deref().unwrap_or("-"),
                 d.host,
                 d.minimized,
                 d.production,
                 d.linear,
-                d.mapped
+                d.mapped,
+                d.versioned
             );
         }
     };
     print_divergences(&sweep);
 
     // 4. Rule shapes no generated history has (rules below an exception,
-    //    wildcards below wildcards, ...), through the same two walks.
+    //    wildcards below wildcards, ...), through the same three walks.
     let shapes = psl_core::List::parse(psl_conformance::WALK_SHAPES);
     let shape_check = psl_conformance::check_list(&shapes, &psl_conformance::list_probes(&shapes));
     println!(
@@ -871,11 +868,10 @@ fn cmd_fleet(args: &[String]) -> Result<(), String> {
 
 // ---- Snapshot compilation / inspection ------------------------------------
 
-/// `pslharm compile`: produce a binary artifact that `serve --watch`,
+/// `pslharm compile`: produce a binary snapshot that `serve --watch`,
 /// `inspect`, and `List::load_snapshot` all accept. The source is, in
-/// priority order: `--history` (the full generated history as one
-/// delta-compressed file), an explicit list path argument (`.dat` text or
-/// an existing snapshot, re-emitted canonically), `--embedded`, or the
+/// priority order: an explicit list path argument (`.dat` text or an
+/// existing snapshot, re-emitted canonically), `--embedded`, or the
 /// generated history's latest version.
 fn cmd_compile(args: &[String]) -> Result<(), String> {
     let flags = parse_flags(args)?;
@@ -884,97 +880,51 @@ fn cmd_compile(args: &[String]) -> Result<(), String> {
         return Err(format!("compile: unexpected arguments {:?}", &flags.extra[1..]));
     }
 
-    let (bytes, what) = if flags.history {
-        if !flags.extra.is_empty() || flags.embedded {
-            return Err("compile: --history compiles the generated history; it takes no list \
-                        path and no --embedded"
-                .into());
-        }
+    let list = if let Some(path) = flags.extra.first() {
+        psl_service::load_list_file(std::path::Path::new(path))?
+    } else if flags.embedded {
+        psl_core::embedded_list()
+    } else {
         eprintln!("generating history (seed {}) ...", flags.seed);
         let history = psl_history::generate(&config_for(&flags).history);
-        let bytes = history.write_compiled_file(flags.checkpoint_every);
-        let what = format!(
-            "history file: {} versions ({} .. {}), checkpoint every {}",
-            history.version_count(),
-            history.first_version(),
-            history.latest_version(),
-            flags.checkpoint_every
-        );
-        (bytes, what)
-    } else {
-        let list = if let Some(path) = flags.extra.first() {
-            psl_service::load_list_file(std::path::Path::new(path))?
-        } else if flags.embedded {
-            psl_core::embedded_list()
-        } else {
-            eprintln!("generating history (seed {}) ...", flags.seed);
-            let history = psl_history::generate(&config_for(&flags).history);
-            history.latest_snapshot()
-        };
-        let what = format!("list snapshot: {} rules", list.len());
-        (list.write_snapshot(), what)
+        history.latest_snapshot()
     };
-
+    let bytes = list.write_snapshot();
     std::fs::write(&out, &bytes).map_err(|e| format!("writing {out}: {e}"))?;
-    println!("pslharm compile: wrote {out} ({} B, {what})", bytes.len());
+    println!(
+        "pslharm compile: wrote {out} ({} B, list snapshot: {} rules)",
+        bytes.len(),
+        list.len()
+    );
     Ok(())
 }
 
-/// `pslharm inspect`: decode a compiled artifact's header without
+/// `pslharm inspect`: decode a compiled snapshot's header without
 /// materializing anything — the debugging view of the on-disk format.
 fn cmd_inspect(args: &[String]) -> Result<(), String> {
     let flags = parse_flags(args)?;
-    let path =
-        flags.extra.first().ok_or("inspect: give a compiled snapshot or history file path")?;
+    let path = flags.extra.first().ok_or("inspect: give a compiled snapshot path")?;
     let bytes = std::fs::read(path).map_err(|e| format!("reading {path}: {e}"))?;
-
-    if bytes.starts_with(&psl_core::LIST_MAGIC) {
-        let view = psl_core::SnapshotView::parse(&bytes).map_err(|e| format!("{path}: {e}"))?;
-        println!("{path}: list snapshot, format v{}", psl_core::LIST_FORMAT_VERSION);
-        println!(
-            "  {} rules, {} labels, {} nodes, {} edges, {} root entries, {} B total",
-            view.rules(),
-            view.label_count(),
-            view.node_count(),
-            view.edge_count(),
-            view.root_table_len(),
-            view.byte_len()
-        );
-        println!("  sections:");
-        for (name, offset, len) in view.sections() {
-            println!("    {name:<14} offset {offset:>8}  {len:>8} B");
-        }
-    } else if bytes.starts_with(&psl_history::HISTORY_MAGIC) {
-        let file =
-            psl_history::CompiledHistoryFile::load(bytes).map_err(|e| format!("{path}: {e}"))?;
-        let dates = file.dates();
-        println!("{path}: compiled history, format v{}", psl_history::HISTORY_FORMAT_VERSION);
-        println!(
-            "  {} versions ({} .. {}), checkpoint every {}, {} interned labels, {} B total",
-            file.version_count(),
-            dates.first().expect("non-empty by validation"),
-            dates.last().expect("non-empty by validation"),
-            file.checkpoint_every(),
-            file.interner().len(),
-            file.byte_len()
-        );
-        let (mut adds, mut dels) = (0usize, 0usize);
-        for i in 0..file.version_count() {
-            let (d, a) = file.delta_counts(i);
-            dels += d;
-            adds += a;
-        }
-        println!(
-            "  {} rule records ({adds} adds, {dels} removals); latest version: {} rules",
-            file.record_count(),
-            file.latest().len()
-        );
-    } else {
+    if !bytes.starts_with(&psl_core::LIST_MAGIC) {
         return Err(format!(
-            "{path}: not a compiled artifact (expected {:?} or {:?} magic)",
-            String::from_utf8_lossy(&psl_core::LIST_MAGIC),
-            String::from_utf8_lossy(&psl_history::HISTORY_MAGIC)
+            "{path}: not a compiled snapshot (expected {:?} magic)",
+            String::from_utf8_lossy(&psl_core::LIST_MAGIC)
         ));
+    }
+    let view = psl_core::SnapshotView::parse(&bytes).map_err(|e| format!("{path}: {e}"))?;
+    println!("{path}: list snapshot, format v{}", psl_core::LIST_FORMAT_VERSION);
+    println!(
+        "  {} rules, {} labels, {} nodes, {} edges, {} root entries, {} B total",
+        view.rules(),
+        view.label_count(),
+        view.node_count(),
+        view.edge_count(),
+        view.root_table_len(),
+        view.byte_len()
+    );
+    println!("  sections:");
+    for (name, offset, len) in view.sections() {
+        println!("    {name:<14} offset {offset:>8}  {len:>8} B");
     }
     Ok(())
 }

@@ -1,7 +1,7 @@
-//! Differential matcher oracle: one walk, two arms, one oracle.
+//! Differential matcher oracle: one walk, three arms, one oracle.
 //!
-//! Every hostname is answered by the two arms the engine serves from and
-//! by the literal reading of the algorithm:
+//! Every hostname is answered by the three arms the engine serves from
+//! and by the literal reading of the algorithm:
 //!
 //! 1. the production walk: a [`List`] (its compiled [`psl_core::FrozenList`]),
 //!    queried through the [`ProductionMatcher`] seam so tests can plant a
@@ -9,17 +9,20 @@
 //! 2. the mapped walk: a [`SnapshotView`] over the same list's
 //!    `write_snapshot()` bytes, queried with the list's label ids (the
 //!    writer keeps interner order, so the two id spaces are one);
-//! 3. the oracle, [`psl_core::trie::disposition_linear`], which tests
+//! 3. the versioned walk: the rule set's version of a [`VersionedList`]
+//!    (a history's arena, or [`one_version`] of a bare list), read in
+//!    place with the host's labels, as `ASOF` reads it;
+//! 4. the oracle, [`psl_core::trie::disposition_linear`], which tests
 //!    every rule against the host.
 //!
-//! Both arms run the same walk over different arena layouts; any
+//! The arms run the same walk over different arena layouts; any
 //! disagreement with the oracle is a bug in the walk or in one layout. The
 //! sweep runs the comparison across every version of a [`History`],
 //! reports the first divergence per version, and ships a label-minimized
 //! reproducer so the failing case is human-readable.
 
 use psl_core::trie::disposition_linear;
-use psl_core::{Date, Disposition, DomainName, List, MatchOpts, Rule, SnapshotView};
+use psl_core::{At, Disposition, DomainName, List, MatchOpts, Rule, SnapshotView, VersionedList};
 use psl_history::History;
 use rand::{Rng, SeedableRng};
 use serde::Serialize;
@@ -39,6 +42,8 @@ pub struct Divergence {
     pub linear: String,
     /// The mapped snapshot's answer.
     pub mapped: String,
+    /// The versioned arena's answer at the rule set's version.
+    pub versioned: String,
 }
 
 /// Result of a differential sweep.
@@ -110,31 +115,40 @@ fn mapped_disposition(
     mapped.disposition_by_ids(&ids, opts)
 }
 
-/// The production, linear and mapped answers for one host.
+/// The production, linear, mapped and versioned answers for one host.
 fn answers(
     production: &impl ProductionMatcher,
     rules: &[Rule],
     list: &List,
     mapped: &SnapshotView<'_>,
+    versioned: At<'_>,
     reversed: &[&str],
     opts: MatchOpts,
-) -> [Answer; 3] {
+) -> [Answer; 4] {
     [
         guarded(|| production.disposition(reversed, opts)),
         guarded(|| disposition_linear(rules, reversed, opts)),
         guarded(|| mapped_disposition(list, mapped, reversed, opts)),
+        guarded(|| versioned.disposition(reversed, opts)),
     ]
 }
 
-/// Compare both arms with the linear oracle over `rules` on a host corpus,
-/// returning the first divergence (with a minimized reproducer). `mapped`
-/// is a view over `list.write_snapshot()` (a mutation test may pass
-/// another list's snapshot) and is queried with `list`'s label ids.
+/// True unless every arm agrees with the linear oracle (the second answer).
+fn disagree(answers: &[Answer; 4]) -> bool {
+    answers.iter().any(|a| *a != answers[1])
+}
+
+/// Compare the three arms with the linear oracle over `rules` on a host
+/// corpus, returning the first divergence (with a minimized reproducer).
+/// `mapped` is a view over `list.write_snapshot()` (a mutation test may
+/// pass another list's snapshot) and is queried with `list`'s label ids;
+/// `versioned` is the version of an arena that holds `rules`.
 pub fn first_divergence(
     production: &impl ProductionMatcher,
     rules: &[Rule],
     list: &List,
     mapped: &SnapshotView<'_>,
+    versioned: At<'_>,
     hosts: &[DomainName],
     comparisons: &mut usize,
 ) -> Option<Divergence> {
@@ -142,9 +156,11 @@ pub fn first_divergence(
         let reversed = host.labels_reversed();
         for opts in OPTS_MATRIX {
             *comparisons += 1;
-            let [p, l, m] = answers(production, rules, list, mapped, &reversed, opts);
-            if p != l || m != l {
-                let minimized = minimize(production, rules, list, mapped, &reversed, opts);
+            let found = answers(production, rules, list, mapped, versioned, &reversed, opts);
+            if disagree(&found) {
+                let minimized =
+                    minimize(production, rules, list, mapped, versioned, &reversed, opts);
+                let [p, l, m, v] = found;
                 return Some(Divergence {
                     version: None,
                     host: host.as_str().to_string(),
@@ -152,6 +168,7 @@ pub fn first_divergence(
                     production: render(p),
                     linear: render(l),
                     mapped: render(m),
+                    versioned: render(v),
                 });
             }
         }
@@ -166,13 +183,12 @@ fn minimize(
     rules: &[Rule],
     list: &List,
     mapped: &SnapshotView<'_>,
+    versioned: At<'_>,
     reversed: &[&str],
     opts: MatchOpts,
 ) -> String {
-    let diverges = |rev: &[&str]| {
-        let [p, l, m] = answers(production, rules, list, mapped, rev, opts);
-        p != l || m != l
-    };
+    let diverges =
+        |rev: &[&str]| disagree(&answers(production, rules, list, mapped, versioned, rev, opts));
 
     // Labels here are in reversed (TLD-first) order; the leftmost label of
     // the hostname is the *last* element.
@@ -201,31 +217,34 @@ fn minimize(
 }
 
 /// Run the comparison over every version of a history (or the `limit`
-/// most recent versions when `limit > 0`).
+/// most recent versions when `limit > 0`), the versioned arm reading the
+/// history's one arena at each version.
 pub fn sweep_history(history: &History, hosts: &[DomainName], limit: usize) -> SweepOutcome {
-    let versions: Vec<Date> = {
-        let all = history.versions();
-        if limit > 0 && all.len() > limit {
-            all[all.len() - limit..].to_vec()
-        } else {
-            all.to_vec()
-        }
-    };
+    let all = history.versions();
+    let skip = if limit > 0 { all.len().saturating_sub(limit) } else { 0 };
+    let arena = history.versioned_list();
     let mut comparisons = 0;
     let mut divergences = Vec::new();
-    for &version in &versions {
+    for (index, &version) in all.iter().enumerate().skip(skip) {
         let rules = history.rules_at(version);
         let list = List::from_rules(rules.clone());
         let bytes = list.write_snapshot();
         let mapped = SnapshotView::parse(&bytes).expect("a list's own snapshot parses");
+        let versioned = arena.at(index);
         if let Some(mut d) =
-            first_divergence(&list, &rules, &list, &mapped, hosts, &mut comparisons)
+            first_divergence(&list, &rules, &list, &mapped, versioned, hosts, &mut comparisons)
         {
             d.version = Some(version.to_string());
             divergences.push(d);
         }
     }
-    SweepOutcome { versions: versions.len(), hosts: hosts.len(), comparisons, divergences }
+    SweepOutcome { versions: all.len() - skip, hosts: hosts.len(), comparisons, divergences }
+}
+
+/// `list`'s rules as a one-version arena: the versioned arm for a bare
+/// list.
+pub fn one_version(list: &List) -> VersionedList {
+    VersionedList::build(list.rules().iter().map(|rule| (0, true, rule)))
 }
 
 /// Build a probe corpus of at least `n` hostnames for a history: every
@@ -283,12 +302,15 @@ fn label(rng: &mut rand::rngs::StdRng) -> String {
 }
 
 /// Check a bare [`List`] over a host corpus, the list itself as the
-/// production arm and its own snapshot as the mapped arm (one version).
+/// production arm, its own snapshot as the mapped arm and
+/// [`one_version`] of it as the versioned arm.
 pub fn check_list(list: &List, hosts: &[DomainName]) -> SweepOutcome {
     let bytes = list.write_snapshot();
     let mapped = SnapshotView::parse(&bytes).expect("a list's own snapshot parses");
+    let arena = one_version(list);
     let mut comparisons = 0;
-    let divergence = first_divergence(list, list.rules(), list, &mapped, hosts, &mut comparisons);
+    let divergence =
+        first_divergence(list, list.rules(), list, &mapped, arena.at(0), hosts, &mut comparisons);
     SweepOutcome {
         versions: 1,
         hosts: hosts.len(),
@@ -378,15 +400,25 @@ mod tests {
         let broken = ExceptionBlind(list.clone());
         let bytes = list.write_snapshot();
         let mapped = SnapshotView::parse(&bytes).unwrap();
+        let arena = one_version(&list);
         let hosts = vec![DomainName::parse("deep.sub.city.kobe.jp").unwrap()];
         let mut comparisons = 0;
-        let d = first_divergence(&broken, &rules, &list, &mapped, &hosts, &mut comparisons)
-            .expect("oracle must catch the exception-blind matcher");
+        let d = first_divergence(
+            &broken,
+            &rules,
+            &list,
+            &mapped,
+            arena.at(0),
+            &hosts,
+            &mut comparisons,
+        )
+        .expect("oracle must catch the exception-blind matcher");
         assert_eq!(d.host, "deep.sub.city.kobe.jp");
         // Minimization drops the irrelevant leading labels.
         assert_eq!(d.minimized, "city.kobe.jp");
         assert_ne!(d.production, d.linear);
         assert_eq!(d.linear, d.mapped, "the healthy mapped arm stays in agreement");
+        assert_eq!(d.linear, d.versioned, "the healthy versioned arm stays in agreement");
     }
 
     /// The converse direction: a healthy production walk with a *skewed
@@ -399,12 +431,48 @@ mod tests {
         // "Break" the mapped side by snapshotting a different rule set.
         let skewed = List::parse("jp\n*.kobe.jp\n").write_snapshot();
         let mapped = SnapshotView::parse(&skewed).unwrap();
+        let arena = one_version(&list);
         let hosts = vec![DomainName::parse("x.city.kobe.jp").unwrap()];
         let mut comparisons = 0;
-        let d = first_divergence(&list, &rules, &list, &mapped, &hosts, &mut comparisons)
-            .expect("oracle must catch the skewed mapped arm");
+        let d =
+            first_divergence(&list, &rules, &list, &mapped, arena.at(0), &hosts, &mut comparisons)
+                .expect("oracle must catch the skewed mapped arm");
         assert_eq!(d.production, d.linear);
         assert_ne!(d.linear, d.mapped);
+        assert_eq!(d.linear, d.versioned);
+    }
+
+    /// A planted versioned arm that reads each node's first step instead
+    /// of its last must trip the oracle too: an arena holding only version
+    /// 0's changes, read at version 1, after `!city.kobe.jp` was removed.
+    #[test]
+    fn first_step_arena_is_caught() {
+        let rule = |text: &str| Rule::parse(text, Section::Icann).unwrap();
+        let changes =
+            [(0, true, rule("jp")), (0, true, rule("*.kobe.jp")), (0, true, rule("!city.kobe.jp"))];
+        let removal = (1, false, rule("!city.kobe.jp"));
+        let healthy =
+            VersionedList::build(changes.iter().chain([&removal]).map(|(v, a, r)| (*v, *a, r)));
+        let planted = VersionedList::build(changes.iter().map(|(v, a, r)| (*v, *a, r)));
+        let list = List::parse("jp\n*.kobe.jp\n");
+        let rules = list.rules().to_vec();
+        let bytes = list.write_snapshot();
+        let mapped = SnapshotView::parse(&bytes).unwrap();
+        let hosts = vec![DomainName::parse("x.city.kobe.jp").unwrap()];
+        let mut comparisons = 0;
+        let at = healthy.at(1);
+        assert!(
+            first_divergence(&list, &rules, &list, &mapped, at, &hosts, &mut comparisons).is_none()
+        );
+        let at = planted.at(1);
+        let d = first_divergence(&list, &rules, &list, &mapped, at, &hosts, &mut comparisons)
+            .expect("oracle must catch the first-step arena");
+        assert_eq!(
+            (d.production.as_str(), d.mapped.as_str()),
+            (d.linear.as_str(), d.linear.as_str())
+        );
+        assert_ne!(d.linear, d.versioned);
+        assert_eq!(d.minimized, "city.kobe.jp");
     }
 
     /// A matcher that panics on a host.
@@ -423,13 +491,23 @@ mod tests {
         let list = List::parse("jp\n*.kobe.jp\n");
         let bytes = list.write_snapshot();
         let mapped = SnapshotView::parse(&bytes).unwrap();
+        let arena = one_version(&list);
         let hosts = vec![DomainName::parse("x.kobe.jp").unwrap()];
         let mut comparisons = 0;
-        let d =
-            first_divergence(&Panicking, list.rules(), &list, &mapped, &hosts, &mut comparisons)
-                .expect("a panicking arm diverges");
+        let at = arena.at(0);
+        let d = first_divergence(
+            &Panicking,
+            list.rules(),
+            &list,
+            &mapped,
+            at,
+            &hosts,
+            &mut comparisons,
+        )
+        .expect("a panicking arm diverges");
         assert_eq!((d.production.as_str(), d.minimized.as_str()), ("panic", "a"));
         assert_eq!(d.linear, d.mapped);
+        assert_eq!(d.linear, d.versioned);
     }
 
     #[test]

@@ -1,11 +1,5 @@
-//! Compiled, immutable matcher: interned labels, a flat arena trie, and
+//! Compiled, immutable matchers: interned labels, flat arena tries, and
 //! the one prevailing-rule walk.
-//!
-//! [`SuffixTrie`] is the *mutable* rule structure: pointer-chasing
-//! `HashMap<Box<str>, Node>` nodes, the right shape for incremental edits
-//! (`psl-history` inserts and removes rules version by version) but the
-//! wrong shape for lookups, which the service makes millions of times for
-//! concurrent clients.
 //!
 //! This module compiles a rule set into a [`FrozenList`]:
 //!
@@ -19,11 +13,16 @@
 //! - the three per-node rule slots (normal/wildcard/exception × section)
 //!   are packed into a six-bit bitfield, one byte per node.
 //!
+//! A [`VersionedList`] holds every version of a history in one such
+//! arena: the node layout over every suffix path any version held, and
+//! each node's slot byte as a list of steps over the versions.
+//!
 //! The walk is written once, over a small crate-private arena trait with
 //! two accessors (a node's slot byte, a node's child along a label).
-//! [`FrozenList`] implements it over its vectors and
+//! [`FrozenList`] implements it over its vectors,
 //! [`crate::SnapshotView`] over the little-endian words of a snapshot
-//! buffer, so an owned list and a mapped snapshot run the same code.
+//! buffer and [`At`] over one version of a [`VersionedList`], so an owned
+//! list, a mapped snapshot and any historical version run the same code.
 //! [`FrozenList::disposition_by_ids`] walks with **zero heap allocation
 //! per lookup**, and [`FrozenList::disposition`] does the same for string
 //! labels by interning lazily (unknown labels map to the [`UNKNOWN_LABEL`]
@@ -33,13 +32,14 @@
 //! walk is checked against.
 
 use crate::rule::{Rule, RuleKind, Section};
-use crate::trie::{Disposition, MatchKind, MatchOpts, SuffixTrie};
+use crate::trie::{Disposition, MatchKind, MatchOpts};
 use std::collections::{BTreeMap, HashMap};
+use std::ops::Range;
 
 /// Sentinel id for a label that has never been interned. Guaranteed never
 /// to be issued by [`LabelInterner::intern`], so comparing it against edge
-/// labels always misses — which is precisely the semantics of walking the
-/// mutable trie with a label string absent from every rule.
+/// labels always misses — which is precisely the semantics of a label
+/// string absent from every rule.
 pub const UNKNOWN_LABEL: u32 = u32::MAX;
 
 /// FNV-1a, for hot-path maps whose keys cannot be attacker-steered into
@@ -202,19 +202,27 @@ fn kind_bits(kind: RuleKind) -> (u8, u8) {
     }
 }
 
-/// A compiled, immutable rule set: flat arena trie over interned labels.
+/// The `(kind, section)` of every rule a slot byte holds, in slot order.
+fn slot_rules(slot: u8) -> impl Iterator<Item = (RuleKind, Section)> {
+    [RuleKind::Normal, RuleKind::Wildcard, RuleKind::Exception].into_iter().filter_map(
+        move |kind| {
+            let (present, private) = kind_bits(kind);
+            let section = if slot & private != 0 { Section::Private } else { Section::Icann };
+            (slot & present != 0).then_some((kind, section))
+        },
+    )
+}
+
+/// The nodes and edges of a compiled arena, without its rule slots.
 ///
 /// Node `0` is the root. Node `n`'s children occupy
 /// `edge_labels[span_start[n] .. span_start[n] + span_len[n]]` (sorted by
 /// label id, with the matching node index at the same offset of
-/// `edge_targets`). The proptests in this module and the conformance
-/// differential hold its walk equal to
-/// [`crate::trie::disposition_linear`].
+/// `edge_targets`).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FrozenList {
+struct Layout {
     span_start: Vec<u32>,
     span_len: Vec<u32>,
-    slots: Vec<u8>,
     edge_labels: Vec<u32>,
     edge_targets: Vec<u32>,
     // Direct dispatch for the root (by far the widest node: every TLD is a
@@ -222,6 +230,42 @@ pub struct FrozenList {
     // Sized to the largest root edge label, so it never indexes by
     // `UNKNOWN_LABEL`.
     root_table: Vec<u32>,
+}
+
+impl Layout {
+    /// The offsets of `node`'s child edges.
+    fn span(&self, node: usize) -> Range<usize> {
+        let start = self.span_start[node] as usize;
+        start..start + self.span_len[node] as usize
+    }
+
+    #[inline(always)]
+    fn child(&self, node: usize, label: u32) -> Option<usize> {
+        if node == 0 {
+            return match self.root_table.get(label as usize) {
+                Some(&c) if c != NO_NODE => Some(c as usize),
+                _ => None,
+            };
+        }
+        let start = self.span_start[node] as usize;
+        let span = &self.edge_labels[start..start + self.span_len[node] as usize];
+        let pos = if span.len() <= LINEAR_SPAN {
+            span.iter().position(|&l| l == label)
+        } else {
+            span.binary_search(&label).ok()
+        }?;
+        Some(self.edge_targets[start + pos] as usize)
+    }
+}
+
+/// A compiled, immutable rule set: flat arena trie over interned labels,
+/// one slot byte per node. The proptests in this module and the
+/// conformance differential hold its walk equal to
+/// [`crate::trie::disposition_linear`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct FrozenList {
+    layout: Layout,
+    slots: Vec<u8>,
     rules: usize,
 }
 
@@ -249,15 +293,7 @@ pub(crate) struct FrozenParts<'a> {
 impl Default for FrozenList {
     fn default() -> Self {
         // A lone root node with no edges and no slots: matches nothing.
-        FrozenList {
-            span_start: vec![0],
-            span_len: vec![0],
-            slots: vec![0],
-            edge_labels: Vec::new(),
-            edge_targets: Vec::new(),
-            root_table: Vec::new(),
-            rules: 0,
-        }
+        Builder::new().finish()
     }
 }
 
@@ -278,42 +314,10 @@ impl FrozenList {
         b.finish()
     }
 
-    /// Compile from an existing (typically incrementally-maintained)
-    /// mutable trie. Children are visited in sorted label order so the
-    /// interner's id assignment is deterministic regardless of `HashMap`
-    /// iteration order.
-    pub fn freeze(trie: &SuffixTrie, interner: &mut LabelInterner) -> Self {
-        fn copy(b: &mut Builder, dst: u32, node: &crate::trie::Node, interner: &mut LabelInterner) {
-            if let Some(section) = node.normal {
-                b.set_slot(dst, RuleKind::Normal, section);
-            }
-            if let Some(section) = node.wildcard {
-                b.set_slot(dst, RuleKind::Wildcard, section);
-            }
-            if let Some(section) = node.exception {
-                b.set_slot(dst, RuleKind::Exception, section);
-            }
-            let mut kids: Vec<(&str, &crate::trie::Node)> =
-                node.children.iter().map(|(k, v)| (&**k, v)).collect();
-            kids.sort_unstable_by_key(|(label, _)| *label);
-            for (label, child) in kids {
-                let c = b.child(dst, interner.intern(label));
-                copy(b, c, child, interner);
-            }
-        }
-
-        let mut b = Builder::new();
-        copy(&mut b, 0, trie.root(), interner);
-        let frozen = b.finish();
-        debug_assert_eq!(frozen.rules, trie.len());
-        frozen
-    }
-
     /// Compile from already-interned label-id paths (TLD first, the same
-    /// reversed order the walk consumes). This is the canonical
-    /// materialisation path for delta-encoded history files: feeding
-    /// records in sorted `(path, kind)` order always produces the same
-    /// arena bytes, independent of how the record set was reassembled.
+    /// reversed order the walk consumes). [`At::to_frozen`] materialises a
+    /// version of a [`VersionedList`] through it, feeding records in
+    /// sorted `(path, kind)` order.
     pub fn compile_ids<'a, I>(records: I) -> Self
     where
         I: IntoIterator<Item = (&'a [u32], RuleKind, Section)>,
@@ -342,34 +346,22 @@ impl FrozenList {
             interner: &LabelInterner,
             out: &mut Vec<Rule>,
         ) {
-            let slot = fl.slots[node];
-            if node != 0 && slot != 0 {
-                // Rule labels read leftmost-first; `path` is root-first.
-                let labels = |p: &[String]| p.iter().rev().cloned().collect::<Vec<_>>();
-                let section = |private: bool| {
-                    if private {
-                        Section::Private
-                    } else {
-                        Section::Icann
-                    }
-                };
-                if slot & NORMAL != 0 {
-                    out.push(Rule::normal(labels(path), section(slot & NORMAL_PRIVATE != 0)));
-                }
-                if slot & WILDCARD != 0 {
-                    out.push(Rule::wildcard(labels(path), section(slot & WILDCARD_PRIVATE != 0)));
-                }
-                if slot & EXCEPTION != 0 {
-                    out.push(Rule::exception(labels(path), section(slot & EXCEPTION_PRIVATE != 0)));
+            if node != 0 {
+                for (kind, section) in slot_rules(fl.slots[node]) {
+                    // Rule labels read leftmost-first; `path` is root-first.
+                    let labels = path.iter().rev().cloned().collect();
+                    out.push(match kind {
+                        RuleKind::Normal => Rule::normal(labels, section),
+                        RuleKind::Wildcard => Rule::wildcard(labels, section),
+                        RuleKind::Exception => Rule::exception(labels, section),
+                    });
                 }
             }
-            let start = fl.span_start[node] as usize;
-            let len = fl.span_len[node] as usize;
-            for i in start..start + len {
-                let label =
-                    interner.resolve(fl.edge_labels[i]).expect("edge label interned").to_string();
-                path.push(label);
-                emit(fl, fl.edge_targets[i] as usize, path, interner, out);
+            let layout = &fl.layout;
+            for i in layout.span(node) {
+                let label = interner.resolve(layout.edge_labels[i]).expect("edge label interned");
+                path.push(label.to_string());
+                emit(fl, layout.edge_targets[i] as usize, path, interner, out);
                 path.pop();
             }
         }
@@ -381,13 +373,14 @@ impl FrozenList {
 
     /// Borrowed views of the arena arrays, for the snapshot writer.
     pub(crate) fn parts(&self) -> FrozenParts<'_> {
+        let layout = &self.layout;
         FrozenParts {
-            span_start: &self.span_start,
-            span_len: &self.span_len,
+            span_start: &layout.span_start,
+            span_len: &layout.span_len,
             slots: &self.slots,
-            edge_labels: &self.edge_labels,
-            edge_targets: &self.edge_targets,
-            root_table: &self.root_table,
+            edge_labels: &layout.edge_labels,
+            edge_targets: &layout.edge_targets,
+            root_table: &layout.root_table,
             rules: self.rules,
         }
     }
@@ -402,11 +395,12 @@ impl FrozenList {
         root_table: Vec<u32>,
         rules: usize,
     ) -> Self {
-        FrozenList { span_start, span_len, slots, edge_labels, edge_targets, root_table, rules }
+        let layout = Layout { span_start, span_len, edge_labels, edge_targets, root_table };
+        FrozenList { layout, slots, rules }
     }
 
-    /// Number of compiled rules (distinct `(path, kind)` slots, matching
-    /// [`SuffixTrie::len`] and the deduplicated list length).
+    /// Number of compiled rules: distinct `(path, kind)` slots, so a rule
+    /// text compiled twice counts once, as in a deduplicated list.
     pub fn len(&self) -> usize {
         self.rules
     }
@@ -423,7 +417,7 @@ impl FrozenList {
 
     /// Number of edges (equals `node_count() - 1`: the arena is a tree).
     pub fn edge_count(&self) -> usize {
-        self.edge_labels.len()
+        self.layout.edge_labels.len()
     }
 
     /// Approximate heap footprint of the arena arrays in bytes: 9 bytes
@@ -432,8 +426,8 @@ impl FrozenList {
     /// per version.)
     pub fn arena_bytes(&self) -> usize {
         self.slots.len() * (4 + 4 + 1)
-            + self.edge_labels.len() * (4 + 4)
-            + self.root_table.len() * 4
+            + self.layout.edge_labels.len() * (4 + 4)
+            + self.layout.root_table.len() * 4
     }
 
     /// The prevailing-rule decision for a hostname given as reversed
@@ -459,7 +453,8 @@ impl FrozenList {
 
 /// One arena layout the prevailing-rule [`walk`] reads: [`FrozenList`]
 /// over its vectors, [`crate::SnapshotView`] over the little-endian words
-/// of a borrowed snapshot buffer. Node `0` is the root.
+/// of a borrowed snapshot buffer, [`At`] over one version of a
+/// [`VersionedList`]. Node `0` is the root.
 pub(crate) trait Arena {
     /// The rule-slot bitfield of `node`.
     fn slot(&self, node: usize) -> u8;
@@ -476,20 +471,7 @@ impl Arena for FrozenList {
 
     #[inline(always)]
     fn child(&self, node: usize, label: u32) -> Option<usize> {
-        if node == 0 {
-            return match self.root_table.get(label as usize) {
-                Some(&c) if c != NO_NODE => Some(c as usize),
-                _ => None,
-            };
-        }
-        let start = self.span_start[node] as usize;
-        let span = &self.edge_labels[start..start + self.span_len[node] as usize];
-        let pos = if span.len() <= LINEAR_SPAN {
-            span.iter().position(|&l| l == label)
-        } else {
-            span.binary_search(&label).ok()
-        }?;
-        Some(self.edge_targets[start + pos] as usize)
+        self.layout.child(node, label)
     }
 }
 
@@ -569,10 +551,159 @@ pub(crate) fn walk(
     None
 }
 
-/// Arena construction state. Nodes are created in first-visit order (which
-/// for [`FrozenList::freeze`] is a sorted depth-first order, making the
-/// final arrays deterministic); `BTreeMap` keeps each child span sorted by
-/// label id for free.
+/// Every version of a history in one arena: [`FrozenList`]'s node layout
+/// over every suffix path any version held, and each node's slot byte as
+/// a list of steps over the versions.
+///
+/// Node `n`'s steps are `steps[step_start[n] .. step_start[n + 1]]`, each
+/// a `(version index, slot)` pair in ascending version order: the node's
+/// slot byte from that version on, 0 before its first step. [`At`] reads
+/// one version through the same walk as [`FrozenList`], so an "as of"
+/// question needs no rebuild. At paper scale the arena has about as many
+/// steps as nodes, so a node's steps are scanned linearly.
+#[derive(Debug, Clone)]
+pub struct VersionedList {
+    layout: Layout,
+    step_start: Vec<u32>,
+    steps: Vec<(u32, u8)>,
+    interner: LabelInterner,
+}
+
+impl VersionedList {
+    /// Build from a history's rule changes, `(version index, added, rule)`
+    /// in replay order, versions ascending. An addition sets its kind's
+    /// slot and section, the last write winning; a removal clears both. A
+    /// node changed several times in one version gets one step, its last
+    /// value, and a step equal to the one before it is dropped. Labels are
+    /// interned in change order.
+    pub fn build<'a>(changes: impl IntoIterator<Item = (usize, bool, &'a Rule)>) -> Self {
+        let mut interner = LabelInterner::new();
+        let mut b = Builder::new();
+        let mut steps: Vec<Vec<(u32, u8)>> = Vec::new();
+        for (version, added, rule) in changes {
+            let version = u32::try_from(version).expect("version index overflow");
+            let mut node = 0u32;
+            for label in rule.labels().iter().rev() {
+                node = b.child(node, interner.intern(label));
+            }
+            if added {
+                b.set_slot(node, rule.kind(), rule.section());
+            } else {
+                b.clear_slot(node, rule.kind());
+            }
+            steps.resize_with(b.slots.len(), Vec::new);
+            let node_steps = &mut steps[node as usize];
+            debug_assert!(node_steps.last().is_none_or(|&(v, _)| v <= version));
+            if node_steps.last().is_some_and(|&(v, _)| v == version) {
+                node_steps.pop();
+            }
+            let slot = b.slots[node as usize];
+            if node_steps.last().map_or(0, |&(_, s)| s) != slot {
+                node_steps.push((version, slot));
+            }
+        }
+        steps.resize_with(b.slots.len(), Vec::new);
+        let mut step_start = vec![0u32];
+        for node_steps in &steps {
+            let end = step_start[step_start.len() - 1] as usize + node_steps.len();
+            step_start.push(u32::try_from(end).expect("step overflow"));
+        }
+        VersionedList { layout: b.layout(), step_start, steps: steps.concat(), interner }
+    }
+
+    /// The interner of every version's labels.
+    pub fn interner(&self) -> &LabelInterner {
+        &self.interner
+    }
+
+    /// Number of arena nodes (including the root): every suffix path any
+    /// version held.
+    pub fn node_count(&self) -> usize {
+        self.layout.span_start.len()
+    }
+
+    /// Number of slot steps over all nodes and versions.
+    pub fn step_count(&self) -> usize {
+        self.steps.len()
+    }
+
+    /// The arena as of version index `version`. A version past the last
+    /// change reads as the last.
+    pub fn at(&self, version: usize) -> At<'_> {
+        At { list: self, version }
+    }
+}
+
+/// One version of a [`VersionedList`], read in place.
+#[derive(Debug, Clone, Copy)]
+pub struct At<'a> {
+    list: &'a VersionedList,
+    version: usize,
+}
+
+impl At<'_> {
+    /// The prevailing-rule decision at this version for reversed string
+    /// labels (TLD first), by the module's one walk. Labels the arena never
+    /// interned become [`UNKNOWN_LABEL`]; no heap allocation.
+    pub fn disposition(&self, reversed: &[&str], opts: MatchOpts) -> Option<Disposition> {
+        walk(self, reversed.iter().map(|l| self.list.interner.id_or_unknown(l)), opts)
+    }
+
+    /// This version as a [`FrozenList`] over the arena's interner: a
+    /// depth-first pass, children in label-id order, feeds every live slot
+    /// in sorted path order to [`FrozenList::compile_ids`].
+    pub fn to_frozen(&self) -> FrozenList {
+        // `paths` holds the live nodes' label paths back to back, and
+        // `ends` each one's end in it and its slot.
+        fn visit(
+            at: &At<'_>,
+            node: usize,
+            path: &mut Vec<u32>,
+            paths: &mut Vec<u32>,
+            ends: &mut Vec<(usize, u8)>,
+        ) {
+            let slot = at.slot(node);
+            if slot != 0 {
+                paths.extend_from_slice(path);
+                ends.push((paths.len(), slot));
+            }
+            let layout = &at.list.layout;
+            for e in layout.span(node) {
+                path.push(layout.edge_labels[e]);
+                visit(at, layout.edge_targets[e] as usize, path, paths, ends);
+                path.pop();
+            }
+        }
+
+        let (mut paths, mut ends) = (Vec::new(), Vec::new());
+        visit(self, 0, &mut Vec::new(), &mut paths, &mut ends);
+        let mut start = 0;
+        FrozenList::compile_ids(ends.iter().flat_map(|&(end, slot)| {
+            let path = &paths[start..end];
+            start = end;
+            slot_rules(slot).map(move |(kind, section)| (path, kind, section))
+        }))
+    }
+}
+
+impl Arena for At<'_> {
+    /// The node's last step at or before this version, or 0.
+    #[inline(always)]
+    fn slot(&self, node: usize) -> u8 {
+        let list = self.list;
+        let steps = &list.steps[list.step_start[node] as usize..list.step_start[node + 1] as usize];
+        steps.iter().rev().find(|&&(v, _)| v as usize <= self.version).map_or(0, |&(_, slot)| slot)
+    }
+
+    #[inline(always)]
+    fn child(&self, node: usize, label: u32) -> Option<usize> {
+        self.list.layout.child(node, label)
+    }
+}
+
+/// Arena construction state. Nodes are created in first-visit order, which
+/// makes the final arrays a function of the input order; `BTreeMap` keeps
+/// each child span sorted by label id for free.
 struct Builder {
     children: Vec<BTreeMap<u32, u32>>,
     slots: Vec<u8>,
@@ -596,9 +727,9 @@ impl Builder {
         c
     }
 
-    /// Set one rule slot, mirroring [`SuffixTrie::insert`]: last write wins
-    /// per `(path, kind)`, and only a previously-empty slot counts as a new
-    /// rule.
+    /// Set one rule slot, an addition: the kind's present bit and its
+    /// section, the last write winning per `(path, kind)`. Only a
+    /// previously-empty slot counts as a new rule.
     fn set_slot(&mut self, node: u32, kind: RuleKind, section: Section) {
         let (present, private) = kind_bits(kind);
         let slot = &mut self.slots[node as usize];
@@ -613,7 +744,18 @@ impl Builder {
         }
     }
 
-    fn finish(self) -> FrozenList {
+    /// Clear one rule slot, a removal: the kind's present and section bits.
+    fn clear_slot(&mut self, node: u32, kind: RuleKind) {
+        let (present, private) = kind_bits(kind);
+        let slot = &mut self.slots[node as usize];
+        if *slot & present != 0 {
+            self.rules -= 1;
+        }
+        *slot &= !(present | private);
+    }
+
+    /// The flat child spans and the root's dispatch table.
+    fn layout(&self) -> Layout {
         let n = self.children.len();
         let mut span_start = Vec::with_capacity(n);
         let mut span_len = Vec::with_capacity(n);
@@ -633,15 +775,11 @@ impl Builder {
         for (&label, &target) in root {
             root_table[label as usize] = target;
         }
-        FrozenList {
-            span_start,
-            span_len,
-            slots: self.slots,
-            edge_labels,
-            edge_targets,
-            root_table,
-            rules: self.rules,
-        }
+        Layout { span_start, span_len, edge_labels, edge_targets, root_table }
+    }
+
+    fn finish(self) -> FrozenList {
+        FrozenList { layout: self.layout(), slots: self.slots, rules: self.rules }
     }
 }
 
@@ -665,16 +803,14 @@ mod tests {
         ("io", Section::Icann),
     ];
 
-    /// All three compiled paths (ids, strings, frozen-from-trie) must agree
-    /// with the linear reference on every host × option combination.
+    /// Every compiled path (ids, strings, a one-version arena read in place
+    /// and materialised) must agree with the linear reference on every
+    /// host × option combination.
     fn assert_agrees(rule_set: &[Rule], hosts: &[Vec<&str>]) {
-        let trie = SuffixTrie::from_rules(rule_set);
         let mut interner = LabelInterner::new();
         let compiled = FrozenList::compile(rule_set, &mut interner);
-        let mut interner2 = LabelInterner::new();
-        let frozen = FrozenList::freeze(&trie, &mut interner2);
-        assert_eq!(compiled.len(), trie.len());
-        assert_eq!(frozen.len(), trie.len());
+        let arena = VersionedList::build(rule_set.iter().map(|r| (0, true, r)));
+        let materialised = arena.at(0).to_frozen();
         // Dedup by text the way the arena's slots do: the last rule with a
         // given text wins.
         let mut last = HashMap::new();
@@ -684,6 +820,8 @@ mod tests {
         let mut keep: Vec<usize> = last.into_values().collect();
         keep.sort_unstable();
         let linear_rules: Vec<Rule> = keep.into_iter().map(|i| rule_set[i].clone()).collect();
+        assert_eq!(compiled.len(), linear_rules.len());
+        assert_eq!(materialised.len(), linear_rules.len());
         let mut ids = Vec::new();
         for host in hosts {
             for include_private in [false, true] {
@@ -691,7 +829,9 @@ mod tests {
                     let opts = MatchOpts { include_private, implicit_wildcard };
                     let want = disposition_linear(&linear_rules, host, opts);
                     assert_eq!(compiled.disposition(&interner, host, opts), want, "{host:?}");
-                    assert_eq!(frozen.disposition(&interner2, host, opts), want, "{host:?}");
+                    assert_eq!(arena.at(0).disposition(host, opts), want, "{host:?}");
+                    let got = materialised.disposition(arena.interner(), host, opts);
+                    assert_eq!(got, want, "{host:?}");
                     interner.ids_reversed(host, &mut ids);
                     assert_eq!(compiled.disposition_by_ids(&ids, opts), want, "{host:?}");
                 }
@@ -799,15 +939,141 @@ mod tests {
         assert_eq!(interner.intern_reversed(&["com", "new"]).as_ref(), &[a, 2]);
     }
 
+    /// The arena's replay semantics on a scripted change sequence: a
+    /// removal and a re-addition in one version (flipping the section), a
+    /// rule removed in the version after its addition, a rule added and
+    /// removed in one version, and a live rule added again.
+    #[test]
+    fn versioned_steps_follow_the_replay() {
+        let (icann, private) = (Section::Icann, Section::Private);
+        let r = |text: &str, section| Rule::parse(text, section).unwrap();
+        let changes = [
+            (0, true, r("b", icann)),
+            (0, true, r("a.b", private)),
+            (0, true, r("x.b", private)),
+            (0, false, r("x.b", private)),
+            (1, false, r("a.b", private)),
+            (1, true, r("a.b", icann)),
+            (1, true, r("c.b", icann)),
+            (2, false, r("c.b", icann)),
+            (3, true, r("b", icann)),
+        ];
+        let arena = VersionedList::build(changes.iter().map(|(v, added, rule)| (*v, *added, rule)));
+        // `b` one step, `a.b` two (private, then ICANN), `c.b` two (added,
+        // then removed) and `x.b` none: one step per changed version, and
+        // none that equals the step before it.
+        assert_eq!(arena.step_count(), 5);
+        let answer = |version: usize, host: &[&str]| {
+            let d = arena.at(version).disposition(host, MatchOpts::default()).unwrap();
+            (d.suffix_len, d.section)
+        };
+        assert_eq!(answer(0, &["b", "a", "w"]), (2, Some(private)));
+        assert_eq!(answer(1, &["b", "a", "w"]), (2, Some(icann)));
+        assert_eq!(answer(0, &["b", "x", "w"]), (1, Some(icann)));
+        assert_eq!(answer(0, &["b", "c", "w"]), (1, Some(icann)));
+        assert_eq!(answer(1, &["b", "c", "w"]), (2, Some(icann)));
+        assert_eq!(answer(2, &["b", "c", "w"]), (1, Some(icann)));
+        // A version past the last change reads as the last.
+        assert_eq!(answer(9, &["b", "a", "w"]), (2, Some(icann)));
+        assert_eq!(arena.at(3).to_frozen().len(), 2, "b and a.b");
+        assert!(arena.at(0).disposition(&[], MatchOpts::default()).is_none());
+    }
+
     fn small_label() -> impl Strategy<Value = String> {
         prop_oneof![Just("a".into()), Just("b".into()), Just("c".into()), Just("d".into())]
     }
 
+    /// A rule of kind `0` normal, `1` wildcard, else exception (a normal
+    /// rule when there is one label).
+    fn rule_of(kind: u8, labels: &[String], section: Section) -> Rule {
+        match kind {
+            0 => Rule::normal(labels.to_vec(), section),
+            1 => Rule::wildcard(labels.to_vec(), section),
+            _ if labels.len() < 2 => Rule::normal(labels.to_vec(), section),
+            _ => Rule::exception(labels.to_vec(), section),
+        }
+    }
+
     proptest! {
+        /// Random change sequences over a few versions, several changes a
+        /// version in random order and a small rule pool, so one version
+        /// often removes and re-adds a rule, flips its section, or removes
+        /// a rule absent or added the version before. At every version the
+        /// arena, read in place and materialised, equals
+        /// `disposition_linear` over that version's live rules (a set keyed
+        /// by rule text, the last addition's section winning), and the
+        /// materialised version has the rule and node counts of a fresh
+        /// compile of those rules: removed paths leave no dead nodes.
+        #[test]
+        fn change_sequences_agree_with_linear_at_every_version(
+            pool in proptest::collection::vec(
+                (0u8..3, proptest::collection::vec(small_label(), 1..4)),
+                1..6,
+            ),
+            ops in proptest::collection::vec(
+                (0usize..4, proptest::bool::ANY, 0usize..6, proptest::bool::ANY),
+                0..24,
+            ),
+            hosts in proptest::collection::vec(
+                proptest::collection::vec(small_label(), 0..5),
+                1..6,
+            ),
+        ) {
+            let mut ops = ops;
+            // Stable: the changes of one version keep their random order.
+            ops.sort_by_key(|op| op.0);
+            let changes: Vec<(usize, bool, Rule)> = ops
+                .iter()
+                .map(|&(version, added, i, private)| {
+                    let (kind, labels) = &pool[i % pool.len()];
+                    let section = if private { Section::Private } else { Section::Icann };
+                    (version, added, rule_of(*kind, labels, section))
+                })
+                .collect();
+            let arena =
+                VersionedList::build(changes.iter().map(|(v, added, rule)| (*v, *added, rule)));
+            let hosts: Vec<Vec<&str>> =
+                hosts.iter().map(|h| h.iter().map(|s| s.as_str()).collect()).collect();
+            let mut live: BTreeMap<String, Rule> = BTreeMap::new();
+            let mut replay = changes.iter().peekable();
+            for version in 0..5 {
+                while let Some((_, added, rule)) = replay.next_if(|c| c.0 == version) {
+                    if *added {
+                        live.insert(rule.as_text(), rule.clone());
+                    } else {
+                        live.remove(&rule.as_text());
+                    }
+                }
+                let rules: Vec<Rule> = live.values().cloned().collect();
+                let at = arena.at(version);
+                let materialised = at.to_frozen();
+                let fresh = FrozenList::compile(&rules, &mut LabelInterner::new());
+                prop_assert_eq!(materialised.len(), rules.len());
+                prop_assert_eq!(materialised.node_count(), fresh.node_count());
+                for host in &hosts {
+                    for opts in [
+                        MatchOpts::default(),
+                        MatchOpts { include_private: false, implicit_wildcard: true },
+                        MatchOpts { include_private: true, implicit_wildcard: false },
+                    ] {
+                        let want = disposition_linear(&rules, host, opts);
+                        prop_assert_eq!(at.disposition(host, opts), want, "v{} {:?}", version, host);
+                        prop_assert_eq!(
+                            materialised.disposition(arena.interner(), host, opts),
+                            want,
+                            "materialised v{} {:?}",
+                            version,
+                            host
+                        );
+                    }
+                }
+            }
+        }
+
         /// `FrozenList::disposition` equals `disposition_linear` for random
         /// rule sets × random hostnames × the full `MatchOpts` matrix, via
-        /// both the compile-from-rules and freeze-from-trie paths and both
-        /// the string and id entry points.
+        /// the compile-from-rules path (both the string and the id entry
+        /// points) and a one-version arena, read in place and materialised.
         #[test]
         fn frozen_agrees_with_trie(
             rule_specs in proptest::collection::vec(

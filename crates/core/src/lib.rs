@@ -12,11 +12,11 @@
 //! - [`List`]: the prevailing-rule matching algorithm from
 //!   <https://publicsuffix.org/list/>, with eTLD and eTLD+1 (registrable
 //!   domain) extraction and site grouping. Every lookup runs one walk
-//!   ([`frozen`]) over a compiled arena, owned ([`FrozenList`]) or read in
-//!   place from a snapshot ([`SnapshotView`]); [`trie::disposition_linear`]
-//!   reads the algorithm literally and is the oracle the walk is checked
-//!   against, and [`SuffixTrie`] is the mutable builder a history edits
-//!   version by version;
+//!   ([`frozen`]) over a compiled arena: owned ([`FrozenList`]), read in
+//!   place from a snapshot ([`SnapshotView`]), or one version of a
+//!   history's [`VersionedList`], which holds every version in one arena;
+//!   [`trie::disposition_linear`] reads the algorithm literally and is the
+//!   oracle the walk is checked against;
 //! - [`cookie`]: RFC 6265 cookie domain-matching with supercookie
 //!   rejection — the privacy decision the paper's harm model quantifies;
 //! - [`Url`]: the minimal URL parsing the crawl pipeline needs;
@@ -65,7 +65,9 @@ pub use date::Date;
 pub use domain::DomainName;
 pub use embedded::{embedded_list, MINI_PSL_DAT};
 pub use error::{Error, Result};
-pub use frozen::{FnvBuild, FnvHasher, FrozenList, LabelInterner, UNKNOWN_LABEL};
+pub use frozen::{
+    At, FnvBuild, FnvHasher, FrozenList, LabelInterner, VersionedList, UNKNOWN_LABEL,
+};
 pub use jar::{Cookie, CookieJar, SetCookie, StoreError, StoredCookie};
 pub use lint::{lint, Finding};
 pub use list::List;
@@ -76,5 +78,5 @@ pub use snapfile::{
     LIST_MAGIC,
 };
 pub use snapshot::{Snapshot, SnapshotReader, SnapshotStore};
-pub use trie::{Disposition, MatchKind, MatchOpts, SuffixTrie};
+pub use trie::{Disposition, MatchKind, MatchOpts};
 pub use url::{Host, Url};

@@ -1,41 +1,13 @@
-//! The mutable reversed-label trie, the matching types, and the literal
-//! reading of the prevailing-rule algorithm.
+//! The matching types and the literal reading of the prevailing-rule
+//! algorithm.
 //!
-//! [`SuffixTrie`] holds rules label by label, right to left (TLD first),
-//! and takes inserts and removals in place. It is the mutable builder
-//! behind [`crate::FrozenList::freeze`]: `psl-history` edits one trie
-//! version by version and freezes each version. It does not match
-//! hostnames; every lookup runs the compiled arena's walk
-//! ([`crate::frozen`]). [`disposition_linear`] scans every rule and applies
-//! the algorithm as written, and is the one oracle that walk is checked
-//! against.
+//! Every lookup runs the compiled arenas' walk ([`crate::frozen`]): a
+//! [`crate::FrozenList`], a [`crate::SnapshotView`], or one version of a
+//! [`crate::VersionedList`]. [`disposition_linear`] scans every rule and
+//! applies the algorithm as written, and is the one oracle that walk is
+//! checked against.
 
 use crate::rule::{Rule, RuleKind, Section};
-use std::collections::HashMap;
-
-/// One node of the trie. The path from the root to a node spells a suffix
-/// right-to-left. Crate-visible so `frozen` can compile the trie into its
-/// arena form without an intermediate rule-list round trip.
-#[derive(Debug, Default, Clone)]
-pub(crate) struct Node {
-    pub(crate) children: HashMap<Box<str>, Node>,
-    /// A normal rule terminates at this node.
-    pub(crate) normal: Option<Section>,
-    /// A wildcard rule `*.<path>` is anchored at this node: it matches any
-    /// hostname extending this node's path by at least one more label.
-    pub(crate) wildcard: Option<Section>,
-    /// An exception rule `!<path>` terminates at this node.
-    pub(crate) exception: Option<Section>,
-}
-
-impl Node {
-    fn is_dead(&self) -> bool {
-        self.children.is_empty()
-            && self.normal.is_none()
-            && self.wildcard.is_none()
-            && self.exception.is_none()
-    }
-}
 
 /// How a matched rule was found.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -72,120 +44,6 @@ pub struct MatchOpts {
 impl Default for MatchOpts {
     fn default() -> Self {
         MatchOpts { include_private: true, implicit_wildcard: true }
-    }
-}
-
-/// The mutable reversed-label trie: inserts, removals and
-/// [`SuffixTrie::compact`] in place, compiled for lookups by
-/// [`crate::FrozenList::freeze`].
-#[derive(Debug, Default, Clone)]
-pub struct SuffixTrie {
-    root: Node,
-    len: usize,
-}
-
-impl SuffixTrie {
-    /// Build a trie from rules.
-    pub fn from_rules<'a>(rules: impl IntoIterator<Item = &'a Rule>) -> Self {
-        let mut trie = SuffixTrie::default();
-        for rule in rules {
-            trie.insert(rule);
-        }
-        trie
-    }
-
-    /// Number of rules inserted.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True if the trie holds no rules.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Insert one rule. Re-inserting an identical suffix path overwrites
-    /// the per-kind slot (last write wins), mirroring list semantics where
-    /// each rule text appears once.
-    pub fn insert(&mut self, rule: &Rule) {
-        let mut node = &mut self.root;
-        for label in rule.labels().iter().rev() {
-            node = node.children.entry(label.as_str().into()).or_default();
-        }
-        let slot = match rule.kind() {
-            RuleKind::Normal => &mut node.normal,
-            RuleKind::Wildcard => &mut node.wildcard,
-            RuleKind::Exception => &mut node.exception,
-        };
-        if slot.is_none() {
-            self.len += 1;
-        }
-        *slot = Some(rule.section());
-    }
-
-    /// Crate-visible root accessor for [`crate::frozen::FrozenList::freeze`].
-    pub(crate) fn root(&self) -> &Node {
-        &self.root
-    }
-
-    /// Number of nodes in the trie, including the root. Removals leave
-    /// dead empty nodes behind until [`SuffixTrie::compact`] runs, so this
-    /// can exceed the node count of an equivalent freshly-built trie.
-    pub fn node_count(&self) -> usize {
-        fn count(node: &Node) -> usize {
-            1 + node.children.values().map(count).sum::<usize>()
-        }
-        count(&self.root)
-    }
-
-    /// Prune dead subtrees left behind by [`SuffixTrie::remove`]: nodes
-    /// with no rule slots and no live descendants. Returns the number of
-    /// nodes reclaimed. Matching behaviour is unchanged (dead nodes can
-    /// only ever be walked *through*, never matched), but compacting keeps
-    /// long-lived incrementally-maintained tries — and anything frozen
-    /// from them — from accumulating garbage across thousands of history
-    /// versions.
-    pub fn compact(&mut self) -> usize {
-        fn prune(node: &mut Node) -> usize {
-            let mut reclaimed = 0;
-            node.children.retain(|_, child| {
-                reclaimed += prune(child);
-                if child.is_dead() {
-                    reclaimed += 1;
-                    false
-                } else {
-                    true
-                }
-            });
-            reclaimed
-        }
-        prune(&mut self.root)
-    }
-
-    /// Remove one rule. Returns true if the rule's slot was occupied.
-    /// Empty nodes are left behind (they are harmless for matching);
-    /// callers doing bulk removals run [`SuffixTrie::compact`] afterwards
-    /// to reclaim them.
-    pub fn remove(&mut self, rule: &Rule) -> bool {
-        let mut node = &mut self.root;
-        for label in rule.labels().iter().rev() {
-            match node.children.get_mut(label.as_str()) {
-                Some(child) => node = child,
-                None => return false,
-            }
-        }
-        let slot = match rule.kind() {
-            RuleKind::Normal => &mut node.normal,
-            RuleKind::Wildcard => &mut node.wildcard,
-            RuleKind::Exception => &mut node.exception,
-        };
-        if slot.is_some() {
-            *slot = None;
-            self.len -= 1;
-            true
-        } else {
-            false
-        }
     }
 }
 
@@ -268,21 +126,9 @@ mod tests {
         texts.iter().map(|(t, s)| Rule::parse(t, *s).unwrap()).collect()
     }
 
-    fn trie(texts: &[(&str, Section)]) -> (Vec<Rule>, SuffixTrie) {
-        let rs = rules(texts);
-        let t = SuffixTrie::from_rules(&rs);
-        (rs, t)
-    }
-
     /// The walk over `texts`, compiled the way every list is.
     fn walk(texts: &[(&str, Section)]) -> List {
         List::from_rules(rules(texts))
-    }
-
-    /// The mutable trie's answer, read through [`FrozenList::freeze`].
-    fn frozen(t: &SuffixTrie, reversed: &[&str], opts: MatchOpts) -> Option<Disposition> {
-        let mut interner = LabelInterner::new();
-        FrozenList::freeze(t, &mut interner).disposition(&interner, reversed, opts)
     }
 
     const BASIC: &[(&str, Section)] = &[
@@ -357,82 +203,6 @@ mod tests {
         assert!(l.disposition_reversed(&[], MatchOpts::default()).is_none());
     }
 
-    #[test]
-    fn len_counts_distinct_rules() {
-        let (rs, t) = trie(BASIC);
-        assert_eq!(t.len(), rs.len());
-        let mut t2 = t.clone();
-        t2.insert(&rs[0]);
-        assert_eq!(t2.len(), rs.len());
-    }
-
-    #[test]
-    fn remove_reverses_insert() {
-        let (rs, mut t) = trie(BASIC);
-        let n = t.len();
-        let rule = Rule::parse("co.uk", Section::Icann).unwrap();
-        assert!(t.remove(&rule));
-        assert_eq!(t.len(), n - 1);
-        assert!(!t.remove(&rule), "second removal is a no-op");
-        // co.uk no longer matches; uk (still present) prevails.
-        let d = frozen(&t, &["uk", "co", "example"], MatchOpts::default()).unwrap();
-        assert_eq!(d.suffix_len, 1);
-        // Re-insert restores behaviour.
-        t.insert(&rule);
-        let d = frozen(&t, &["uk", "co", "example"], MatchOpts::default()).unwrap();
-        assert_eq!(d.suffix_len, 2);
-        assert_eq!(t.len(), n);
-        let _ = rs;
-    }
-
-    #[test]
-    fn compact_reclaims_dead_nodes_after_removal() {
-        let (rs, mut t) = trie(BASIC);
-        let built_nodes = t.node_count();
-        // Remove the two deepest paths; their nodes become dead weight.
-        assert!(t.remove(&Rule::parse("!www.ck", Section::Icann).unwrap()));
-        assert!(t.remove(&Rule::parse("github.io", Section::Private).unwrap()));
-        assert_eq!(t.node_count(), built_nodes, "remove leaves dead nodes in place");
-        let reclaimed = t.compact();
-        // www.ck and github.io die; ck survives (a wildcard anchors there)
-        // and io survives (it holds its own normal rule).
-        assert_eq!(reclaimed, 2);
-        assert_eq!(t.node_count(), built_nodes - 2);
-        // Compacting must not change matching.
-        let d = frozen(&t, &["ck", "www"], MatchOpts::default()).unwrap();
-        assert_eq!(d.kind, MatchKind::Rule(RuleKind::Wildcard));
-        let d = frozen(&t, &["io", "github", "alice"], MatchOpts::default()).unwrap();
-        assert_eq!(d.suffix_len, 1);
-        // Rebuilding from the live set gives the same node count.
-        let live: Vec<Rule> = rs
-            .iter()
-            .filter(|r| r.as_text() != "!www.ck" && r.as_text() != "github.io")
-            .cloned()
-            .collect();
-        assert_eq!(t.node_count(), SuffixTrie::from_rules(&live).node_count());
-        // Compacting again is a no-op.
-        assert_eq!(t.compact(), 0);
-    }
-
-    #[test]
-    fn compact_prunes_whole_dead_chains() {
-        let mut t = SuffixTrie::default();
-        let deep = Rule::parse("a.b.c.d.e", Section::Icann).unwrap();
-        t.insert(&deep);
-        assert_eq!(t.node_count(), 6);
-        assert!(t.remove(&deep));
-        assert_eq!(t.node_count(), 6);
-        assert_eq!(t.compact(), 5);
-        assert_eq!(t.node_count(), 1);
-    }
-
-    #[test]
-    fn remove_missing_rule_is_false() {
-        let (_, mut t) = trie(BASIC);
-        let rule = Rule::parse("never.zz", Section::Icann).unwrap();
-        assert!(!t.remove(&rule));
-    }
-
     /// Strategy producing small random rule sets and hostnames over a tiny
     /// alphabet so collisions (and therefore interesting matches) are
     /// common.
@@ -482,61 +252,6 @@ mod tests {
             let a = arena.disposition(&interner, &reversed, opts);
             let b = disposition_linear(&rs, &reversed, opts);
             prop_assert_eq!(a, b, "rules: {:?} host: {:?}", rs.iter().map(|r| r.as_text()).collect::<Vec<_>>(), reversed);
-        }
-
-        #[test]
-        fn mutation_sequences_agree_with_rebuilds(
-            rule_specs in proptest::collection::vec(
-                (0u8..2, proptest::collection::vec(small_label(), 1..3)),
-                1..10,
-            ),
-            ops in proptest::collection::vec((proptest::bool::ANY, 0usize..10), 1..25),
-            host in proptest::collection::vec(small_label(), 1..4),
-        ) {
-            // A pool of candidate rules; ops insert/remove them in random
-            // order. After every op, the mutable trie must agree with a
-            // fresh trie built from the live set.
-            let pool: Vec<Rule> = rule_specs
-                .into_iter()
-                .map(|(kind, labels)| match kind {
-                    0 => Rule::normal(labels, Section::Icann),
-                    _ => Rule::wildcard(labels, Section::Icann),
-                })
-                .collect();
-            // Dedup pool by text to keep "live set" bookkeeping simple.
-            let mut seen = std::collections::HashSet::new();
-            let pool: Vec<Rule> = pool
-                .into_iter()
-                .filter(|r| seen.insert(r.as_text()))
-                .collect();
-
-            let mut trie = SuffixTrie::default();
-            let mut live: Vec<bool> = vec![false; pool.len()];
-            let reversed: Vec<&str> = host.iter().map(|s| s.as_str()).collect();
-            let opts = MatchOpts::default();
-            for (insert, idx) in ops {
-                let idx = idx % pool.len();
-                if insert {
-                    trie.insert(&pool[idx]);
-                    live[idx] = true;
-                } else {
-                    let removed = trie.remove(&pool[idx]);
-                    prop_assert_eq!(removed, live[idx]);
-                    live[idx] = false;
-                }
-                let live_rules: Vec<Rule> = pool
-                    .iter()
-                    .zip(&live)
-                    .filter(|(_, &l)| l)
-                    .map(|(r, _)| r.clone())
-                    .collect();
-                let rebuilt = SuffixTrie::from_rules(&live_rules);
-                prop_assert_eq!(trie.len(), rebuilt.len());
-                prop_assert_eq!(
-                    frozen(&trie, &reversed, opts),
-                    frozen(&rebuilt, &reversed, opts)
-                );
-            }
         }
     }
 }

@@ -1,9 +1,11 @@
 //! Hostname target: canonicalisation invariants + the matcher differential
-//! (owned and mapped walk against the linear oracle) on a generated rule
-//! set.
+//! (owned, mapped and versioned walk against the linear oracle) on a
+//! generated rule set.
 
-use psl_conformance::{first_divergence, ProductionMatcher};
-use psl_core::{punycode, Disposition, DomainName, List, MatchOpts, Rule, SnapshotView};
+use psl_conformance::{first_divergence, one_version, ProductionMatcher};
+use psl_core::{
+    punycode, Disposition, DomainName, List, MatchOpts, Rule, SnapshotView, VersionedList,
+};
 
 /// Builds the production matcher under test from a rule set. The fuzzer's
 /// self-test swaps in a deliberately broken build to prove the target can
@@ -32,7 +34,7 @@ impl ProductionMatcher for DynMatcher<'_> {
     }
 }
 
-/// One generated rule set with both arms built, queried for many
+/// One generated rule set with every arm built, queried for many
 /// hostnames before the next set is generated.
 pub struct ListUnderTest {
     /// The `.dat` text the rule set came from (kept for corpus entries).
@@ -44,16 +46,19 @@ pub struct ListUnderTest {
     list: List,
     /// The mapped arm: `list`'s snapshot bytes, walked in place.
     snapshot: Vec<u8>,
+    /// The versioned arm: `list` as a one-version arena.
+    versioned: VersionedList,
 }
 
 impl ListUnderTest {
-    /// Parse `dat` and build the production and mapped arms.
+    /// Parse `dat` and build the production, mapped and versioned arms.
     pub fn build(dat: &str, factory: &dyn MatcherFactory) -> ListUnderTest {
         let list = List::parse(dat);
         let rules = list.rules().to_vec();
         let production = factory.build(&rules);
         let snapshot = list.write_snapshot();
-        ListUnderTest { dat: dat.to_string(), rules, production, list, snapshot }
+        let versioned = one_version(&list);
+        ListUnderTest { dat: dat.to_string(), rules, production, list, snapshot, versioned }
     }
 }
 
@@ -131,9 +136,9 @@ pub fn check_host(lut: &ListUnderTest, host: &str) -> Result<(), String> {
         }
     }
 
-    // Matcher differential (production and mapped walk vs. the linear
-    // oracle) under the full option matrix; `first_divergence` minimizes
-    // the host itself.
+    // Matcher differential (production, mapped and versioned walk vs. the
+    // linear oracle) under the full option matrix; `first_divergence`
+    // minimizes the host itself.
     let mapped = SnapshotView::parse(&lut.snapshot)
         .map_err(|e| format!("a list's own snapshot was rejected: {e}"))?;
     let mut comparisons = 0usize;
@@ -142,12 +147,14 @@ pub fn check_host(lut: &ListUnderTest, host: &str) -> Result<(), String> {
         &lut.rules,
         &lut.list,
         &mapped,
+        lut.versioned.at(0),
         std::slice::from_ref(&parsed),
         &mut comparisons,
     ) {
         return Err(format!(
-            "matcher divergence on {:?} (minimized {:?}): production={} linear={} mapped={}",
-            div.host, div.minimized, div.production, div.linear, div.mapped
+            "matcher divergence on {:?} (minimized {:?}): production={} linear={} mapped={} \
+             versioned={}",
+            div.host, div.minimized, div.production, div.linear, div.mapped, div.versioned
         ));
     }
     Ok(())

@@ -1,17 +1,19 @@
-//! Incremental compilation of a history into per-version [`FrozenList`]s.
+//! Every version of a history materialised as a [`FrozenList`].
 //!
-//! Compiling each of the ~1,142 versions from scratch would re-intern and
-//! re-build nearly identical tries 1,142 times. Consecutive versions share
-//! almost all of their rules, so [`CompiledHistory::build`] replays the
-//! history's rule changes ([`History::replay_changes`]): one mutable
-//! [`SuffixTrie`] receives each version's diff, is compacted after
-//! removals (so dead nodes never leak into the compiled arenas), and is
-//! frozen into a [`FrozenList`] per version — all through
-//! one shared [`LabelInterner`], so a corpus hostname interned once can be
+//! [`CompiledHistory::build`] reads each version off the history's one
+//! [`psl_core::VersionedList`] ([`History::versioned_list`]): a version
+//! with changes is materialised from the arena, and a version with none
+//! clones the previous one. Every version's labels are ids of the arena's
+//! one [`LabelInterner`], so a corpus hostname interned once can be
 //! matched against every version as a plain `&[u32]`.
+//!
+//! Nothing in the pipeline or the service reads this type: "as of"
+//! questions go to the arena itself. It is kept for perfbench's
+//! `history.compile_s` and `core.intern_ns_per_host` probes until those
+//! probes are retargeted.
 
 use crate::history::History;
-use psl_core::{Date, FrozenList, LabelInterner, SuffixTrie};
+use psl_core::{Date, FrozenList, LabelInterner};
 
 /// Every version of a [`History`], compiled through a shared interner.
 #[derive(Debug, Clone)]
@@ -21,41 +23,19 @@ pub struct CompiledHistory {
 }
 
 impl CompiledHistory {
-    /// Reassemble from an interner + versions a loader already produced
-    /// (see [`crate::histfile::CompiledHistoryFile::to_compiled_history`]).
-    pub(crate) fn from_parts(interner: LabelInterner, versions: Vec<(Date, FrozenList)>) -> Self {
-        CompiledHistory { interner, versions }
-    }
-
-    /// Compile all versions of `history` incrementally (version *k+1* is
-    /// derived from version *k*'s rule set, not rebuilt from scratch).
+    /// Materialise every version of `history` from its versioned arena.
     pub fn build(history: &History) -> Self {
-        let mut interner = LabelInterner::new();
-        let mut trie = SuffixTrie::default();
-        let mut versions = Vec::with_capacity(history.version_count());
-        history.replay_changes(|_, v, changes| {
-            let mut removed = false;
-            let changed = changes.len() > 0;
-            for (is_add, rule) in changes {
-                if is_add {
-                    trie.insert(rule);
-                } else {
-                    removed |= trie.remove(rule);
-                }
-            }
-            if removed {
-                trie.compact();
-            }
-            let frozen = if changed || versions.is_empty() {
-                FrozenList::freeze(&trie, &mut interner)
-            } else {
+        let arena = history.versioned_list();
+        let mut versions: Vec<(Date, FrozenList)> = Vec::with_capacity(history.version_count());
+        for (i, &date) in history.versions().iter().enumerate() {
+            let frozen = match versions.last() {
                 // Identical rule set: reuse the previous arena verbatim.
-                let (_, prev): &(Date, FrozenList) = versions.last().expect("non-empty");
-                prev.clone()
+                Some((_, prev)) if history.version_changes(i).is_empty() => prev.clone(),
+                _ => arena.at(i).to_frozen(),
             };
-            versions.push((v, frozen));
-        });
-        CompiledHistory { interner, versions }
+            versions.push((date, frozen));
+        }
+        CompiledHistory { interner: arena.interner().clone(), versions }
     }
 
     /// The shared interner (all versions' edge labels are ids from it).
@@ -72,35 +52,6 @@ impl CompiledHistory {
     /// All `(version_date, compiled_list)` pairs, ascending by date.
     pub fn versions(&self) -> &[(Date, FrozenList)] {
         &self.versions
-    }
-
-    /// Number of compiled versions.
-    pub fn len(&self) -> usize {
-        self.versions.len()
-    }
-
-    /// True if the history had no versions (impossible by construction —
-    /// [`History::new`] requires one — but the clippy-canonical pair to
-    /// [`CompiledHistory::len`]).
-    pub fn is_empty(&self) -> bool {
-        self.versions.is_empty()
-    }
-
-    /// The newest compiled version at or before `date`, if any.
-    pub fn at(&self, date: Date) -> Option<&FrozenList> {
-        let idx = self.versions.partition_point(|&(v, _)| v <= date);
-        idx.checked_sub(1).map(|i| &self.versions[i].1)
-    }
-
-    /// The latest compiled version.
-    pub fn latest(&self) -> &FrozenList {
-        &self.versions.last().expect("non-empty by construction").1
-    }
-
-    /// Total arena bytes across all versions plus a node/edge census —
-    /// the memory footprint the DESIGN doc's estimate is checked against.
-    pub fn arena_bytes_total(&self) -> usize {
-        self.versions.iter().map(|(_, f)| f.arena_bytes()).sum()
     }
 }
 
@@ -122,7 +73,7 @@ mod tests {
     fn compiled_versions_match_snapshots() {
         let h = generate(&GeneratorConfig::small(611));
         let compiled = h.compiled_versions();
-        assert_eq!(compiled.len(), h.version_count());
+        assert_eq!(compiled.versions().len(), h.version_count());
         let probes: Vec<Vec<&str>> =
             vec![vec!["com", "myshopify", "shop"], vec!["uk", "co", "x"], vec!["com"], vec![]];
         let opts_matrix = [
@@ -175,17 +126,24 @@ mod tests {
         }
     }
 
+    /// The version in force at a date, read off `versions()`, and the
+    /// latest version count their versions' rules.
     #[test]
     fn at_and_latest_lookup() {
         let h = generate(&GeneratorConfig::small(612));
         let compiled = h.compiled_versions();
+        let at = |date: Date| {
+            let idx = compiled.versions().partition_point(|&(v, _)| v <= date);
+            idx.checked_sub(1).map(|i| &compiled.versions()[i].1)
+        };
         let day_before = Date::from_days_since_epoch(h.first_version().days_since_epoch() - 1);
-        assert!(compiled.at(day_before).is_none());
-        let first = compiled.at(h.first_version()).unwrap();
+        assert!(at(day_before).is_none());
+        let first = at(h.first_version()).unwrap();
         assert_eq!(first.len(), h.rule_count_at(h.first_version()));
-        assert_eq!(compiled.latest().len(), h.rule_count_at(h.latest_version()));
-        assert!(compiled.arena_bytes_total() > 0);
-        assert!(!compiled.is_empty());
+        let (latest_date, latest) = compiled.versions().last().unwrap();
+        assert_eq!(*latest_date, h.latest_version());
+        assert_eq!(latest.len(), h.rule_count_at(h.latest_version()));
+        assert!(latest.arena_bytes() > 0);
     }
 
     /// Satellite regression: interner ids are a pure function of the

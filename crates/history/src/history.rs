@@ -8,7 +8,7 @@
 //! [`History::rules_at`], so a synthetic history and a real one are
 //! interchangeable.
 
-use psl_core::{Date, List, Rule};
+use psl_core::{Date, List, Rule, VersionedList};
 use serde::{Deserialize, Serialize};
 use std::slice;
 
@@ -208,6 +208,17 @@ impl History {
         let start = version.checked_sub(1).map_or(0, |p| self.ends[p] as usize);
         &self.log[start..self.ends[version] as usize]
     }
+
+    /// Every version in one [`VersionedList`], built by replaying the
+    /// change log once; `at(i)` reads `versions()[i]`. [`History::new`]
+    /// does not build it: the sweep and the fleet never read it.
+    pub fn versioned_list(&self) -> VersionedList {
+        VersionedList::build((0..self.versions.len()).flat_map(|version| {
+            self.version_changes(version)
+                .iter()
+                .map(move |&(added, span)| (version, added, &self.spans[span as usize].rule))
+        }))
+    }
 }
 
 /// One version's rule changes in replay order, as `(added, rule)` (see
@@ -369,6 +380,49 @@ pub(crate) mod tests {
             vec![d("2007-03-22"), d("2010-01-01"), d("2011-01-01")],
         );
         [removed_early, moved]
+    }
+
+    /// The arena read in place equals `snapshot_at` at every version of
+    /// the hand-built histories (every tenth and the latest of a generated
+    /// one), on every rule's bare suffix and a host below it, under all
+    /// three option sets.
+    #[test]
+    fn versioned_list_equals_snapshots() {
+        let [removed_early, moved] = replay_edge_cases();
+        let generated = crate::generator::generate(&crate::generator::GeneratorConfig::small(611));
+        for (h, every) in [(small_history(), 1), (removed_early, 1), (moved, 1), (generated, 10)] {
+            let arena = h.versioned_list();
+            let hosts: Vec<Vec<String>> = h
+                .spans()
+                .iter()
+                .flat_map(|s| {
+                    let bare: Vec<String> = s.rule.labels().iter().rev().cloned().collect();
+                    let below = [bare.clone(), vec!["x".to_string()]].concat();
+                    [bare, below]
+                })
+                .collect();
+            let latest = h.version_count() - 1;
+            for (i, &v) in h.versions().iter().enumerate() {
+                if i % every != 0 && i != latest {
+                    continue;
+                }
+                let list = h.snapshot_at(v);
+                for host in &hosts {
+                    let host: Vec<&str> = host.iter().map(String::as_str).collect();
+                    for opts in [
+                        psl_core::MatchOpts::default(),
+                        psl_core::MatchOpts { include_private: false, implicit_wildcard: true },
+                        psl_core::MatchOpts { include_private: true, implicit_wildcard: false },
+                    ] {
+                        assert_eq!(
+                            arena.at(i).disposition(&host, opts),
+                            list.disposition_reversed(&host, opts),
+                            "{host:?} at {v} under {opts:?}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     fn private(mut span: RuleSpan) -> RuleSpan {

@@ -4,7 +4,10 @@
 //! (2007-03-22 → 2022-10-20). This crate provides:
 //!
 //! - [`History`]: rule lifespans + publication dates, with snapshots,
-//!   diffs, and O(spans + versions) growth series;
+//!   diffs, O(spans + versions) growth series, and
+//!   [`History::versioned_list`]: every version in one
+//!   [`psl_core::VersionedList`] arena, which answers "as of" questions
+//!   without a rebuild;
 //! - [`generator`]: a synthetic history calibrated to the paper's Figure 2
 //!   (growth 2,447 → 9,368 rules, the mid-2012 JP spike, the final
 //!   component mix), with analysis-critical real suffixes pinned at real
@@ -21,7 +24,6 @@ pub mod dating;
 pub mod export;
 pub mod generator;
 pub mod growth;
-pub mod histfile;
 pub mod history;
 pub mod seeds;
 
@@ -31,8 +33,4 @@ pub use dating::{fingerprint, DatedCopy, DatingIndex, MatchQuality};
 pub use export::{all_versions_dat, from_json, to_json, version_dat};
 pub use generator::{generate, GeneratorConfig};
 pub use growth::{GrowthPoint, GrowthSeries};
-pub use histfile::{
-    write_history_file, CompiledHistoryFile, DEFAULT_CHECKPOINT_EVERY, HISTORY_FORMAT_VERSION,
-    HISTORY_MAGIC,
-};
 pub use history::{Changes, Diff, History, RuleSpan};

@@ -1,11 +1,11 @@
 //! The query engine: protocol semantics without any I/O.
 //!
-//! [`Engine`] owns the shared state (snapshot store, history, version
-//! cache, metrics); each worker thread owns a [`WorkerState`] (snapshot
-//! reader, LRU lookup cache, batch state). [`Engine::handle_line`] maps one
-//! input line to one or more output lines — the TCP server, the tests, and
-//! the deterministic golden harness all drive this same function, so
-//! protocol behaviour is pinned in exactly one place.
+//! [`Engine`] owns the shared state (snapshot store, history and its
+//! versioned arena, metrics); each worker thread owns a [`WorkerState`]
+//! (snapshot reader, LRU lookup cache, batch state). [`Engine::handle_line`]
+//! maps one input line to one or more output lines — the TCP server, the
+//! tests, and the deterministic golden harness all drive this same
+//! function, so protocol behaviour is pinned in exactly one place.
 //!
 //! Time is injected as a microsecond clock closure so the golden harness
 //! can freeze it; the server uses a monotonic [`std::time::Instant`].
@@ -15,9 +15,8 @@ use crate::lookup;
 use crate::metrics::{CommandKind, Metrics, SnapshotInfo, StatsReport};
 use crate::protocol::{parse_command, Command, Limits, ProtoError};
 use crate::served::{ServedList, ServedStore};
-use psl_core::{Date, DomainName, List, MatchOpts, SnapshotReader};
+use psl_core::{Date, DomainName, List, MatchOpts, SnapshotReader, VersionedList};
 use psl_history::History;
-use std::collections::HashMap;
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 
@@ -35,7 +34,8 @@ pub fn frozen_clock() -> ClockFn {
     Arc::new(|| 0)
 }
 
-/// Engine tuning knobs.
+/// Engine tuning knobs. `ASOF` has none: it reads the history's one
+/// versioned arena, built with the engine, and caches nothing.
 #[derive(Debug, Clone, Copy)]
 pub struct EngineConfig {
     /// Matching options applied to every lookup.
@@ -47,8 +47,6 @@ pub struct EngineConfig {
     pub workers: usize,
     /// Per-worker LRU lookup-cache capacity (0 disables caching).
     pub cache_capacity: usize,
-    /// How many historical version snapshots `ASOF` keeps materialised.
-    pub version_cache_capacity: usize,
 }
 
 impl Default for EngineConfig {
@@ -58,7 +56,6 @@ impl Default for EngineConfig {
             limits: Limits::default(),
             workers: 4,
             cache_capacity: 8192,
-            version_cache_capacity: 32,
         }
     }
 }
@@ -72,15 +69,6 @@ pub enum Control {
     Quit,
     /// Stop the whole server.
     Shutdown,
-}
-
-/// Materialised `ASOF` snapshots, FIFO-bounded. Shared across workers: a
-/// miss builds the trie outside any lock, so concurrent misses waste a
-/// little work instead of serialising.
-#[derive(Debug, Default)]
-struct VersionCache {
-    lists: HashMap<Date, Arc<List>>,
-    order: VecDeque<Date>,
 }
 
 /// Per-connection protocol state. Split out of [`WorkerState`] because a
@@ -141,8 +129,9 @@ const PUBLISH_LOG_CAP: usize = 64;
 /// The shared query engine.
 pub struct Engine {
     store: Arc<ServedStore>,
-    history: Option<Arc<History>>,
-    version_cache: Mutex<VersionCache>,
+    /// The dated history and every version of it in one arena, which
+    /// answers `ASOF` in place.
+    history: Option<(Arc<History>, VersionedList)>,
     publish_log: Mutex<VecDeque<PublishEvent>>,
     metrics: Metrics,
     config: EngineConfig,
@@ -151,7 +140,8 @@ pub struct Engine {
 
 impl Engine {
     /// Build an engine over a snapshot store, optionally backed by a dated
-    /// history (enables `ASOF` and `RELOAD <date>`).
+    /// history (enables `ASOF` and `RELOAD <date>`), whose versioned arena
+    /// is built here.
     pub fn new(
         store: Arc<ServedStore>,
         history: Option<Arc<History>>,
@@ -171,8 +161,10 @@ impl Engine {
         };
         Arc::new(Engine {
             store,
-            history,
-            version_cache: Mutex::new(VersionCache::default()),
+            history: history.map(|h| {
+                let arena = h.versioned_list();
+                (h, arena)
+            }),
             publish_log: Mutex::new(VecDeque::from([initial])),
             metrics: Metrics::new(config.workers, now),
             config,
@@ -399,7 +391,7 @@ impl Engine {
                 "version": snap.version.map(|v| v.to_string()),
                 "rules": snap.list.rules(),
             }),
-            "history_versions": self.history.as_ref().map(|h| h.versions().len()),
+            "history_versions": self.history.as_ref().map(|(h, _)| h.versions().len()),
             "events": events,
         })
     }
@@ -489,49 +481,30 @@ impl Engine {
         Ok(self.resolve_cached(ws, raw)?.site)
     }
 
-    fn history(&self) -> Result<&Arc<History>, ProtoError> {
+    fn history(&self) -> Result<&(Arc<History>, VersionedList), ProtoError> {
         self.history
             .as_ref()
             .ok_or(ProtoError { code: "state", message: "no version history loaded".into() })
     }
 
+    /// The site of `raw_host` under the version in force at `date`, read
+    /// off the versioned arena by the same walk as `SITE`: no list is
+    /// built, and the per-worker LRU is not touched.
     fn asof(&self, date: &str, raw_host: &str) -> Result<String, ProtoError> {
-        let history = self.history()?;
+        let (history, arena) = self.history()?;
         let date = Date::parse(date)
             .map_err(|e| ProtoError { code: "date", message: format!("{date:?}: {e}") })?;
-        let Some(version) = history.version_at_or_before(date) else {
+        let versions = history.versions();
+        let Some(index) = versions.partition_point(|&v| v <= date).checked_sub(1) else {
             return Err(ProtoError {
                 code: "date",
                 message: format!("{date} predates the first list version"),
             });
         };
         let host = self.parse_host(raw_host)?;
-        let list = self.version_snapshot(history, version);
-        let resolved = lookup::resolve(&list, &host, self.config.opts);
-        Ok(format!("{} version={version}", resolved.site))
-    }
-
-    /// A materialised snapshot for `version`, via the bounded shared cache.
-    fn version_snapshot(&self, history: &History, version: Date) -> Arc<List> {
-        if let Some(hit) =
-            self.version_cache.lock().expect("version cache poisoned").lists.get(&version).cloned()
-        {
-            return hit;
-        }
-        // Build outside the lock: tries for big versions are expensive and
-        // concurrent ASOF misses must not serialise behind each other.
-        let built = Arc::new(history.snapshot_at(version));
-        let mut cache = self.version_cache.lock().expect("version cache poisoned");
-        if !cache.lists.contains_key(&version) {
-            while cache.order.len() >= self.config.version_cache_capacity.max(1) {
-                if let Some(evict) = cache.order.pop_front() {
-                    cache.lists.remove(&evict);
-                }
-            }
-            cache.order.push_back(version);
-            cache.lists.insert(version, Arc::clone(&built));
-        }
-        built
+        let disposition = arena.at(index).disposition(&host.labels_reversed(), self.config.opts);
+        let code = disposition.map_or(lookup::NO_MATCH, |d| d.suffix_len as u32);
+        Ok(format!("{} version={}", lookup::decode(&host, code).site, versions[index]))
     }
 
     fn reload(&self, target: &str) -> Result<String, ProtoError> {
@@ -540,7 +513,7 @@ impl Engine {
     }
 
     fn reload_inner(&self, target: &str) -> Result<(u64, String, usize), ProtoError> {
-        let history = self.history()?;
+        let (history, _) = self.history()?;
         let version = if target.eq_ignore_ascii_case("latest") {
             history.latest_version()
         } else {
@@ -691,20 +664,33 @@ mod tests {
         assert_eq!(one(&engine, &mut ws, "PING"), "OK pong\n");
     }
 
+    /// `ASOF` at every version, and on a day before the next one, answers
+    /// the site `snapshot_at` gives under the version in force, for an
+    /// uppercase spelling, a Unicode name, labels no version holds, and a
+    /// host under a rule the history added and later removed.
     #[test]
     fn asof_resolves_through_history() {
         let (engine, history) = engine_with_history();
         let mut ws = engine.worker_state(0);
         let versions = history.versions();
-        let mid = versions[versions.len() / 2];
-        let list = history.snapshot_at(mid);
-        let host = DomainName::parse("deep.www.example.com").unwrap();
-        let expect = list.site(&host, MatchOpts::default());
-        let resolved = history.version_at_or_before(mid).unwrap();
-        assert_eq!(
-            one(&engine, &mut ws, &format!("ASOF {mid} deep.www.example.com")),
-            format!("OK {} version={resolved}\n", expect.as_str())
-        );
+        let removed = history.spans().iter().find(|s| s.removed.is_some()).unwrap();
+        let under_removed = format!("x.{}", removed.rule.labels().join("."));
+        let hosts = ["deep.www.example.com", "Alice.GitHub.IO", "bücher.example.de", "x.y.zzq"];
+        for (i, &v) in versions.iter().enumerate() {
+            let list = history.snapshot_at(v);
+            let day_before_next = versions
+                .get(i + 1)
+                .map(|next| Date::from_days_since_epoch(next.days_since_epoch() - 1));
+            for raw in hosts.into_iter().chain([under_removed.as_str()]) {
+                let site = list.site(&DomainName::parse(raw).unwrap(), MatchOpts::default());
+                let want = format!("OK {} version={v}\n", site.as_str());
+                assert_eq!(one(&engine, &mut ws, &format!("ASOF {v} {raw}")), want);
+                if let Some(date) = day_before_next {
+                    assert_eq!(one(&engine, &mut ws, &format!("ASOF {date} {raw}")), want);
+                }
+            }
+        }
+        assert_eq!(engine.stats_report().cache.misses, 0, "ASOF bypasses the lookup cache");
         // Before the first version: a date error.
         assert!(one(&engine, &mut ws, "ASOF 1999-01-01 a.com").starts_with("ERR date "));
         // Garbage date: a date error.

@@ -15,8 +15,9 @@
 //! - [`served`] — the published payload: an owned list or an mmap-backed
 //!   snapshot view (`serve --mmap` answers from page-cache bytes);
 //! - [`engine`] — protocol semantics over a [`psl_core::SnapshotStore`]
-//!   (epoch-based hot reload) and a [`psl_history::History`] (`ASOF`
-//!   time-travel lookups, `RELOAD <version>`);
+//!   (epoch-based hot reload) and a [`psl_history::History`]
+//!   (`RELOAD <version>`) with its one [`psl_core::VersionedList`], which
+//!   answers `ASOF` time-travel lookups in place;
 //! - [`http`] — a minimal HTTP/1.1 parser + the admin-plane routes
 //!   (`/health`, `/stats`, `/versions`, `/cache`, `/reload`);
 //! - [`reactor`] — the nonblocking epoll event loop: sharded workers,

@@ -138,11 +138,16 @@ fn suffix_and_asof_agree_with_direct_calls() {
         );
     }
 
-    // ASOF at three historical dates on a 1-in-31 sample.
-    let versions = server.history.versions();
-    for &v in &[versions[0], versions[versions.len() / 2], versions[versions.len() - 1]] {
+    // ASOF at every version on a 1-in-97 sample, an uppercase spelling, a
+    // Unicode name, labels no version holds and a host under a rule the
+    // history added and later removed.
+    let mut asof_hosts: Vec<String> = hosts.iter().step_by(97).cloned().collect();
+    asof_hosts.extend(["Shop.MyShopify.COM", "bücher.example.de", "x.y.zzq"].map(String::from));
+    let removed = server.history.spans().iter().find(|s| s.removed.is_some()).unwrap();
+    asof_hosts.push(format!("x.{}", removed.rule.labels().join(".")));
+    for &v in server.history.versions() {
         let list = server.history.snapshot_at(v);
-        for h in hosts.iter().step_by(31) {
+        for h in &asof_hosts {
             let dom = DomainName::parse(h).unwrap();
             let want = list.site(&dom, opts);
             assert_eq!(

@@ -122,7 +122,18 @@ pub fn generate_corpus(history: &History, config: &CorpusConfig) -> WebCorpus {
 /// The population is drawn from one sequential RNG seeded with
 /// `config.seed`; per-page request streams are derived seeds, so neither
 /// side perturbs the other and request volume never changes the hosts.
+///
+/// # Panics
+///
+/// Refuses, naming the field, a config whose pages and sessions could not
+/// be generated: no `trackers` (every page may request one), no
+/// `org_sites` (most pages and sessions are an organisation's), or no
+/// `exception_city_hosts` when the list has excepted cities (a city page
+/// is one of its city's hosts). A list without excepted cities may have
+/// no city hosts: a city page then emits nothing.
 pub fn build_stream(history: &History, config: &CorpusConfig) -> StreamCorpus {
+    assert!(config.trackers > 0, "CorpusConfig::trackers is 0: pages request trackers");
+    assert!(config.org_sites > 0, "CorpusConfig::org_sites is 0: pages visit organisations");
     let mut rng = StdRng::seed_from_u64(config.seed);
     let mut b = CorpusBuilder::new();
     let latest_rules = history
@@ -184,6 +195,12 @@ pub fn build_stream(history: &History, config: &CorpusConfig) -> StreamCorpus {
     assert!(
         !stable_suffixes.is_empty(),
         "history has no stable suffixes to place organisations under"
+    );
+    assert!(
+        config.exception_city_hosts > 0 || exception_rules.is_empty(),
+        "CorpusConfig::exception_city_hosts is 0, but the list has {} excepted cities: a city \
+         page is one of its city's hosts",
+        exception_rules.len()
     );
 
     // ---- Organisations. ---------------------------------------------------

@@ -129,7 +129,7 @@ impl<'c> SessionStream<'c> {
             // signal (old wildcard-only lists split what the exception
             // rule groups).
             let city = &pools.cities[rng.gen_range(0..pools.cities.len())];
-            let n_pages = (2 + rng.gen_range(0..2usize)).min(city.len().max(1));
+            let n_pages = (2 + rng.gen_range(0..2usize)).min(city.len());
             for _ in 0..n_pages {
                 let page = city[rng.gen_range(0..city.len())];
                 self.page(&mut rng, page, city, out);

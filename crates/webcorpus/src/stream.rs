@@ -62,8 +62,8 @@ impl StreamCorpus {
         requests_per_page: usize,
         page_stream_seed: u64,
     ) -> Self {
-        let org_zipf = Zipf::new(pools.orgs.len().max(1), 1.05);
-        let tracker_zipf = Zipf::new(pools.trackers.len().max(1), 1.2);
+        let org_zipf = Zipf::new(pools.orgs.len(), 1.05);
+        let tracker_zipf = Zipf::new(pools.trackers.len(), 1.2);
         StreamCorpus {
             snapshot_date,
             hosts,
@@ -392,6 +392,53 @@ mod tests {
                 assert_pages_match_reference(&sc, &format!("{what}, seed {seed}"));
             }
         }
+    }
+
+    /// A 0 in any count field of `CorpusConfig` either makes `build_stream`
+    /// refuse the config, naming the field, or leaves a stream whose first
+    /// 200 pages and 200 sessions generate. Exactly three fields refuse.
+    #[test]
+    fn zero_counts_are_refused_or_generate() {
+        let h = generate(&GeneratorConfig::small(61));
+        type Zero = fn(&mut CorpusConfig);
+        let fields: [(&str, Zero); 9] = [
+            ("scale", |c| c.scale = 0.0),
+            ("org_sites", |c| c.org_sites = 0),
+            ("platform_customers_other", |c| c.platform_customers_other = 0),
+            ("exception_city_hosts", |c| c.exception_city_hosts = 0),
+            ("spike_rules_populated", |c| c.spike_rules_populated = 0),
+            ("spike_hosts_per_rule", |c| c.spike_hosts_per_rule = 0),
+            ("pages", |c| c.pages = 0),
+            ("requests_per_page", |c| c.requests_per_page = 0),
+            ("trackers", |c| c.trackers = 0),
+        ];
+        let mut refused = Vec::new();
+        for (field, zero) in fields {
+            let mut config = CorpusConfig::small(21);
+            zero(&mut config);
+            match std::panic::catch_unwind(|| build_stream(&h, &config)) {
+                Err(panic) => {
+                    let message = panic
+                        .downcast_ref::<&str>()
+                        .copied()
+                        .or_else(|| panic.downcast_ref::<String>().map(String::as_str))
+                        .unwrap_or("");
+                    assert!(message.contains(&format!("CorpusConfig::{field} is 0")), "{message}");
+                    refused.push(field);
+                }
+                Ok(sc) => {
+                    let mut requests = Vec::new();
+                    for page in 0..sc.pages().min(200) {
+                        sc.page_requests(page, &mut requests);
+                    }
+                    let (sessions, mut events) = (sc.sessions(200), Vec::new());
+                    for index in 0..200 {
+                        sessions.session_events(index, &mut events);
+                    }
+                }
+            }
+        }
+        assert_eq!(refused, ["org_sites", "exception_city_hosts", "trackers"]);
     }
 
     /// Pools no generated world here has: no platforms (every page is an
