@@ -117,7 +117,7 @@ pub fn disposition_linear(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::frozen::{FrozenList, LabelInterner};
+    use crate::frozen::{FrozenList, LabelInterner, VersionedList};
     use crate::rule::Rule;
     use crate::List;
     use proptest::prelude::*;
@@ -129,6 +129,17 @@ mod tests {
     /// The walk over `texts`, compiled the way every list is.
     fn walk(texts: &[(&str, Section)]) -> List {
         List::from_rules(rules(texts))
+    }
+
+    /// A rule set changes as a new version of a [`VersionedList`]: the
+    /// arena over `(version index, added, rule)` changes.
+    fn versioned(changes: &[(usize, bool, Rule)]) -> VersionedList {
+        VersionedList::build(changes.iter().map(|(v, added, rule)| (*v, *added, rule)))
+    }
+
+    /// Every rule of `rs` added in `version`.
+    fn added(version: usize, rs: &[Rule]) -> Vec<(usize, bool, Rule)> {
+        rs.iter().map(|r| (version, true, r.clone())).collect()
     }
 
     const BASIC: &[(&str, Section)] = &[
@@ -203,6 +214,121 @@ mod tests {
         assert!(l.disposition_reversed(&[], MatchOpts::default()).is_none());
     }
 
+    #[test]
+    fn len_counts_distinct_rules() {
+        let rs = rules(BASIC);
+        let mut twice = rs.clone();
+        twice.push(rs[0].clone());
+        assert_eq!(FrozenList::compile(&twice, &mut LabelInterner::new()).len(), rs.len());
+        // Adding a live rule again, in a later version, adds no rule.
+        let mut changes = added(0, &rs);
+        changes.push((1, true, rs[0].clone()));
+        let arena = versioned(&changes);
+        assert_eq!(arena.at(0).to_frozen().len(), rs.len());
+        assert_eq!(arena.at(1).to_frozen().len(), rs.len());
+    }
+
+    #[test]
+    fn remove_reverses_insert() {
+        let rs = rules(BASIC);
+        let n = rs.len();
+        let rule = Rule::parse("co.uk", Section::Icann).unwrap();
+        let mut changes = added(0, &rs);
+        changes.push((1, false, rule.clone()));
+        changes.push((2, false, rule.clone()));
+        changes.push((3, true, rule));
+        let arena = versioned(&changes);
+        let host = ["uk", "co", "example"];
+        let suffix_len =
+            |v: usize| arena.at(v).disposition(&host, MatchOpts::default()).unwrap().suffix_len;
+        assert_eq!(arena.at(1).to_frozen().len(), n - 1);
+        assert_eq!(arena.at(2).to_frozen().len(), n - 1);
+        // One step per rule, then co.uk's removal and re-addition: the
+        // second removal is a no-op and leaves no step.
+        assert_eq!(arena.step_count(), n + 2, "second removal is a no-op");
+        // co.uk no longer matches; uk (still present) prevails.
+        assert_eq!(suffix_len(1), 1);
+        assert_eq!(suffix_len(2), 1);
+        // Re-adding restores behaviour.
+        assert_eq!(suffix_len(3), 2);
+        assert_eq!(arena.at(3).to_frozen().len(), n);
+        assert_eq!(suffix_len(0), 2);
+    }
+
+    #[test]
+    fn compact_reclaims_dead_nodes_after_removal() {
+        let rs = rules(BASIC);
+        let built_nodes = FrozenList::compile(&rs, &mut LabelInterner::new()).node_count();
+        // Remove the two deepest paths.
+        let dead = ["!www.ck", "github.io"];
+        let mut changes = added(0, &rs);
+        changes.extend(
+            rs.iter()
+                .filter(|r| dead.contains(&r.as_text().as_str()))
+                .map(|r| (1, false, r.clone())),
+        );
+        let arena = versioned(&changes);
+        assert_eq!(arena.node_count(), built_nodes, "the arena keeps every path any version held");
+        let v1 = arena.at(1).to_frozen();
+        // www.ck and github.io die; ck survives (a wildcard anchors there)
+        // and io survives (it holds its own normal rule).
+        assert_eq!(v1.node_count(), built_nodes - 2);
+        // Dropping the dead nodes must not change matching.
+        for d in [
+            arena.at(1).disposition(&["ck", "www"], MatchOpts::default()).unwrap(),
+            v1.disposition(arena.interner(), &["ck", "www"], MatchOpts::default()).unwrap(),
+        ] {
+            assert_eq!(d.kind, MatchKind::Rule(RuleKind::Wildcard));
+        }
+        for d in [
+            arena.at(1).disposition(&["io", "github", "alice"], MatchOpts::default()).unwrap(),
+            v1.disposition(arena.interner(), &["io", "github", "alice"], MatchOpts::default())
+                .unwrap(),
+        ] {
+            assert_eq!(d.suffix_len, 1);
+        }
+        // Rebuilding from the live set gives the same node count.
+        let live: Vec<Rule> =
+            rs.iter().filter(|r| !dead.contains(&r.as_text().as_str())).cloned().collect();
+        assert_eq!(
+            v1.node_count(),
+            FrozenList::compile(&live, &mut LabelInterner::new()).node_count()
+        );
+        // Compiling the materialised version's own rules again drops nothing.
+        let again =
+            FrozenList::compile(&v1.decompile_rules(arena.interner()), &mut LabelInterner::new());
+        assert_eq!(again.node_count(), v1.node_count());
+    }
+
+    #[test]
+    fn compact_prunes_whole_dead_chains() {
+        let deep = Rule::parse("a.b.c.d.e", Section::Icann).unwrap();
+        let arena = versioned(&[(0, true, deep.clone()), (1, false, deep)]);
+        assert_eq!(arena.node_count(), 6);
+        assert_eq!(arena.at(0).to_frozen().node_count(), 6);
+        let v1 = arena.at(1).to_frozen();
+        assert_eq!(v1.node_count(), 1);
+        assert!(v1.is_empty());
+    }
+
+    #[test]
+    fn remove_missing_rule_is_false() {
+        let rs = rules(BASIC);
+        let rule = Rule::parse("never.zz", Section::Icann).unwrap();
+        let mut changes = added(0, &rs);
+        changes.push((1, false, rule));
+        let arena = versioned(&changes);
+        // No step, no rule, no node and no answer changes.
+        assert_eq!(arena.step_count(), rs.len());
+        let v1 = arena.at(1).to_frozen();
+        assert_eq!(v1.len(), rs.len());
+        assert_eq!(v1, arena.at(0).to_frozen());
+        let host = ["zz", "never", "x"];
+        let d = arena.at(1).disposition(&host, MatchOpts::default()).unwrap();
+        assert_eq!(d.kind, MatchKind::ImplicitWildcard);
+        assert_eq!(Some(d), arena.at(0).disposition(&host, MatchOpts::default()));
+    }
+
     /// Strategy producing small random rule sets and hostnames over a tiny
     /// alphabet so collisions (and therefore interesting matches) are
     /// common.
@@ -252,6 +378,63 @@ mod tests {
             let a = arena.disposition(&interner, &reversed, opts);
             let b = disposition_linear(&rs, &reversed, opts);
             prop_assert_eq!(a, b, "rules: {:?} host: {:?}", rs.iter().map(|r| r.as_text()).collect::<Vec<_>>(), reversed);
+        }
+
+        #[test]
+        fn mutation_sequences_agree_with_rebuilds(
+            rule_specs in proptest::collection::vec(
+                (0u8..2, proptest::collection::vec(small_label(), 1..3)),
+                1..10,
+            ),
+            ops in proptest::collection::vec((proptest::bool::ANY, 0usize..10), 1..25),
+            host in proptest::collection::vec(small_label(), 1..4),
+        ) {
+            // A pool of candidate rules; op `i` adds or removes one of them
+            // as version `i`. Every version, read in place and materialised,
+            // must agree with a fresh compile of that version's live set.
+            let pool: Vec<Rule> = rule_specs
+                .into_iter()
+                .map(|(kind, labels)| match kind {
+                    0 => Rule::normal(labels, Section::Icann),
+                    _ => Rule::wildcard(labels, Section::Icann),
+                })
+                .collect();
+            // Dedup pool by text to keep "live set" bookkeeping simple.
+            let mut seen = std::collections::HashSet::new();
+            let pool: Vec<Rule> = pool
+                .into_iter()
+                .filter(|r| seen.insert(r.as_text()))
+                .collect();
+
+            let ops: Vec<(bool, usize)> =
+                ops.into_iter().map(|(add, idx)| (add, idx % pool.len())).collect();
+            let changes: Vec<(usize, bool, Rule)> = ops
+                .iter()
+                .enumerate()
+                .map(|(version, &(add, idx))| (version, add, pool[idx].clone()))
+                .collect();
+            let arena = versioned(&changes);
+            let mut live: Vec<bool> = vec![false; pool.len()];
+            let reversed: Vec<&str> = host.iter().map(|s| s.as_str()).collect();
+            let opts = MatchOpts::default();
+            for (version, &(add, idx)) in ops.iter().enumerate() {
+                live[idx] = add;
+                let live_rules: Vec<Rule> = pool
+                    .iter()
+                    .zip(&live)
+                    .filter(|(_, &l)| l)
+                    .map(|(r, _)| r.clone())
+                    .collect();
+                let mut interner = LabelInterner::new();
+                let rebuilt = FrozenList::compile(&live_rules, &mut interner);
+                let at = arena.at(version);
+                let materialised = at.to_frozen();
+                prop_assert_eq!(materialised.len(), rebuilt.len());
+                prop_assert_eq!(materialised.node_count(), rebuilt.node_count());
+                let want = rebuilt.disposition(&interner, &reversed, opts);
+                prop_assert_eq!(at.disposition(&reversed, opts), want);
+                prop_assert_eq!(materialised.disposition(arena.interner(), &reversed, opts), want);
+            }
         }
     }
 }
