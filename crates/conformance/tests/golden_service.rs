@@ -1,22 +1,24 @@
-//! Golden snapshot of the service `STATS` report.
+//! Golden snapshots of the service's answers and its `STATS` report.
 //!
 //! A frozen-clock [`psl_service::Engine`] is driven directly (no sockets)
 //! with a fixed request mix over the deterministic small-scale history, so
-//! every counter, cache statistic, and latency bucket in the resulting
-//! [`psl_service::StatsReport`] is reproducible bit-for-bit. Re-bless with:
+//! every answer, and every counter, cache statistic, and latency bucket in
+//! the resulting [`psl_service::StatsReport`], is reproducible
+//! bit-for-bit. The transcript fixture holds each driven line, prefixed
+//! with `> `, followed by the answer lines it produced. Re-bless with:
 //!
 //! ```text
 //! PSL_BLESS=1 cargo test -p psl-conformance --test golden_service
 //! ```
 
-use psl_conformance::assert_golden;
+use psl_conformance::{assert_golden, assert_golden_text};
 use psl_history::GeneratorConfig;
 use psl_service::{Engine, EngineConfig};
 use std::path::PathBuf;
 use std::sync::Arc;
 
 fn fixture(name: &str) -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden").join(format!("{name}.json"))
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden").join(name)
 }
 
 #[test]
@@ -42,10 +44,10 @@ fn golden_service_stats() {
         psl_webcorpus::generate_corpus(&history, &psl_webcorpus::CorpusConfig::small(2024));
     let hosts: Vec<&str> = corpus.hosts().iter().take(50).map(|h| h.as_str()).collect();
     let mut ws = engine.worker_state(0);
-    let mut out = String::new();
+    let mut transcript = String::new();
     let mut drive = |ws: &mut psl_service::WorkerState, line: &str| {
-        out.clear();
-        engine.handle_line(ws, line, &mut out);
+        transcript.push_str(&format!("> {line}\n"));
+        engine.handle_line(ws, line, &mut transcript);
     };
 
     for pass in 0..3 {
@@ -79,5 +81,6 @@ fn golden_service_stats() {
     }
     drive(&mut ws1, "STATS");
 
-    assert_golden(&fixture("service_stats"), &engine.stats_report());
+    assert_golden_text(&fixture("service_transcript.txt"), &transcript);
+    assert_golden(&fixture("service_stats.json"), &engine.stats_report());
 }
