@@ -4,9 +4,10 @@
 //! over the deterministic small-scale substrates pins the *executed*
 //! harm counts exactly: any change to session script derivation, the
 //! paired session engine, the list views, or the accumulator merges
-//! shows up as a readable fixture diff. A second fixture pins the rows
-//! and the replayed-pair count of the paper-scale world the benchmark's
-//! `fleet` workload runs. Re-bless intentional changes with:
+//! shows up as a readable fixture diff. Two more fixtures pin the rows,
+//! the replayed-pair count and the replay count of the paper-scale worlds
+//! the benchmark's `fleet` workload runs at seeds 7 and 23. Re-bless
+//! intentional changes with:
 //!
 //! ```text
 //! PSL_BLESS=1 cargo test -p psl-conformance --test golden_fleet
@@ -48,27 +49,37 @@ fn golden_fleet_table_is_thread_and_shard_invariant() {
     }
 }
 
-/// What the paper-scale fixture pins: every row, and how many
-/// `(session, version)` pairs needed a `(V, R)` replay.
+/// What a paper-scale fixture pins: every row, how many
+/// `(session, version)` pairs needed a `(V, R)` replay, and how many
+/// replays answered them.
 #[derive(Serialize)]
 struct FleetPin {
     replayed_pairs: u64,
+    replays: u64,
     rows: Vec<FleetRow>,
 }
 
-/// The benchmark's `fleet` world at seed 7 (the paper configuration with
-/// history seed 7 and corpus seed 8), 100,000 sessions over the default
-/// 12 sampled versions.
-#[test]
-fn golden_fleet_paper_scale_seed7() {
+/// The benchmark's `fleet` world at `seed` (the paper configuration with
+/// history seed `seed` and corpus seed `seed + 1`), 100,000 sessions over
+/// the default 12 sampled versions.
+fn paper_scale_pin(seed: u64) -> FleetPin {
     let mut config = PipelineConfig::default();
-    config.history.seed = 7;
-    config.corpus.seed = 8;
+    config.history.seed = seed;
+    config.corpus.seed = seed + 1;
     let history = generate(&config.history);
     let stream = build_stream(&history, &config.corpus);
     let out =
         run_fleet(&history, &stream, &FleetConfig { sessions: 100_000, ..Default::default() });
     assert_eq!(out.rows.len(), 12);
-    let pin = FleetPin { replayed_pairs: out.replayed_pairs, rows: out.rows };
-    assert_golden(&fixture("fleet_paper_scale_seed7"), &pin);
+    FleetPin { replayed_pairs: out.replayed_pairs, replays: out.replays, rows: out.rows }
+}
+
+#[test]
+fn golden_fleet_paper_scale_seed7() {
+    assert_golden(&fixture("fleet_paper_scale_seed7"), &paper_scale_pin(7));
+}
+
+#[test]
+fn golden_fleet_paper_scale_seed23() {
+    assert_golden(&fixture("fleet_paper_scale_seed23"), &paper_scale_pin(23));
 }
