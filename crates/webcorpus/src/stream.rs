@@ -22,7 +22,7 @@ use rand::{Rng, SeedableRng};
 use std::hint::select_unpredictable;
 
 /// Host groups the request sampler draws from.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub(crate) struct Pools {
     /// Per-organisation host lists (first entry is the "www" page host).
     pub orgs: Vec<Vec<HostId>>,
@@ -235,6 +235,21 @@ impl StreamCorpus {
         }
     }
 
+    /// This corpus over other pools: tests build pools that no generated
+    /// world has.
+    #[cfg(test)]
+    pub(crate) fn with_pools(&self, pools: Pools) -> StreamCorpus {
+        let (pages, seed) = (self.pages as usize, self.page_stream_seed);
+        StreamCorpus::new(
+            self.snapshot_date,
+            self.hosts.clone(),
+            pools,
+            pages,
+            self.requests_per_page,
+            seed,
+        )
+    }
+
     /// Iterate the requests of shard `s` of `k`, page by page.
     pub fn shard_requests(&self, s: u64, k: u64) -> ShardRequests<'_> {
         assert!(k > 0 && s < k, "invalid shard {s} of {k}");
@@ -396,26 +411,38 @@ mod tests {
 
     /// A 0 in any count field of `CorpusConfig` either makes `build_stream`
     /// refuse the config, naming the field, or leaves a stream whose first
-    /// 200 pages and 200 sessions generate. Exactly three fields refuse.
+    /// 200 pages and 200 sessions generate. Exactly three fields refuse. A
+    /// 1 in any count field leaves a stream whose first 200 pages and 2,000
+    /// sessions generate.
     #[test]
     fn zero_counts_are_refused_or_generate() {
         let h = generate(&GeneratorConfig::small(61));
-        type Zero = fn(&mut CorpusConfig);
-        let fields: [(&str, Zero); 9] = [
-            ("scale", |c| c.scale = 0.0),
-            ("org_sites", |c| c.org_sites = 0),
-            ("platform_customers_other", |c| c.platform_customers_other = 0),
-            ("exception_city_hosts", |c| c.exception_city_hosts = 0),
-            ("spike_rules_populated", |c| c.spike_rules_populated = 0),
-            ("spike_hosts_per_rule", |c| c.spike_hosts_per_rule = 0),
-            ("pages", |c| c.pages = 0),
-            ("requests_per_page", |c| c.requests_per_page = 0),
-            ("trackers", |c| c.trackers = 0),
+        type Set = fn(&mut CorpusConfig, usize);
+        let fields: [(&str, Set); 9] = [
+            ("scale", |c, n| c.scale = n as f64),
+            ("org_sites", |c, n| c.org_sites = n),
+            ("platform_customers_other", |c, n| c.platform_customers_other = n),
+            ("exception_city_hosts", |c, n| c.exception_city_hosts = n),
+            ("spike_rules_populated", |c, n| c.spike_rules_populated = n),
+            ("spike_hosts_per_rule", |c, n| c.spike_hosts_per_rule = n),
+            ("pages", |c, n| c.pages = n),
+            ("requests_per_page", |c, n| c.requests_per_page = n),
+            ("trackers", |c, n| c.trackers = n),
         ];
+        let run = |sc: &StreamCorpus, sessions: u64| {
+            let mut requests = Vec::new();
+            for page in 0..200 {
+                sc.page_requests(page, &mut requests);
+            }
+            let (stream, mut events) = (sc.sessions(sessions), Vec::new());
+            for index in 0..sessions {
+                stream.session_events(index, &mut events);
+            }
+        };
         let mut refused = Vec::new();
-        for (field, zero) in fields {
+        for (field, set) in fields {
             let mut config = CorpusConfig::small(21);
-            zero(&mut config);
+            set(&mut config, 0);
             match std::panic::catch_unwind(|| build_stream(&h, &config)) {
                 Err(panic) => {
                     let message = panic
@@ -426,17 +453,11 @@ mod tests {
                     assert!(message.contains(&format!("CorpusConfig::{field} is 0")), "{message}");
                     refused.push(field);
                 }
-                Ok(sc) => {
-                    let mut requests = Vec::new();
-                    for page in 0..sc.pages().min(200) {
-                        sc.page_requests(page, &mut requests);
-                    }
-                    let (sessions, mut events) = (sc.sessions(200), Vec::new());
-                    for index in 0..200 {
-                        sessions.session_events(index, &mut events);
-                    }
-                }
+                Ok(sc) => run(&sc, 200),
             }
+            let mut config = CorpusConfig::small(21);
+            set(&mut config, 1);
+            run(&build_stream(&h, &config), 2000);
         }
         assert_eq!(refused, ["org_sites", "exception_city_hosts", "trackers"]);
     }
@@ -450,14 +471,7 @@ mod tests {
         let edits: [(&str, Edit); 2] =
             [("no platforms", |p| p.platforms.clear()), ("no cities", |p| p.cities.clear())];
         for (what, edit) in edits {
-            let p = &sc.pools;
-            let mut pools = Pools {
-                orgs: p.orgs.clone(),
-                platforms: p.platforms.clone(),
-                cities: p.cities.clone(),
-                trackers: p.trackers.clone(),
-                spike_hosts: p.spike_hosts.clone(),
-            };
+            let mut pools = sc.pools.clone();
             edit(&mut pools);
             let edited = StreamCorpus::new(
                 sc.snapshot_date,
