@@ -29,6 +29,6 @@ pub use histogram::Histogram;
 pub use hll::{hash64, mix64, HyperLogLog};
 pub use process::{current_rss_bytes, peak_rss_bytes, reset_peak_rss};
 pub use sampler::{
-    derive_seed, exponential, index_below, log_normal, standard_normal, unit_f64, weighted_index,
-    Zipf,
+    derive_seed, exponential, index_below, log_normal, standard_normal, unit_cut, unit_f64,
+    weighted_index, Zipf,
 };

@@ -10,6 +10,8 @@
 //! [`Zipf::rank`]. Each gives exactly what the vendored `rand` shim's
 //! `gen::<f64>()`, `gen_range(0..n)` and [`Zipf::sample`] give for the
 //! same draw (tested below), so the two styles make one stream.
+//! [`unit_cut`] compares a raw draw with a probability the way its
+//! `unit_f64` compares, in integers.
 
 use rand::Rng;
 
@@ -18,6 +20,16 @@ use rand::Rng;
 #[inline]
 pub fn unit_f64(x: u64) -> f64 {
     (x >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+}
+
+/// The bound a raw draw's top 53 bits fall under exactly when its
+/// [`unit_f64`] is below `p`, for `p` in `[0, 1]`: `unit_f64(x) < p` iff
+/// `x >> 11 < unit_cut(p)`. A generator that selects on a roll compares
+/// integers, so no conversion to `f64` sits between a draw and the select
+/// that decides which draw comes next.
+#[inline]
+pub fn unit_cut(p: f64) -> u64 {
+    (p * (1u64 << 53) as f64).ceil() as u64
 }
 
 /// The index in `0..n` that `rng.gen_range(0..n)` makes of the raw draw
@@ -357,6 +369,23 @@ mod tests {
             for z in [Zipf::new(3000, 1.05), Zipf::new(40, 1.2)] {
                 for _ in 0..500 {
                     prop_assert_eq!(z.rank(raw.next_u64()), searched(&z, rng.gen::<f64>()));
+                }
+            }
+        }
+
+        /// A draw falls under a probability's cut exactly when its `f64`
+        /// falls under the probability: at the draws one `2^-53` either
+        /// side of the last one at or below it, and at random draws.
+        #[test]
+        fn unit_cuts_compare_like_the_f64(seed in 0u64..u64::MAX, p in 0.0f64..=1.0) {
+            let mut r = rng(seed);
+            let step = 1.0 / (1u64 << 53) as f64;
+            for p in [0.0, 0.15, 0.18, 0.30, 0.45, 0.60, 0.70, 1.0, p] {
+                let at = (p / step).floor() * step;
+                let near = [at - step, at, at + step].into_iter().filter(|u| (0.0..1.0).contains(u));
+                let draws: Vec<u64> = near.map(|u| raw(u, r.next_u64())).collect();
+                for x in draws.into_iter().chain((0..200).map(|_| r.next_u64())) {
+                    prop_assert_eq!(unit_f64(x) < p, x >> 11 < unit_cut(p), "x = {:#x}", x);
                 }
             }
         }
