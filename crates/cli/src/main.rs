@@ -82,7 +82,7 @@ certharm|updatefail|replay|categories> [--seed N] [--paper-scale] [--threads N] 
        pslharm serve [--addr HOST:PORT] [--http-addr HOST:PORT] [--max-conns N] [--reactor-workers N] [--threads N] \
 [--watch PATH [--mmap] | --embedded]
        pslharm query [--addr HOST:PORT] CMD [ARGS...]
-       pslharm loadgen [--addr HOST:PORT] [--requests N] [--connections N] [--batch N] [--check | --pipeline [--window N]]
+       pslharm loadgen [--addr HOST:PORT] [--requests N] [--connections N] [--batch N] [--window N] [--threads N] [--check]
        pslharm sweep [--seed N] [--requests N] [--shards N|auto] [--threads N] [--json PATH]
        pslharm fleet [--seed N] [--sessions N] [--shards N|auto] [--threads N] [--sketch] [--max-versions N] [--json PATH]
        pslharm compile [LIST.dat] --out PATH [--embedded] [--seed N]
@@ -107,7 +107,6 @@ struct Flags {
     requests: u64,
     connections: usize,
     batch: usize,
-    pipeline: bool,
     window: usize,
     check: bool,
     iters: u64,
@@ -138,7 +137,6 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
         requests: 100_000,
         connections: 4,
         batch: 512,
-        pipeline: false,
         window: 256,
         check: false,
         iters: 500,
@@ -185,7 +183,6 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
                 flags.reactor_workers =
                     Some(v.parse().map_err(|_| format!("bad --reactor-workers {v:?}"))?);
             }
-            "--pipeline" => flags.pipeline = true,
             "--window" => {
                 let v = it.next().ok_or("--window needs a value")?;
                 flags.window = v.parse().map_err(|_| format!("bad --window {v:?}"))?;
@@ -587,60 +584,26 @@ fn cmd_loadgen(args: &[String]) -> Result<(), String> {
     let corpus = psl_webcorpus::generate_corpus(&history, &config.corpus);
     let hosts: Vec<String> = corpus.hosts().iter().map(|h| h.as_str().to_string()).collect();
 
-    if flags.pipeline {
-        if flags.check {
-            return Err("loadgen: --pipeline counts responses; it cannot --check them".into());
-        }
-        let report = psl_service::loadgen::run_pipelined(
-            &psl_service::PipelineConfig {
-                addr: flags.addr.clone(),
-                connections: flags.connections,
-                requests: flags.requests,
-                batch: flags.batch,
-                window: flags.window,
-                drivers: if flags.threads == 0 { 2 } else { flags.threads },
-                ..Default::default()
-            },
-            &hosts,
-        )?;
-        let payload = serde_json::to_string_pretty(&report).map_err(|e| e.to_string())?;
-        println!("{payload}");
-        if let Some(path) = &flags.json {
-            std::fs::write(path, &payload).map_err(|e| format!("writing {path}: {e}"))?;
-            eprintln!("wrote {path}");
-        }
-        if report.errors > 0 {
-            return Err(format!("loadgen: {} protocol errors", report.errors));
-        }
-        if report.disconnects > 0 {
-            return Err(format!("loadgen: {} connections dropped mid-run", report.disconnects));
-        }
-        return Ok(());
-    }
-
     // --check recomputes the expected answer for every host directly from
     // the latest generated snapshot; it is only meaningful against a server
     // started with the same --seed / --paper-scale (the default for serve).
-    let expected: Option<Vec<String>> = if flags.check {
+    let expected: Option<Vec<String>> = flags.check.then(|| {
         let latest = history.latest_snapshot();
         let opts = MatchOpts::default();
-        Some(
-            hosts
-                .iter()
-                .map(|h| latest.site(&DomainName::parse(h).unwrap(), opts).as_str().to_string())
-                .collect(),
-        )
-    } else {
-        None
-    };
+        hosts
+            .iter()
+            .map(|h| latest.site(&DomainName::parse(h).unwrap(), opts).as_str().to_string())
+            .collect()
+    });
 
     let report = psl_service::loadgen::run(
         &psl_service::LoadgenConfig {
             addr: flags.addr.clone(),
-            requests: flags.requests,
             connections: flags.connections,
+            requests: flags.requests,
             batch: flags.batch,
-            check: flags.check,
+            window: flags.window,
+            drivers: if flags.threads == 0 { 2 } else { flags.threads },
         },
         &hosts,
         expected.as_deref(),
@@ -651,11 +614,14 @@ fn cmd_loadgen(args: &[String]) -> Result<(), String> {
         std::fs::write(path, &payload).map_err(|e| format!("writing {path}: {e}"))?;
         eprintln!("wrote {path}");
     }
-    if report.errors > 0 {
-        return Err(format!("loadgen: {} protocol errors", report.errors));
-    }
-    if flags.check && report.mismatches > 0 {
-        return Err(format!("loadgen: {} mismatched answers", report.mismatches));
+    for (count, what) in [
+        (report.errors, "protocol errors"),
+        (report.disconnects, "connections dropped mid-run"),
+        (report.mismatches, "mismatched answers"),
+    ] {
+        if count > 0 {
+            return Err(format!("loadgen: {count} {what}"));
+        }
     }
     Ok(())
 }

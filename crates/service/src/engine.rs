@@ -492,15 +492,8 @@ impl Engine {
     /// built, and the per-worker LRU is not touched.
     fn asof(&self, date: &str, raw_host: &str) -> Result<String, ProtoError> {
         let (history, arena) = self.history()?;
-        let date = Date::parse(date)
-            .map_err(|e| ProtoError { code: "date", message: format!("{date:?}: {e}") })?;
         let versions = history.versions();
-        let Some(index) = versions.partition_point(|&v| v <= date).checked_sub(1) else {
-            return Err(ProtoError {
-                code: "date",
-                message: format!("{date} predates the first list version"),
-            });
-        };
+        let index = version_index(versions, date)?;
         let host = self.parse_host(raw_host)?;
         let disposition = arena.at(index).disposition(&host.labels_reversed(), self.config.opts);
         let code = disposition.map_or(lookup::NO_MATCH, |d| d.suffix_len as u32);
@@ -513,20 +506,17 @@ impl Engine {
     }
 
     fn reload_inner(&self, target: &str) -> Result<(u64, String, usize), ProtoError> {
-        let (history, _) = self.history()?;
-        let version = if target.eq_ignore_ascii_case("latest") {
-            history.latest_version()
+        let (history, arena) = self.history()?;
+        let versions = history.versions();
+        let index = if target.eq_ignore_ascii_case("latest") {
+            versions.len() - 1
         } else {
-            let date = Date::parse(target)
-                .map_err(|e| ProtoError { code: "date", message: format!("{target:?}: {e}") })?;
-            history.version_at_or_before(date).ok_or(ProtoError {
-                code: "date",
-                message: format!("{date} predates the first list version"),
-            })?
+            version_index(versions, target)?
         };
-        // Build the new trie off the read path; readers keep answering on
-        // the old epoch until the single Arc swap below.
-        let list = history.snapshot_at(version);
+        let version = versions[index];
+        // Materialise the version from the arena off the read path; readers
+        // keep answering on the old epoch until the single Arc swap below.
+        let list = List::from_compiled(arena.interner().clone(), arena.at(index).to_frozen());
         let rules = list.len();
         let epoch = self.publish_list(format!("history:{version}"), Some(version), list);
         Ok((epoch, format!("history:{version}"), rules))
@@ -537,6 +527,16 @@ impl Engine {
         out.push_str(&e.to_line());
         out.push('\n');
     }
+}
+
+/// The index in `versions` of the version in force at the date `date`.
+fn version_index(versions: &[Date], date: &str) -> Result<usize, ProtoError> {
+    let date = Date::parse(date)
+        .map_err(|e| ProtoError { code: "date", message: format!("{date:?}: {e}") })?;
+    versions.partition_point(|&v| v <= date).checked_sub(1).ok_or(ProtoError {
+        code: "date",
+        message: format!("{date} predates the first list version"),
+    })
 }
 
 fn ok(out: &mut String, body: &str) {
@@ -697,17 +697,30 @@ mod tests {
         assert!(one(&engine, &mut ws, "ASOF not-a-date a.com").starts_with("ERR date "));
     }
 
+    /// `RELOAD` of every version publishes that version: its rule count
+    /// and its `SITE` answers are `snapshot_at`'s, also for a host under a
+    /// rule the history added and later removed.
     #[test]
     fn reload_bumps_epoch_and_reports_rules() {
         let (engine, history) = engine_with_history();
         let mut ws = engine.worker_state(0);
-        let first = history.first_version();
-        let resp = one(&engine, &mut ws, &format!("RELOAD {first}"));
-        assert!(resp.starts_with("OK epoch=2 "), "{resp}");
-        assert!(resp.contains(&format!("version=history:{first}")), "{resp}");
-        assert_eq!(engine.store().epoch(), 2);
+        let removed = history.spans().iter().find(|s| s.removed.is_some()).unwrap();
+        let under_removed = format!("x.{}", removed.rule.labels().join("."));
+        let hosts = ["deep.www.example.com", "Alice.GitHub.IO", "bücher.example.de", "x.y.zzq"];
+        for (i, &v) in history.versions().iter().enumerate() {
+            let list = history.snapshot_at(v);
+            let epoch = i + 2;
+            let want = format!("OK epoch={epoch} version=history:{v} rules={}\n", list.len());
+            assert_eq!(one(&engine, &mut ws, &format!("RELOAD {v}")), want);
+            assert_eq!(engine.store().epoch(), epoch as u64);
+            for raw in hosts.into_iter().chain([under_removed.as_str()]) {
+                let site = list.site(&DomainName::parse(raw).unwrap(), MatchOpts::default());
+                assert_eq!(one(&engine, &mut ws, &format!("SITE {raw}")), format!("OK {site}\n"));
+            }
+        }
         let resp = one(&engine, &mut ws, "RELOAD latest");
-        assert!(resp.starts_with("OK epoch=3 "), "{resp}");
+        let epoch = history.version_count() + 2;
+        assert!(resp.starts_with(&format!("OK epoch={epoch} ")), "{resp}");
     }
 
     #[test]

@@ -23,8 +23,8 @@
 //! - [`reactor`] — the nonblocking epoll event loop: sharded workers,
 //!   request pipelining, write backpressure, admission control;
 //! - [`server`] — listener setup, reactor worker threads, file watcher;
-//! - [`loadgen`] — a batching load generator with optional answer
-//!   checking, plus a pipelined high-concurrency mode.
+//! - [`loadgen`] — the epoll load generator: thousands of pipelined or
+//!   lock-step connections, every answer optionally checked.
 //!
 //! ## Protocol quickstart
 //!
@@ -56,9 +56,7 @@ pub mod server;
 pub use engine::{
     frozen_clock, monotonic_clock, ConnState, Control, Engine, EngineConfig, WorkerState,
 };
-pub use loadgen::{
-    fetch_stats, query_once, LoadgenConfig, LoadgenReport, PipelineConfig, PipelinedReport,
-};
+pub use loadgen::{fetch_stats, query_once, LoadgenConfig, LoadgenReport};
 pub use metrics::{Metrics, NetStats, StatsReport};
 pub use protocol::{parse_command, Command, Limits, ProtoError};
 pub use reactor::ReactorOptions;

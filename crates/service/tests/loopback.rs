@@ -209,6 +209,8 @@ fn shutdown_command_stops_the_server() {
     }
 }
 
+/// The load generator checks every answer, lock-step (a window below
+/// the batch) and pipelined over many connections and two drivers.
 #[test]
 fn loadgen_runs_clean_against_a_live_server() {
     let server = TestServer::spawn(4242, 4);
@@ -219,26 +221,29 @@ fn loadgen_runs_clean_against_a_live_server() {
     let hosts: Vec<String> = corpus.hosts().iter().map(|h| h.as_str().to_string()).collect();
     let expected: Vec<String> =
         corpus.hosts().iter().map(|h| latest.site(h, opts).as_str().to_string()).collect();
-    let report = psl_service::loadgen::run(
-        &psl_service::LoadgenConfig {
+    let shapes = [(3, 256, 1, 1), (64, 16, 64, 2)];
+    for (connections, batch, window, drivers) in shapes {
+        let config = psl_service::LoadgenConfig {
             addr: server.addr.to_string(),
+            connections,
             requests: 20_000,
-            connections: 3,
-            batch: 256,
-            check: true,
-        },
-        &hosts,
-        Some(&expected),
-    )
-    .expect("loadgen run");
-    assert_eq!(report.errors, 0);
-    assert_eq!(report.mismatches, 0);
-    assert_eq!(report.requests, 20_000);
-    assert!(report.throughput_rps > 0.0);
-    let server_stats = report.server.expect("server stats fetched");
-    assert!(server_stats.lookups >= 20_000);
-    // Hosts repeat across the corpus cycle, so the cache must be earning
-    // its keep by the end of the run.
-    assert!(report.cache_hit_ratio > 0.5, "hit ratio {}", report.cache_hit_ratio);
+            batch,
+            window,
+            drivers,
+        };
+        let report =
+            psl_service::loadgen::run(&config, &hosts, Some(&expected)).expect("loadgen run");
+        let shape = format!("{config:?}");
+        assert_eq!((report.connections, report.established), (connections, connections), "{shape}");
+        assert_eq!((report.requests, report.completed), (20_000, 20_000), "{shape}");
+        assert_eq!((report.errors, report.mismatches, report.disconnects), (0, 0, 0), "{shape}");
+        assert!(report.connect_seconds > 0.0 && report.throughput_rps > 0.0, "{shape}");
+        assert!(report.batch_rtt_us.p50_us >= report.latency_us.p50_us, "{shape}");
+        let server_stats = report.server.expect("server stats fetched");
+        assert!(server_stats.lookups >= 20_000, "{shape}");
+        // Hosts repeat across the corpus cycle, so the cache must be
+        // earning its keep by the end of the run.
+        assert!(report.cache_hit_ratio > 0.5, "{shape}: hit ratio {}", report.cache_hit_ratio);
+    }
     let _ = server.engine.stats_report();
 }
