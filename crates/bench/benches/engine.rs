@@ -2,9 +2,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use psl_bench::world;
-use psl_core::{
-    parse_dat, punycode, DomainName, FrozenList, LabelInterner, List, MatchOpts, SnapshotView,
-};
+use psl_core::{parse_dat, punycode, DomainName, FrozenList, LabelInterner, List, MatchOpts};
 use psl_history::DatingIndex;
 
 fn bench_parse_dat(c: &mut Criterion) {
@@ -58,23 +56,6 @@ fn bench_lookup(c: &mut Criterion) {
         })
     });
 
-    // The same hosts and ids through the walk over the snapshot's
-    // little-endian words, read in place (`serve --mmap`'s arm). The
-    // writer keeps interner order, so the list's ids are the snapshot's.
-    let bytes = list.write_snapshot();
-    let view = SnapshotView::parse(&bytes).expect("own snapshot");
-    c.bench_function("snapshot_view_ids_disposition_1000_hosts", |b| {
-        b.iter(|| {
-            let mut acc = 0usize;
-            for ids in &host_ids {
-                if let Some(d) = view.disposition_by_ids(ids, opts) {
-                    acc += d.suffix_len;
-                }
-            }
-            std::hint::black_box(acc)
-        })
-    });
-
     let miss = DomainName::parse("deep.sub.never-a-suffix.unknowntld").unwrap();
     let miss_rev = miss.labels_reversed();
     c.bench_function("disposition_miss", |b| {
@@ -93,21 +74,12 @@ fn bench_frozen_compile(c: &mut Criterion) {
     });
 }
 
-/// Cold start from a compiled snapshot of the same list, at the three
-/// loader tiers (compare `parse_dat_full_list` + `frozen_compile_full_list`
-/// for starting from `.dat` text).
+/// Cold start from a compiled snapshot of the same list, at the two loader
+/// tiers (compare `parse_dat_full_list` + `frozen_compile_full_list` for
+/// starting from `.dat` text).
 fn bench_snapshot_load(c: &mut Criterion) {
     let w = world();
     let bytes = w.history.latest_snapshot().write_snapshot();
-    let opts = MatchOpts::default();
-    // Parse plus one lookup: the unit is "the process answers its first
-    // query", not just header validation.
-    c.bench_function("snapshot_view_first_query_full_list", |b| {
-        b.iter(|| {
-            let view = SnapshotView::parse(&bytes).expect("own snapshot");
-            std::hint::black_box(view.disposition(&["com", "example"], opts))
-        })
-    });
     c.bench_function("frozen_load_full_list", |b| {
         b.iter(|| std::hint::black_box(FrozenList::load(&bytes).expect("own snapshot").1.len()))
     });

@@ -80,7 +80,7 @@ certharm|updatefail|replay|categories> [--seed N] [--paper-scale] [--threads N] 
        pslharm conformance [--seed N] [--json PATH]
        pslharm suffix <domain>...|-
        pslharm serve [--addr HOST:PORT] [--http-addr HOST:PORT] [--max-conns N] [--reactor-workers N] [--threads N] \
-[--watch PATH [--mmap] | --embedded]
+[--watch PATH | --embedded]
        pslharm query [--addr HOST:PORT] CMD [ARGS...]
        pslharm loadgen [--addr HOST:PORT] [--requests N] [--connections N] [--batch N] [--window N] [--threads N] [--check]
        pslharm sweep [--seed N] [--requests N] [--shards N|auto] [--threads N] [--json PATH]
@@ -117,7 +117,6 @@ struct Flags {
     sketch: bool,
     sessions: u64,
     max_versions: usize,
-    mmap: bool,
     extra: Vec<String>,
 }
 
@@ -147,7 +146,6 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
         sketch: false,
         sessions: 10_000,
         max_versions: 0,
-        mmap: false,
         extra: Vec::new(),
     };
     let mut it = args.iter();
@@ -230,7 +228,6 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
                 let v = it.next().ok_or("--max-versions needs a value")?;
                 flags.max_versions = v.parse().map_err(|_| format!("bad --max-versions {v:?}"))?;
             }
-            "--mmap" => flags.mmap = true,
             "--out" => {
                 flags.out = Some(it.next().ok_or("--out needs a path")?.clone());
             }
@@ -351,18 +348,18 @@ fn cmd_conformance(args: &[String]) -> Result<(), String> {
         println!("  FAIL {f}");
     }
 
-    // 3. Differential sweep over every history version: the owned, the
-    //    mapped and the versioned walk against the linear oracle.
+    // 3. Differential sweep over every history version: the owned and the
+    //    versioned walk against the linear oracle.
     let hosts = psl_conformance::probe_corpus(&history, flags.seed.wrapping_add(3), 10_000);
     eprintln!(
-        "differential sweep: {} versions x {} hostnames x 3 option sets x 3 walks (owned, \
-         mapped, versioned) vs the linear oracle ...",
+        "differential sweep: {} versions x {} hostnames x 3 option sets x 2 walks (owned, \
+         versioned) vs the linear oracle ...",
         history.version_count(),
         hosts.len()
     );
     let sweep = psl_conformance::sweep_history(&history, &hosts, 0);
     println!(
-        "differential sweep: {} comparisons over {} versions, each by the owned, mapped and \
+        "differential sweep: {} comparisons over {} versions, each by the owned and the \
          versioned walk, {} divergences",
         sweep.comparisons,
         sweep.versions,
@@ -378,14 +375,12 @@ fn cmd_conformance(args: &[String]) -> Result<(), String> {
     let print_divergences = |outcome: &psl_conformance::SweepOutcome| {
         for d in outcome.divergences.iter().take(10) {
             println!(
-                "  DIVERGENCE at {}: {} (minimized: {}) production={} linear={} mapped={} \
-                 versioned={}",
+                "  DIVERGENCE at {}: {} (minimized: {}) production={} linear={} versioned={}",
                 d.version.as_deref().unwrap_or("-"),
                 d.host,
                 d.minimized,
                 d.production,
                 d.linear,
-                d.mapped,
                 d.versioned
             );
         }
@@ -393,7 +388,7 @@ fn cmd_conformance(args: &[String]) -> Result<(), String> {
     print_divergences(&sweep);
 
     // 4. Rule shapes no generated history has (rules below an exception,
-    //    wildcards below wildcards, ...), through the same three walks.
+    //    wildcards below wildcards, ...), through the same two walks.
     let shapes = psl_core::List::parse(psl_conformance::WALK_SHAPES);
     let shape_check = psl_conformance::check_list(&shapes, &psl_conformance::list_probes(&shapes));
     println!(
@@ -485,8 +480,12 @@ fn cmd_suffix(args: &[String]) -> Result<(), String> {
 /// `loadgen --check` can recompute expectations from the same `--seed`);
 /// `--embedded` serves the real embedded list instead, and `--watch PATH`
 /// loads (and hot-reloads) a `.dat` file or compiled binary snapshot
-/// (format sniffed by magic, see `pslharm compile`).
-fn build_engine(flags: &Flags) -> Result<std::sync::Arc<psl_service::Engine>, String> {
+/// (format sniffed by magic, see `pslharm compile`). `workers` sizes the
+/// engine's metric and cache shards, one per reactor worker.
+fn build_engine(
+    flags: &Flags,
+    workers: usize,
+) -> Result<std::sync::Arc<psl_service::Engine>, String> {
     use std::sync::Arc;
     let config = config_for(flags);
     eprintln!("generating history (seed {}) ...", flags.seed);
@@ -494,10 +493,8 @@ fn build_engine(flags: &Flags) -> Result<std::sync::Arc<psl_service::Engine>, St
     let latest = history.latest_version();
 
     let store = if let Some(path) = &flags.watch {
-        // --mmap serves a compiled snapshot in place from the page cache;
-        // the watcher republishes new mappings on file change.
-        let served = psl_service::load_served_file(std::path::Path::new(path), flags.mmap)?;
-        Arc::new(psl_core::SnapshotStore::new(path.clone(), None, served))
+        let list = psl_service::load_list_file(std::path::Path::new(path))?;
+        psl_service::owned_store(path.clone(), None, list)
     } else if flags.embedded {
         psl_service::owned_store("embedded", None, psl_core::embedded_list())
     } else {
@@ -507,7 +504,6 @@ fn build_engine(flags: &Flags) -> Result<std::sync::Arc<psl_service::Engine>, St
             history.latest_snapshot(),
         )
     };
-    let workers = if flags.threads == 0 { 4 } else { flags.threads };
     Ok(psl_service::Engine::new(
         store,
         Some(history),
@@ -521,30 +517,33 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     if !flags.extra.is_empty() {
         return Err(format!("serve: unexpected arguments {:?}", flags.extra));
     }
-    let engine = build_engine(&flags)?;
+    // One worker count for the reactor's threads and the engine's shards:
+    // --reactor-workers, else --threads, else 4.
+    let threads = (flags.threads > 0).then_some(flags.threads);
+    let workers = flags.reactor_workers.or(threads).unwrap_or(4).max(1);
+    let engine = build_engine(&flags, workers)?;
     let watch = flags
         .watch
         .as_ref()
         .map(|p| (std::path::PathBuf::from(p), std::time::Duration::from_millis(500)));
     let server = psl_service::Server::bind_with(
         std::sync::Arc::clone(&engine),
-        psl_service::ServerConfig { addr: flags.addr.clone(), watch, mmap: flags.mmap },
+        psl_service::ServerConfig { addr: flags.addr.clone(), watch },
         psl_service::ReactorOptions {
             http_addr: flags.http_addr.clone(),
             max_conns: flags.max_conns,
-            workers: flags.reactor_workers,
+            workers: Some(workers),
             ..Default::default()
         },
     )
     .map_err(|e| format!("binding {}: {e}", flags.addr))?;
     let addr = server.local_addr().map_err(|e| e.to_string())?;
     let snap = engine.store().load();
-    let workers = flags.reactor_workers.unwrap_or(engine.config().workers).max(1);
     println!(
         "pslharm serve: listening on {addr} ({} workers, snapshot {} / {} rules)",
         workers,
         snap.label,
-        snap.list.rules()
+        snap.list.len()
     );
     if let Some(http) = server.http_local_addr() {
         let http = http.map_err(|e| e.to_string())?;

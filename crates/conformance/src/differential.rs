@@ -1,28 +1,26 @@
-//! Differential matcher oracle: one walk, three arms, one oracle.
+//! Differential matcher oracle: one walk, two arms, one oracle.
 //!
-//! Every hostname is answered by the three arms the engine serves from
-//! and by the literal reading of the algorithm:
+//! Every hostname is answered by the two arms the engine serves from and
+//! by the literal reading of the algorithm:
 //!
-//! 1. the production walk: a [`List`] (its compiled [`psl_core::FrozenList`]),
-//!    queried through the [`ProductionMatcher`] seam so tests can plant a
-//!    broken matcher;
-//! 2. the mapped walk: a [`SnapshotView`] over the same list's
-//!    `write_snapshot()` bytes, queried with the list's label ids (the
-//!    writer keeps interner order, so the two id spaces are one);
-//! 3. the versioned walk: the rule set's version of a [`VersionedList`]
+//! 1. the production walk: a [`List`] (its compiled [`psl_core::FrozenList`],
+//!    which `SITE` and `SUFFIX` read, and which a compiled snapshot loads
+//!    into), queried through the [`ProductionMatcher`] seam so tests can
+//!    plant a broken matcher;
+//! 2. the versioned walk: the rule set's version of a [`VersionedList`]
 //!    (a history's arena, or [`one_version`] of a bare list), read in
 //!    place with the host's labels, as `ASOF` reads it;
-//! 4. the oracle, [`psl_core::trie::disposition_linear`], which tests
+//! 3. the oracle, [`psl_core::trie::disposition_linear`], which tests
 //!    every rule against the host.
 //!
-//! The arms run the same walk over different arena layouts; any
-//! disagreement with the oracle is a bug in the walk or in one layout. The
+//! The arms run the same walk over two arena layouts; any disagreement
+//! with the oracle is a bug in the walk or in one layout. The
 //! sweep runs the comparison across every version of a [`History`],
 //! reports the first divergence per version, and ships a label-minimized
 //! reproducer so the failing case is human-readable.
 
 use psl_core::trie::disposition_linear;
-use psl_core::{At, Disposition, DomainName, List, MatchOpts, Rule, SnapshotView, VersionedList};
+use psl_core::{At, Disposition, DomainName, List, MatchOpts, Rule, VersionedList};
 use psl_history::History;
 use rand::{Rng, SeedableRng};
 use serde::Serialize;
@@ -40,8 +38,6 @@ pub struct Divergence {
     pub production: String,
     /// The linear oracle's answer.
     pub linear: String,
-    /// The mapped snapshot's answer.
-    pub mapped: String,
     /// The versioned arena's answer at the rule set's version.
     pub versioned: String,
 }
@@ -103,51 +99,32 @@ const OPTS_MATRIX: [MatchOpts; 3] = [
     MatchOpts { include_private: true, implicit_wildcard: false },
 ];
 
-/// The mapped arm's answer: `list`'s label ids walked over `mapped`.
-fn mapped_disposition(
-    list: &List,
-    mapped: &SnapshotView<'_>,
-    reversed: &[&str],
-    opts: MatchOpts,
-) -> Option<Disposition> {
-    let mut ids = Vec::with_capacity(reversed.len());
-    list.reversed_ids(reversed, &mut ids);
-    mapped.disposition_by_ids(&ids, opts)
-}
-
-/// The production, linear, mapped and versioned answers for one host.
+/// The production, linear and versioned answers for one host.
 fn answers(
     production: &impl ProductionMatcher,
     rules: &[Rule],
-    list: &List,
-    mapped: &SnapshotView<'_>,
     versioned: At<'_>,
     reversed: &[&str],
     opts: MatchOpts,
-) -> [Answer; 4] {
+) -> [Answer; 3] {
     [
         guarded(|| production.disposition(reversed, opts)),
         guarded(|| disposition_linear(rules, reversed, opts)),
-        guarded(|| mapped_disposition(list, mapped, reversed, opts)),
         guarded(|| versioned.disposition(reversed, opts)),
     ]
 }
 
 /// True unless every arm agrees with the linear oracle (the second answer).
-fn disagree(answers: &[Answer; 4]) -> bool {
+fn disagree(answers: &[Answer; 3]) -> bool {
     answers.iter().any(|a| *a != answers[1])
 }
 
-/// Compare the three arms with the linear oracle over `rules` on a host
+/// Compare the two arms with the linear oracle over `rules` on a host
 /// corpus, returning the first divergence (with a minimized reproducer).
-/// `mapped` is a view over `list.write_snapshot()` (a mutation test may
-/// pass another list's snapshot) and is queried with `list`'s label ids;
 /// `versioned` is the version of an arena that holds `rules`.
 pub fn first_divergence(
     production: &impl ProductionMatcher,
     rules: &[Rule],
-    list: &List,
-    mapped: &SnapshotView<'_>,
     versioned: At<'_>,
     hosts: &[DomainName],
     comparisons: &mut usize,
@@ -156,18 +133,16 @@ pub fn first_divergence(
         let reversed = host.labels_reversed();
         for opts in OPTS_MATRIX {
             *comparisons += 1;
-            let found = answers(production, rules, list, mapped, versioned, &reversed, opts);
+            let found = answers(production, rules, versioned, &reversed, opts);
             if disagree(&found) {
-                let minimized =
-                    minimize(production, rules, list, mapped, versioned, &reversed, opts);
-                let [p, l, m, v] = found;
+                let minimized = minimize(production, rules, versioned, &reversed, opts);
+                let [p, l, v] = found;
                 return Some(Divergence {
                     version: None,
                     host: host.as_str().to_string(),
                     minimized,
                     production: render(p),
                     linear: render(l),
-                    mapped: render(m),
                     versioned: render(v),
                 });
             }
@@ -181,14 +156,11 @@ pub fn first_divergence(
 fn minimize(
     production: &impl ProductionMatcher,
     rules: &[Rule],
-    list: &List,
-    mapped: &SnapshotView<'_>,
     versioned: At<'_>,
     reversed: &[&str],
     opts: MatchOpts,
 ) -> String {
-    let diverges =
-        |rev: &[&str]| disagree(&answers(production, rules, list, mapped, versioned, rev, opts));
+    let diverges = |rev: &[&str]| disagree(&answers(production, rules, versioned, rev, opts));
 
     // Labels here are in reversed (TLD-first) order; the leftmost label of
     // the hostname is the *last* element.
@@ -228,11 +200,8 @@ pub fn sweep_history(history: &History, hosts: &[DomainName], limit: usize) -> S
     for (index, &version) in all.iter().enumerate().skip(skip) {
         let rules = history.rules_at(version);
         let list = List::from_rules(rules.clone());
-        let bytes = list.write_snapshot();
-        let mapped = SnapshotView::parse(&bytes).expect("a list's own snapshot parses");
-        let versioned = arena.at(index);
         if let Some(mut d) =
-            first_divergence(&list, &rules, &list, &mapped, versioned, hosts, &mut comparisons)
+            first_divergence(&list, &rules, arena.at(index), hosts, &mut comparisons)
         {
             d.version = Some(version.to_string());
             divergences.push(d);
@@ -302,15 +271,11 @@ fn label(rng: &mut rand::rngs::StdRng) -> String {
 }
 
 /// Check a bare [`List`] over a host corpus, the list itself as the
-/// production arm, its own snapshot as the mapped arm and
-/// [`one_version`] of it as the versioned arm.
+/// production arm and [`one_version`] of it as the versioned arm.
 pub fn check_list(list: &List, hosts: &[DomainName]) -> SweepOutcome {
-    let bytes = list.write_snapshot();
-    let mapped = SnapshotView::parse(&bytes).expect("a list's own snapshot parses");
     let arena = one_version(list);
     let mut comparisons = 0;
-    let divergence =
-        first_divergence(list, list.rules(), list, &mapped, arena.at(0), hosts, &mut comparisons);
+    let divergence = first_divergence(list, list.rules(), arena.at(0), hosts, &mut comparisons);
     SweepOutcome {
         versions: 1,
         hosts: hosts.len(),
@@ -398,47 +363,32 @@ mod tests {
         let list = List::parse("jp\n*.kobe.jp\n!city.kobe.jp\n");
         let rules = list.rules().to_vec();
         let broken = ExceptionBlind(list.clone());
-        let bytes = list.write_snapshot();
-        let mapped = SnapshotView::parse(&bytes).unwrap();
         let arena = one_version(&list);
         let hosts = vec![DomainName::parse("deep.sub.city.kobe.jp").unwrap()];
         let mut comparisons = 0;
-        let d = first_divergence(
-            &broken,
-            &rules,
-            &list,
-            &mapped,
-            arena.at(0),
-            &hosts,
-            &mut comparisons,
-        )
-        .expect("oracle must catch the exception-blind matcher");
+        let d = first_divergence(&broken, &rules, arena.at(0), &hosts, &mut comparisons)
+            .expect("oracle must catch the exception-blind matcher");
         assert_eq!(d.host, "deep.sub.city.kobe.jp");
         // Minimization drops the irrelevant leading labels.
         assert_eq!(d.minimized, "city.kobe.jp");
         assert_ne!(d.production, d.linear);
-        assert_eq!(d.linear, d.mapped, "the healthy mapped arm stays in agreement");
         assert_eq!(d.linear, d.versioned, "the healthy versioned arm stays in agreement");
     }
 
-    /// The converse direction: a healthy production walk with a *skewed
-    /// mapped* arm (a snapshot of a different rule set) must also trip the
-    /// oracle (the mapped arm is not decorative).
+    /// A production `List` whose compiled arena is skewed (loaded from the
+    /// snapshot of a different rule set, as a broken loader would leave
+    /// it) must trip the oracle too, with no wrapper around the walk.
     #[test]
     fn broken_frozen_executor_is_caught() {
         let list = List::parse("jp\n*.kobe.jp\n!city.kobe.jp\n");
         let rules = list.rules().to_vec();
-        // "Break" the mapped side by snapshotting a different rule set.
-        let skewed = List::parse("jp\n*.kobe.jp\n").write_snapshot();
-        let mapped = SnapshotView::parse(&skewed).unwrap();
+        let skewed = List::load_snapshot(&List::parse("jp\n*.kobe.jp\n").write_snapshot()).unwrap();
         let arena = one_version(&list);
         let hosts = vec![DomainName::parse("x.city.kobe.jp").unwrap()];
         let mut comparisons = 0;
-        let d =
-            first_divergence(&list, &rules, &list, &mapped, arena.at(0), &hosts, &mut comparisons)
-                .expect("oracle must catch the skewed mapped arm");
-        assert_eq!(d.production, d.linear);
-        assert_ne!(d.linear, d.mapped);
+        let d = first_divergence(&skewed, &rules, arena.at(0), &hosts, &mut comparisons)
+            .expect("oracle must catch the skewed arena");
+        assert_ne!(d.production, d.linear);
         assert_eq!(d.linear, d.versioned);
     }
 
@@ -456,21 +406,14 @@ mod tests {
         let planted = VersionedList::build(changes.iter().map(|(v, a, r)| (*v, *a, r)));
         let list = List::parse("jp\n*.kobe.jp\n");
         let rules = list.rules().to_vec();
-        let bytes = list.write_snapshot();
-        let mapped = SnapshotView::parse(&bytes).unwrap();
         let hosts = vec![DomainName::parse("x.city.kobe.jp").unwrap()];
         let mut comparisons = 0;
         let at = healthy.at(1);
-        assert!(
-            first_divergence(&list, &rules, &list, &mapped, at, &hosts, &mut comparisons).is_none()
-        );
+        assert!(first_divergence(&list, &rules, at, &hosts, &mut comparisons).is_none());
         let at = planted.at(1);
-        let d = first_divergence(&list, &rules, &list, &mapped, at, &hosts, &mut comparisons)
+        let d = first_divergence(&list, &rules, at, &hosts, &mut comparisons)
             .expect("oracle must catch the first-step arena");
-        assert_eq!(
-            (d.production.as_str(), d.mapped.as_str()),
-            (d.linear.as_str(), d.linear.as_str())
-        );
+        assert_eq!(d.production, d.linear);
         assert_ne!(d.linear, d.versioned);
         assert_eq!(d.minimized, "city.kobe.jp");
     }
@@ -489,24 +432,12 @@ mod tests {
     #[test]
     fn panicking_matcher_is_a_divergence() {
         let list = List::parse("jp\n*.kobe.jp\n");
-        let bytes = list.write_snapshot();
-        let mapped = SnapshotView::parse(&bytes).unwrap();
         let arena = one_version(&list);
         let hosts = vec![DomainName::parse("x.kobe.jp").unwrap()];
         let mut comparisons = 0;
-        let at = arena.at(0);
-        let d = first_divergence(
-            &Panicking,
-            list.rules(),
-            &list,
-            &mapped,
-            at,
-            &hosts,
-            &mut comparisons,
-        )
-        .expect("a panicking arm diverges");
+        let d = first_divergence(&Panicking, list.rules(), arena.at(0), &hosts, &mut comparisons)
+            .expect("a panicking arm diverges");
         assert_eq!((d.production.as_str(), d.minimized.as_str()), ("panic", "a"));
-        assert_eq!(d.linear, d.mapped);
         assert_eq!(d.linear, d.versioned);
     }
 

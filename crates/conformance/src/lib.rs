@@ -8,11 +8,10 @@
 //!   vector file for the embedded mini PSL, and derive fresh vectors from
 //!   any [`psl_core::List`] using the linear reference matcher.
 //! - **Differential oracle** ([`differential`]): answer every probe
-//!   hostname by the production walk over an owned list, by the same walk
-//!   over the list's snapshot bytes and over the history's versioned
-//!   arena at that version, and compare all three with the one oracle,
-//!   the linear scan, across all versions of a history, reporting the
-//!   first divergence with a minimized reproducer.
+//!   hostname by the production walk over an owned list and by the same
+//!   walk over the history's versioned arena at that version, and compare
+//!   both with the one oracle, the linear scan, across all versions of a
+//!   history, reporting the first divergence with a minimized reproducer.
 //! - **Golden snapshots** ([`golden`]): byte-exact JSON and text fixtures
 //!   for analysis outputs and printed reports, re-blessed with
 //!   `PSL_BLESS=1`.

@@ -3,9 +3,10 @@
 //! `tests/golden/snapshot_v1.bin` is the byte-exact snapshot of the
 //! embedded mini-PSL as written by `List::write_snapshot`, and
 //! `snapshot_v1_dispositions.json` pins what a loader reading that file
-//! must answer, through the loaded list and through the zero-copy view. Together they freeze the on-disk format: any writer
-//! change shows up as a byte-offset diff, any loader drift as a
-//! disposition diff — and neither may ship without bumping
+//! must answer, through the loaded list by labels and by label ids.
+//! Together they freeze the on-disk format: any writer change shows up as
+//! a byte-offset diff, any loader drift as a disposition diff — and
+//! neither may ship without bumping
 //! `LIST_FORMAT_VERSION` *and* deliberately re-blessing with:
 //!
 //! ```text
@@ -13,9 +14,7 @@
 //! ```
 
 use psl_conformance::{assert_golden, assert_golden_bytes};
-use psl_core::{
-    embedded_list, Disposition, List, MatchOpts, SnapshotView, LIST_FORMAT_VERSION, LIST_MAGIC,
-};
+use psl_core::{embedded_list, Disposition, List, MatchOpts, LIST_FORMAT_VERSION, LIST_MAGIC};
 use std::path::PathBuf;
 
 fn fixture(name: &str) -> PathBuf {
@@ -97,21 +96,18 @@ fn checked_in_snapshot_loads_and_answers_the_golden_dispositions() {
         std::fs::read(&path)
             .unwrap_or_else(|_| panic!("fixture {} missing — run with PSL_BLESS=1", path.display()))
     };
-    let view = SnapshotView::parse(&bytes).expect("checked-in fixture must parse");
-    assert_eq!(view.rules(), embedded_list().len());
     let loaded = List::load_snapshot(&bytes).expect("checked-in fixture must load");
+    assert_eq!(loaded.len(), embedded_list().len());
     let golden = fixture("snapshot_v1_dispositions.json");
     assert_golden(&golden, &disposition_rows(|rev, opts| loaded.disposition_reversed(rev, opts)));
-    // The zero-copy view over the same bytes must give the same rows, both
-    // by string labels and by the loaded list's ids (the loader keeps the
-    // file's interner order, so the two id spaces are one).
-    assert_golden(&golden, &disposition_rows(|rev, opts| view.disposition(rev, opts)));
+    // The same rows by the loaded list's ids, which come from the file's
+    // label arena in its order.
     let mut ids = Vec::new();
     assert_golden(
         &golden,
         &disposition_rows(|rev, opts| {
             loaded.reversed_ids(rev, &mut ids);
-            view.disposition_by_ids(&ids, opts)
+            loaded.disposition_ids(&ids, opts)
         }),
     );
 }

@@ -19,10 +19,11 @@
 //!
 //! The walk is written once, over a small crate-private arena trait with
 //! two accessors (a node's slot byte, a node's child along a label).
-//! [`FrozenList`] implements it over its vectors,
-//! [`crate::SnapshotView`] over the little-endian words of a snapshot
-//! buffer and [`At`] over one version of a [`VersionedList`], so an owned
-//! list, a mapped snapshot and any historical version run the same code.
+//! [`FrozenList`] implements it over its vectors and [`At`] over one
+//! version of a [`VersionedList`]; both share one node layout and its root
+//! dispatch, so the served list and any historical version run the same
+//! code. A compiled snapshot is loaded into a [`FrozenList`] first
+//! ([`FrozenList::load`]).
 //! [`FrozenList::disposition_by_ids`] walks with **zero heap allocation
 //! per lookup**, and [`FrozenList::disposition`] does the same for string
 //! labels by interning lazily (unknown labels map to the [`UNKNOWN_LABEL`]
@@ -276,7 +277,7 @@ pub(crate) const NO_NODE: u32 = u32::MAX;
 // Spans at or below this length are scanned linearly: for the tiny
 // fan-outs below the root the scan stays in one cache line and beats
 // binary search's branchy halving.
-pub(crate) const LINEAR_SPAN: usize = 16;
+const LINEAR_SPAN: usize = 16;
 
 /// Borrowed views of every arena array, in the order the snapshot format
 /// serialises them.
@@ -452,10 +453,9 @@ impl FrozenList {
 }
 
 /// One arena layout the prevailing-rule [`walk`] reads: [`FrozenList`]
-/// over its vectors, [`crate::SnapshotView`] over the little-endian words
-/// of a borrowed snapshot buffer, [`At`] over one version of a
-/// [`VersionedList`]. Node `0` is the root.
-pub(crate) trait Arena {
+/// over its vectors, [`At`] over one version of a [`VersionedList`]. Node
+/// `0` is the root.
+trait Arena {
     /// The rule-slot bitfield of `node`.
     fn slot(&self, node: usize) -> u8;
 
@@ -485,7 +485,7 @@ impl Arena for FrozenList {
 /// `*` rule. [`crate::trie::disposition_linear`] reads the same algorithm
 /// literally and is the oracle this walk is checked against.
 #[inline(always)]
-pub(crate) fn walk(
+fn walk(
     arena: &impl Arena,
     ids: impl Iterator<Item = u32>,
     opts: MatchOpts,

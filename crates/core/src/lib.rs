@@ -12,8 +12,8 @@
 //! - [`List`]: the prevailing-rule matching algorithm from
 //!   <https://publicsuffix.org/list/>, with eTLD and eTLD+1 (registrable
 //!   domain) extraction and site grouping. Every lookup runs one walk
-//!   ([`frozen`]) over a compiled arena: owned ([`FrozenList`]), read in
-//!   place from a snapshot ([`SnapshotView`]), or one version of a
+//!   ([`frozen`]) over a compiled arena: owned ([`FrozenList`], also what a
+//!   compiled snapshot loads into, see [`snapfile`]), or one version of a
 //!   history's [`VersionedList`], which holds every version in one arena;
 //!   [`trie::disposition_linear`] reads the algorithm literally and is the
 //!   oracle the walk is checked against;

@@ -15,9 +15,9 @@ use std::collections::HashSet;
 /// A queryable Public Suffix List.
 ///
 /// Every lookup runs the walk over the compiled [`FrozenList`] (flat arena
-/// trie over interned labels), the same walk a [`crate::SnapshotView`]
-/// runs over snapshot bytes. Tests, conformance and the fuzzer check it
-/// against [`crate::trie::disposition_linear`] over [`List::rules`].
+/// trie over interned labels), the same walk a [`crate::VersionedList`]
+/// runs at one version. Tests, conformance and the fuzzer check it against
+/// [`crate::trie::disposition_linear`] over [`List::rules`].
 #[derive(Debug, Clone, Default)]
 pub struct List {
     rules: Vec<Rule>,

@@ -2,11 +2,13 @@
 //!
 //! A snapshot is the byte-exact serial form of one [`FrozenList`] plus the
 //! [`LabelInterner`] it was compiled against. The layout is designed so a
-//! loader can *reinterpret* the arena sections in place — validate the
-//! header and checksum once, then answer queries by reading little-endian
-//! words straight out of the buffer ([`SnapshotView`]), or bulk-copy the
-//! sections into an owned [`FrozenList`] ([`FrozenList::load`]) without any
-//! per-element decoding, hashing, or tree building.
+//! loader can *reinterpret* the arena sections in place: [`SnapshotView`]
+//! validates the header, checksum and every structural invariant once and
+//! reads counts, labels and section extents straight out of the buffer,
+//! and [`FrozenList::load`] then bulk-copies the sections into an owned
+//! [`FrozenList`] without any per-element decoding, hashing, or tree
+//! building. Lookups run on the owned arena, by the walk in
+//! [`crate::frozen`].
 //!
 //! ## Byte layout (format version 1, all integers little-endian)
 //!
@@ -57,10 +59,9 @@
 //! golden binary vector so an accidental layout drift fails loudly.
 
 use crate::frozen::{
-    walk, Arena, FrozenList, LabelInterner, EXCEPTION, EXCEPTION_PRIVATE, LINEAR_SPAN, NORMAL,
-    NORMAL_PRIVATE, NO_NODE, UNKNOWN_LABEL, WILDCARD, WILDCARD_PRIVATE,
+    FrozenList, LabelInterner, EXCEPTION, EXCEPTION_PRIVATE, NORMAL, NORMAL_PRIVATE, NO_NODE,
+    WILDCARD, WILDCARD_PRIVATE,
 };
-use crate::trie::{Disposition, MatchOpts};
 use std::fmt;
 use std::ops::Range;
 
@@ -391,9 +392,9 @@ fn push_u64(buf: &mut Vec<u8>, v: u64) {
 ///
 /// [`SnapshotView::parse`] runs the full hostile-input validation pass
 /// once; afterwards every accessor reads little-endian words directly out
-/// of the borrowed buffer, including the two the allocation-free
-/// [`SnapshotView::disposition_by_ids`] needs to run [`FrozenList`]'s walk
-/// in place (a node's slot byte, a node's child along a label).
+/// of the borrowed buffer. The view answers what a snapshot holds (counts,
+/// labels, section extents) for tooling, and [`SnapshotView::materialize`]
+/// copies it into the owned arena every lookup runs on.
 #[derive(Debug, Clone)]
 pub struct SnapshotView<'a> {
     buf: &'a [u8],
@@ -609,7 +610,7 @@ impl<'a> SnapshotView<'a> {
         // on the root, exceptions at depth >= 2; recount must match.
         let mut counted = 0u64;
         for node in 0..view.node_count {
-            let s = view.slot(node as usize);
+            let s = view.slot(node);
             if s & !0x3f != 0 {
                 return Err(SnapshotError::BadSlotBits { node });
             }
@@ -696,6 +697,10 @@ impl<'a> SnapshotView<'a> {
         self.sec_u32(SEC_ROOT_TABLE, i)
     }
 
+    fn slot(&self, node: u32) -> u8 {
+        self.buf[self.sections[SEC_SLOTS].start + node as usize]
+    }
+
     /// Number of compiled rules.
     pub fn rules(&self) -> usize {
         self.rules as usize
@@ -747,27 +752,6 @@ impl<'a> SnapshotView<'a> {
         Some(std::str::from_utf8(bytes).expect("validated at parse"))
     }
 
-    /// The interned id of a label string, by binary-search-free linear scan
-    /// over the arena. Intended for tooling (`pslharm inspect`), not hot
-    /// paths — materialise via [`FrozenList::load`] for those.
-    pub fn label_id(&self, label: &str) -> Option<u32> {
-        (0..self.label_count).find(|&id| self.label(id) == Some(label))
-    }
-
-    /// The prevailing-rule decision for reversed interned label ids: the
-    /// same [`crate::frozen`] walk as [`FrozenList::disposition_by_ids`],
-    /// reading the arena directly out of the snapshot buffer.
-    pub fn disposition_by_ids(&self, reversed: &[u32], opts: MatchOpts) -> Option<Disposition> {
-        walk(self, reversed.iter().copied(), opts)
-    }
-
-    /// The prevailing-rule decision for reversed string labels, resolving
-    /// each against the snapshot's own label arena (linear scan per label;
-    /// tooling convenience, not a hot path).
-    pub fn disposition(&self, reversed: &[&str], opts: MatchOpts) -> Option<Disposition> {
-        walk(self, reversed.iter().map(|l| self.label_id(l).unwrap_or(UNKNOWN_LABEL)), opts)
-    }
-
     /// Bulk-copy the sections into an owned interner + arena. No decoding
     /// beyond the endian-normalising word copies.
     pub fn materialize(&self) -> (LabelInterner, FrozenList) {
@@ -791,49 +775,6 @@ impl<'a> SnapshotView<'a> {
             .chunks_exact(4)
             .map(|c| u32::from_le_bytes(c.try_into().expect("chunked by 4")))
             .collect()
-    }
-}
-
-impl Arena for SnapshotView<'_> {
-    #[inline(always)]
-    fn slot(&self, node: usize) -> u8 {
-        self.buf[self.sections[SEC_SLOTS].start + node]
-    }
-
-    #[inline(always)]
-    fn child(&self, node: usize, label: u32) -> Option<usize> {
-        if node == 0 {
-            if label >= self.root_table_len {
-                return None;
-            }
-            return match self.root_entry(label) {
-                NO_NODE => None,
-                c => Some(c as usize),
-            };
-        }
-        let start = self.span_start(node as u32);
-        let len = self.span_len(node as u32);
-        let pos = if len as usize <= LINEAR_SPAN {
-            let at = self.sections[SEC_EDGE_LABELS].start + start as usize * 4;
-            self.buf[at..at + len as usize * 4]
-                .chunks_exact(4)
-                .position(|w| u32::from_le_bytes(w.try_into().expect("chunked by 4")) == label)?
-                as u32
-        } else {
-            let (mut lo, mut hi) = (0, len);
-            loop {
-                if lo >= hi {
-                    return None;
-                }
-                let mid = lo + (hi - lo) / 2;
-                match self.edge_label(start + mid).cmp(&label) {
-                    std::cmp::Ordering::Less => lo = mid + 1,
-                    std::cmp::Ordering::Greater => hi = mid,
-                    std::cmp::Ordering::Equal => break mid,
-                }
-            }
-        };
-        Some(self.edge_target(start + pos) as usize)
     }
 }
 
@@ -950,19 +891,22 @@ mod tests {
         assert_eq!(write_list_snapshot(&i2, &f2), bytes);
     }
 
+    /// The view reads the counts and labels `inspect` prints straight out
+    /// of the buffer, equal to the arena and interner that were written.
     #[test]
     fn view_answers_without_materializing() {
         let (interner, frozen) = sample();
         let bytes = write_list_snapshot(&interner, &frozen);
         let view = SnapshotView::parse(&bytes).unwrap();
         assert_eq!(view.rules(), frozen.len());
-        let opts = MatchOpts::default();
-        for host in [vec!["uk", "co", "x"], vec!["ck", "www"], vec!["ck", "other", "shop"]] {
-            let mut ids = Vec::new();
-            interner.ids_reversed(&host, &mut ids);
-            assert_eq!(view.disposition_by_ids(&ids, opts), frozen.disposition_by_ids(&ids, opts));
-            assert_eq!(view.disposition(&host, opts), frozen.disposition(&interner, &host, opts));
+        assert_eq!(view.node_count(), frozen.node_count());
+        assert_eq!(view.edge_count(), frozen.edge_count());
+        assert_eq!(view.label_count(), interner.len());
+        assert_eq!(view.byte_len(), bytes.len());
+        for id in 0..interner.len() as u32 {
+            assert_eq!(view.label(id), interner.resolve(id));
         }
+        assert_eq!(view.label(interner.len() as u32), None);
     }
 
     #[test]

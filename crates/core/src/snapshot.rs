@@ -15,11 +15,6 @@
 //!   `RwLock` read lock is only taken once per reload per reader;
 //! - snapshots are immutable once published, so in-flight queries on the
 //!   previous epoch keep a consistent view until their `Arc` drops.
-//!
-//! The store is generic over the served payload (`L`, defaulting to
-//! [`List`]): the epoch/swap machinery cares only about publication order,
-//! so a server can put anything behind it — psl-service swaps in an enum
-//! that serves either an owned `List` or an mmap-backed snapshot view.
 
 use crate::date::Date;
 use crate::list::List;
@@ -28,7 +23,7 @@ use std::sync::{Arc, RwLock};
 
 /// An immutable, published list version.
 #[derive(Debug)]
-pub struct Snapshot<L = List> {
+pub struct Snapshot {
     /// Publication counter: 1 for the snapshot the store was created with,
     /// +1 for every successful [`SnapshotStore::publish`].
     pub epoch: u64,
@@ -39,19 +34,19 @@ pub struct Snapshot<L = List> {
     /// file path.
     pub label: String,
     /// The queryable list.
-    pub list: L,
+    pub list: List,
 }
 
 /// The shared slot holding the current [`Snapshot`].
 #[derive(Debug)]
-pub struct SnapshotStore<L = List> {
-    current: RwLock<Arc<Snapshot<L>>>,
+pub struct SnapshotStore {
+    current: RwLock<Arc<Snapshot>>,
     epoch: AtomicU64,
 }
 
-impl<L> SnapshotStore<L> {
+impl SnapshotStore {
     /// Create a store whose first snapshot (epoch 1) wraps `list`.
-    pub fn new(label: impl Into<String>, version: Option<Date>, list: L) -> Self {
+    pub fn new(label: impl Into<String>, version: Option<Date>, list: List) -> Self {
         let snap = Arc::new(Snapshot { epoch: 1, version, label: label.into(), list });
         SnapshotStore { current: RwLock::new(snap), epoch: AtomicU64::new(1) }
     }
@@ -62,14 +57,14 @@ impl<L> SnapshotStore<L> {
     }
 
     /// Clone out the current snapshot (takes the read lock briefly).
-    pub fn load(&self) -> Arc<Snapshot<L>> {
+    pub fn load(&self) -> Arc<Snapshot> {
         self.current.read().expect("snapshot lock poisoned").clone()
     }
 
     /// Publish a new snapshot, returning its epoch. The caller builds the
     /// (expensive) payload before calling, so the write lock is held only
     /// for the pointer swap.
-    pub fn publish(&self, label: impl Into<String>, version: Option<Date>, list: L) -> u64 {
+    pub fn publish(&self, label: impl Into<String>, version: Option<Date>, list: List) -> u64 {
         let mut slot = self.current.write().expect("snapshot lock poisoned");
         let epoch = slot.epoch + 1;
         *slot = Arc::new(Snapshot { epoch, version, label: label.into(), list });
@@ -80,7 +75,7 @@ impl<L> SnapshotStore<L> {
     }
 
     /// A per-thread cached reader over this store.
-    pub fn reader(self: &Arc<Self>) -> SnapshotReader<L> {
+    pub fn reader(self: &Arc<Self>) -> SnapshotReader {
         SnapshotReader { store: Arc::clone(self), cached: self.load() }
     }
 }
@@ -90,15 +85,15 @@ impl<L> SnapshotStore<L> {
 /// ([`SnapshotReader::current`]) is a single atomic load plus a pointer
 /// return when the epoch is unchanged.
 #[derive(Debug)]
-pub struct SnapshotReader<L = List> {
-    store: Arc<SnapshotStore<L>>,
-    cached: Arc<Snapshot<L>>,
+pub struct SnapshotReader {
+    store: Arc<SnapshotStore>,
+    cached: Arc<Snapshot>,
 }
 
-impl<L> SnapshotReader<L> {
+impl SnapshotReader {
     /// The current snapshot, refreshing the cached `Arc` if a reload
     /// happened since the last call.
-    pub fn current(&mut self) -> &Arc<Snapshot<L>> {
+    pub fn current(&mut self) -> &Arc<Snapshot> {
         if self.cached.epoch != self.store.epoch() {
             self.cached = self.store.load();
         }

@@ -2,10 +2,9 @@
 //! algorithm.
 //!
 //! Every lookup runs the compiled arenas' walk ([`crate::frozen`]): a
-//! [`crate::FrozenList`], a [`crate::SnapshotView`], or one version of a
-//! [`crate::VersionedList`]. [`disposition_linear`] scans every rule and
-//! applies the algorithm as written, and is the one oracle that walk is
-//! checked against.
+//! [`crate::FrozenList`] or one version of a [`crate::VersionedList`].
+//! [`disposition_linear`] scans every rule and applies the algorithm as
+//! written, and is the one oracle that walk is checked against.
 
 use crate::rule::{Rule, RuleKind, Section};
 
@@ -53,7 +52,7 @@ impl Default for MatchOpts {
 /// the longest match prevails; otherwise the implicit `*` rule. Returns
 /// `None` only when nothing matches *and* the implicit wildcard is
 /// disabled. The oracle for the compiled walk
-/// ([`crate::FrozenList::disposition`], [`crate::SnapshotView::disposition_by_ids`]).
+/// ([`crate::FrozenList::disposition`], [`crate::At::disposition`]).
 pub fn disposition_linear(
     rules: &[Rule],
     reversed: &[&str],

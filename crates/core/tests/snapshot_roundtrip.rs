@@ -3,14 +3,14 @@
 //! For arbitrary rule sets, the snapshot pipeline must be lossless at
 //! three observable layers: the serialized bytes are a fixpoint
 //! (`write(load(b)) == b`), the decompiled rule set is the original set,
-//! and — the one that matters — the in-memory [`FrozenList`], the loaded
-//! arena, and the zero-copy [`SnapshotView`] walk all give the answer of
+//! and — the one that matters — the in-memory [`FrozenList`] and the
+//! loaded arena, by labels and by ids, give the answer of
 //! [`disposition_linear`] over the loaded rules, over generated hosts and
 //! the full `MatchOpts` matrix.
 
 use proptest::prelude::*;
 use psl_core::trie::disposition_linear;
-use psl_core::{FrozenList, LabelInterner, List, MatchOpts, Rule, RuleKind, Section, SnapshotView};
+use psl_core::{FrozenList, LabelInterner, List, MatchOpts, Rule, RuleKind, Section};
 
 fn small_label() -> impl Strategy<Value = String> {
     prop_oneof![
@@ -66,7 +66,6 @@ proptest! {
 
         let bytes = list.write_snapshot();
         let loaded = List::load_snapshot(&bytes).expect("own snapshot must load");
-        let view = SnapshotView::parse(&bytes).expect("own snapshot must parse");
 
         // Bytes are a fixpoint and the arena survives bit-for-bit.
         prop_assert_eq!(&loaded.write_snapshot(), &bytes);
@@ -82,7 +81,7 @@ proptest! {
         prop_assert_eq!(want, got);
 
         // Disposition agreement over hosts x the full options matrix,
-        // through every entry point including the zero-copy view walk.
+        // through every entry point.
         let mut ids = Vec::new();
         for host in &hosts {
             let reversed: Vec<&str> = host.iter().map(|s| s.as_str()).collect();
@@ -92,10 +91,6 @@ proptest! {
                 prop_assert_eq!(loaded.disposition_reversed(&reversed, opts), expected);
                 loaded.reversed_ids(&reversed, &mut ids);
                 prop_assert_eq!(loaded.disposition_ids(&ids, opts), expected);
-                // The view shares the writer's interner id space.
-                list.reversed_ids(&reversed, &mut ids);
-                prop_assert_eq!(view.disposition_by_ids(&ids, opts), expected);
-                prop_assert_eq!(view.disposition(&reversed, opts), expected);
             }
         }
     }

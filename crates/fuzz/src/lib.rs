@@ -9,7 +9,7 @@
 //!
 //! - **hostname** — canonicalisation idempotence, Unicode/punycode
 //!   round-trips, and the matcher differential (the production walk and
-//!   the walk over the list's snapshot vs. the linear oracle) under the
+//!   the walk over a one-version arena vs. the linear oracle) under the
 //!   full option matrix;
 //! - **dat** — `parse_dat → write_dat → parse_dat` preserves the rule set
 //!   and `write_dat` output is a fixpoint;
@@ -19,9 +19,9 @@
 //!   loopback server and compared byte-for-byte with a direct engine
 //!   computation;
 //! - **snapshot** — byte-level corruption of compiled binary snapshots
-//!   fed to the zero-copy loader: typed rejection or a self-consistent
-//!   accept (view walk == materialized arena == the linear oracle over
-//!   the decompiled rules), never a panic.
+//!   fed to the loader: typed rejection or a self-consistent accept (the
+//!   loaded list == its reloaded re-serialization == the linear oracle
+//!   over the decompiled rules), never a panic.
 //!
 //! Everything is deterministic: a tiny pinned SplitMix64 stream
 //! ([`rng::FuzzRng`], no external fuzzing deps) means a `(seed, iters)`

@@ -1,11 +1,9 @@
 //! Hostname target: canonicalisation invariants + the matcher differential
-//! (owned, mapped and versioned walk against the linear oracle) on a
-//! generated rule set.
+//! (owned and versioned walk against the linear oracle) on a generated
+//! rule set.
 
 use psl_conformance::{first_divergence, one_version, ProductionMatcher};
-use psl_core::{
-    punycode, Disposition, DomainName, List, MatchOpts, Rule, SnapshotView, VersionedList,
-};
+use psl_core::{punycode, Disposition, DomainName, List, MatchOpts, Rule, VersionedList};
 
 /// Builds the production matcher under test from a rule set. The fuzzer's
 /// self-test swaps in a deliberately broken build to prove the target can
@@ -42,23 +40,18 @@ pub struct ListUnderTest {
     /// The parsed rules.
     pub rules: Vec<Rule>,
     production: Box<dyn ProductionMatcher>,
-    /// The parsed list, whose label ids query the mapped arm.
-    list: List,
-    /// The mapped arm: `list`'s snapshot bytes, walked in place.
-    snapshot: Vec<u8>,
-    /// The versioned arm: `list` as a one-version arena.
+    /// The versioned arm: the parsed list as a one-version arena.
     versioned: VersionedList,
 }
 
 impl ListUnderTest {
-    /// Parse `dat` and build the production, mapped and versioned arms.
+    /// Parse `dat` and build the production and versioned arms.
     pub fn build(dat: &str, factory: &dyn MatcherFactory) -> ListUnderTest {
         let list = List::parse(dat);
         let rules = list.rules().to_vec();
         let production = factory.build(&rules);
-        let snapshot = list.write_snapshot();
         let versioned = one_version(&list);
-        ListUnderTest { dat: dat.to_string(), rules, production, list, snapshot, versioned }
+        ListUnderTest { dat: dat.to_string(), rules, production, versioned }
     }
 }
 
@@ -136,25 +129,20 @@ pub fn check_host(lut: &ListUnderTest, host: &str) -> Result<(), String> {
         }
     }
 
-    // Matcher differential (production, mapped and versioned walk vs. the
-    // linear oracle) under the full option matrix; `first_divergence`
-    // minimizes the host itself.
-    let mapped = SnapshotView::parse(&lut.snapshot)
-        .map_err(|e| format!("a list's own snapshot was rejected: {e}"))?;
+    // Matcher differential (production and versioned walk vs. the linear
+    // oracle) under the full option matrix; `first_divergence` minimizes
+    // the host itself.
     let mut comparisons = 0usize;
     if let Some(div) = first_divergence(
         &DynMatcher(&*lut.production),
         &lut.rules,
-        &lut.list,
-        &mapped,
         lut.versioned.at(0),
         std::slice::from_ref(&parsed),
         &mut comparisons,
     ) {
         return Err(format!(
-            "matcher divergence on {:?} (minimized {:?}): production={} linear={} mapped={} \
-             versioned={}",
-            div.host, div.minimized, div.production, div.linear, div.mapped, div.versioned
+            "matcher divergence on {:?} (minimized {:?}): production={} linear={} versioned={}",
+            div.host, div.minimized, div.production, div.linear, div.versioned
         ));
     }
     Ok(())

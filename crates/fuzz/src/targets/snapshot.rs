@@ -9,10 +9,10 @@
 //!
 //! - the loader never panics (the runner's `catch_unwind` turns one into a
 //!   finding) and rejects with a typed [`psl_core::SnapshotError`];
-//! - anything the loader *accepts* is self-consistent: the zero-copy
-//!   [`SnapshotView`] walk, the materialized arena, and the re-serialized
-//!   list all give the answer of [`disposition_linear`] over the
-//!   decompiled rules on every disposition;
+//! - anything the loader *accepts* is self-consistent: the loaded list
+//!   and a reload of its own re-serialization both give the answer of
+//!   [`disposition_linear`] over the decompiled rules on every
+//!   disposition;
 //! - with an empty spec the pipeline is exact: load succeeds and the bytes
 //!   are a fixpoint.
 //!
@@ -22,7 +22,7 @@
 //! trailing checksum after all other mutations, whatever its position.
 
 use psl_core::trie::disposition_linear;
-use psl_core::{reseal, List, MatchOpts, SnapshotView};
+use psl_core::{reseal, List, MatchOpts};
 
 /// Apply a mutation spec to a pristine snapshot.
 pub fn apply_spec(spec: &str, pristine: &[u8]) -> Vec<u8> {
@@ -75,17 +75,15 @@ fn probes(list: &List) -> Vec<Vec<String>> {
     out
 }
 
-/// Require that an accepted snapshot is self-consistent: the view walk, the
-/// materialized list and a reload of its own re-serialization all answer
-/// as the linear oracle over the decompiled rules.
-fn check_accepted(view: &SnapshotView<'_>, bytes: &[u8]) -> Result<(), String> {
-    let loaded = List::load_snapshot(bytes)
-        .map_err(|e| format!("view parsed but List::load_snapshot rejected: {e}"))?;
+/// Require that an accepted snapshot is self-consistent: the loaded list
+/// and a reload of its own re-serialization both answer as the linear
+/// oracle over the decompiled rules.
+fn check_accepted(loaded: &List) -> Result<(), String> {
     let rebytes = loaded.write_snapshot();
     let reloaded = List::load_snapshot(&rebytes)
         .map_err(|e| format!("accepted list failed to reload its own bytes: {e}"))?;
 
-    for probe in probes(&loaded) {
+    for probe in probes(loaded) {
         let reversed: Vec<&str> = probe.iter().map(|s| s.as_str()).collect();
         for opts in opts_matrix() {
             let expected = disposition_linear(loaded.rules(), &reversed, opts);
@@ -93,11 +91,6 @@ fn check_accepted(view: &SnapshotView<'_>, bytes: &[u8]) -> Result<(), String> {
                 return Err(format!(
                     "loaded arena diverges from linear-over-decompiled-rules on {reversed:?} \
                      {opts:?}"
-                ));
-            }
-            if view.disposition(&reversed, opts) != expected {
-                return Err(format!(
-                    "zero-copy view diverges from linear on {reversed:?} {opts:?}"
                 ));
             }
             if reloaded.disposition_reversed(&reversed, opts) != expected {
@@ -130,10 +123,10 @@ pub fn check_snapshot(spec: &str, dat: &str) -> Result<(), String> {
     }
 
     let mutated = apply_spec(spec, &pristine);
-    match SnapshotView::parse(&mutated) {
+    match List::load_snapshot(&mutated) {
         // A typed rejection is the loader doing its job.
         Err(_) => Ok(()),
-        Ok(view) => check_accepted(&view, &mutated),
+        Ok(loaded) => check_accepted(&loaded),
     }
 }
 

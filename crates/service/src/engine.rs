@@ -14,8 +14,7 @@ use crate::cache::LruCache;
 use crate::lookup;
 use crate::metrics::{CommandKind, Metrics, SnapshotInfo, StatsReport};
 use crate::protocol::{parse_command, Command, Limits, ProtoError};
-use crate::served::{ServedList, ServedStore};
-use psl_core::{Date, DomainName, List, MatchOpts, SnapshotReader, VersionedList};
+use psl_core::{Date, DomainName, List, MatchOpts, SnapshotReader, SnapshotStore, VersionedList};
 use psl_history::History;
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
@@ -32,6 +31,15 @@ pub fn monotonic_clock() -> ClockFn {
 /// A frozen clock (every reading is 0) for deterministic tests/goldens.
 pub fn frozen_clock() -> ClockFn {
     Arc::new(|| 0)
+}
+
+/// A one-snapshot store over `list`, the store [`Engine::new`] serves.
+pub fn owned_store(
+    label: impl Into<String>,
+    version: Option<Date>,
+    list: List,
+) -> Arc<SnapshotStore> {
+    Arc::new(SnapshotStore::new(label, version, list))
 }
 
 /// Engine tuning knobs. `ASOF` has none: it reads the history's one
@@ -94,7 +102,7 @@ impl ConnState {
 #[derive(Debug)]
 pub struct WorkerState {
     id: usize,
-    reader: SnapshotReader<ServedList>,
+    reader: SnapshotReader,
     cache: LruCache<Box<[u32]>, u32>,
     cache_epoch: u64,
     ids_scratch: Vec<u32>,
@@ -128,7 +136,7 @@ const PUBLISH_LOG_CAP: usize = 64;
 
 /// The shared query engine.
 pub struct Engine {
-    store: Arc<ServedStore>,
+    store: Arc<SnapshotStore>,
     /// The dated history and every version of it in one arena, which
     /// answers `ASOF` in place.
     history: Option<(Arc<History>, VersionedList)>,
@@ -143,7 +151,7 @@ impl Engine {
     /// history (enables `ASOF` and `RELOAD <date>`), whose versioned arena
     /// is built here.
     pub fn new(
-        store: Arc<ServedStore>,
+        store: Arc<SnapshotStore>,
         history: Option<Arc<History>>,
         config: EngineConfig,
         clock: ClockFn,
@@ -155,7 +163,7 @@ impl Engine {
                 epoch: snap.epoch,
                 label: snap.label.clone(),
                 version: snap.version.map(|v| v.to_string()),
-                rules: snap.list.rules(),
+                rules: snap.list.len(),
                 at_us: now,
             }
         };
@@ -178,7 +186,7 @@ impl Engine {
     }
 
     /// The snapshot store (for observing epochs in tests).
-    pub fn store(&self) -> &Arc<ServedStore> {
+    pub fn store(&self) -> &Arc<SnapshotStore> {
         &self.store
     }
 
@@ -315,28 +323,18 @@ impl Engine {
             epoch: snap.epoch,
             label: snap.label.clone(),
             version: snap.version.map(|v| v.to_string()),
-            rules: snap.list.rules(),
+            rules: snap.list.len(),
             age_seconds: self.metrics.snapshot_age_seconds(now),
         };
         self.metrics.report(now, info)
     }
 
-    /// Publish an externally built list (file-watch reloads).
+    /// Publish a list (`RELOAD`, `POST /reload` and file-watch reloads),
+    /// returning its epoch.
     pub fn publish_list(&self, label: impl Into<String>, version: Option<Date>, list: List) -> u64 {
-        self.publish_served(label, version, ServedList::Owned(list))
-    }
-
-    /// Publish any served payload — owned or mmap-backed (`--mmap`
-    /// file-watch reloads map the new snapshot instead of copying it).
-    pub fn publish_served(
-        &self,
-        label: impl Into<String>,
-        version: Option<Date>,
-        served: ServedList,
-    ) -> u64 {
         let label = label.into();
-        let rules = served.rules();
-        let epoch = self.store.publish(label.clone(), version, served);
+        let rules = list.len();
+        let epoch = self.store.publish(label.clone(), version, list);
         let now = (self.clock)();
         self.metrics.record_publish(now);
         let mut log = self.publish_log.lock().expect("publish log poisoned");
@@ -360,7 +358,7 @@ impl Engine {
         serde_json::json!({
             "status": "ok",
             "epoch": snap.epoch,
-            "rules": snap.list.rules(),
+            "rules": snap.list.len(),
             "uptime_seconds": self.metrics.uptime_seconds(now),
             "snapshot_age_seconds": self.metrics.snapshot_age_seconds(now),
         })
@@ -389,7 +387,7 @@ impl Engine {
                 "epoch": snap.epoch,
                 "label": snap.label,
                 "version": snap.version.map(|v| v.to_string()),
-                "rules": snap.list.rules(),
+                "rules": snap.list.len(),
             }),
             "history_versions": self.history.as_ref().map(|(h, _)| h.versions().len()),
             "events": events,
@@ -446,7 +444,7 @@ impl Engine {
             }
             None => {
                 self.metrics.record_cache(ws.id, 0, 1);
-                let code = snap.list.suffix_code_ids(&ids, self.config.opts);
+                let code = lookup::suffix_code_ids(&snap.list, &ids, self.config.opts);
                 ws.cache.insert(ids.as_slice().into(), code);
                 self.metrics.set_cache_entries(ws.id, ws.cache.len() as u64);
                 code
@@ -596,11 +594,8 @@ mod tests {
     fn engine_with_history() -> (Arc<Engine>, Arc<History>) {
         let history = Arc::new(psl_history::generate(&GeneratorConfig::small(7)));
         let latest = history.latest_version();
-        let store = crate::served::owned_store(
-            format!("history:{latest}"),
-            Some(latest),
-            history.latest_snapshot(),
-        );
+        let store =
+            owned_store(format!("history:{latest}"), Some(latest), history.latest_snapshot());
         let engine = Engine::new(
             Arc::clone(&store),
             Some(Arc::clone(&history)),
@@ -725,7 +720,7 @@ mod tests {
 
     #[test]
     fn engine_without_history_rejects_time_travel() {
-        let store = crate::served::owned_store("embedded", None, psl_core::embedded_list());
+        let store = owned_store("embedded", None, psl_core::embedded_list());
         let engine = Engine::new(store, None, EngineConfig::default(), frozen_clock());
         let mut ws = engine.worker_state(0);
         assert!(one(&engine, &mut ws, "ASOF 2020-01-01 a.com").starts_with("ERR state "));
@@ -846,9 +841,29 @@ mod tests {
         assert_eq!(out["version"], format!("history:{first}"));
         assert!(engine.reload_target("not-a-date").is_err());
 
-        let store = crate::served::owned_store("embedded", None, psl_core::embedded_list());
+        let store = owned_store("embedded", None, psl_core::embedded_list());
         let engine = Engine::new(store, None, EngineConfig::default(), frozen_clock());
         let err = engine.reload_target("latest").unwrap_err();
         assert_eq!(err.code, "state");
+    }
+
+    /// A list loaded from compiled snapshot bytes publishes like any other
+    /// and answers through the ids path the engine's cache keys on.
+    #[test]
+    fn owned_store_publishes_and_swaps_lists() {
+        let store = owned_store("v1", None, List::parse("com\n"));
+        assert_eq!(store.load().list.len(), 1);
+
+        let bytes = List::parse("com\nco.uk\nuk\n").write_snapshot();
+        let loaded = List::load_snapshot(&bytes).unwrap();
+        assert_eq!(store.publish("snapshot", None, loaded), 2);
+        let snap = store.load();
+        assert_eq!(snap.list.len(), 3);
+
+        let host = DomainName::parse("a.b.example.co.uk").unwrap();
+        let mut ids = Vec::new();
+        snap.list.reversed_ids_str(host.as_str(), &mut ids);
+        let code = lookup::suffix_code_ids(&snap.list, &ids, MatchOpts::default());
+        assert_eq!(lookup::decode(&host, code).site, "example.co.uk");
     }
 }

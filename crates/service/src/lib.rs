@@ -12,10 +12,9 @@
 //! - [`lookup`] — the suffix/site resolution path shared with the CLI;
 //! - [`cache`] — the bounded per-worker LRU for lookup results;
 //! - [`metrics`] — counters + sharded latency histograms, dumped by `STATS`;
-//! - [`served`] — the published payload: an owned list or an mmap-backed
-//!   snapshot view (`serve --mmap` answers from page-cache bytes);
 //! - [`engine`] — protocol semantics over a [`psl_core::SnapshotStore`]
-//!   (epoch-based hot reload) and a [`psl_history::History`]
+//!   (epoch-based hot reload) of owned [`psl_core::List`]s, into which a
+//!   compiled snapshot file is loaded too, and a [`psl_history::History`]
 //!   (`RELOAD <version>`) with its one [`psl_core::VersionedList`], which
 //!   answers `ASOF` time-travel lookups in place;
 //! - [`http`] — a minimal HTTP/1.1 parser + the admin-plane routes
@@ -50,15 +49,14 @@ pub mod lookup;
 pub mod metrics;
 pub mod protocol;
 pub mod reactor;
-pub mod served;
 pub mod server;
 
 pub use engine::{
-    frozen_clock, monotonic_clock, ConnState, Control, Engine, EngineConfig, WorkerState,
+    frozen_clock, monotonic_clock, owned_store, ConnState, Control, Engine, EngineConfig,
+    WorkerState,
 };
 pub use loadgen::{fetch_stats, query_once, LoadgenConfig, LoadgenReport};
 pub use metrics::{Metrics, NetStats, StatsReport};
 pub use protocol::{parse_command, Command, Limits, ProtoError};
 pub use reactor::ReactorOptions;
-pub use served::{owned_store, MappedSnapshot, ServedList, ServedStore};
-pub use server::{load_list_file, load_served_file, Server, ServerConfig, StopHandle};
+pub use server::{load_list_file, Server, ServerConfig, StopHandle};

@@ -22,9 +22,6 @@
 //!   accept backlog past the std default of 128 (Linux permits this).
 //! - `getrlimit`/`setrlimit` — lift `RLIMIT_NOFILE` so a 10k-connection
 //!   soak does not die on the default soft limit.
-//! - `mmap`/`munmap` — read-only file mappings behind [`Mmap`], so
-//!   `serve --mmap` can answer queries straight out of the page cache
-//!   without materialising a heap copy of the compiled snapshot.
 
 #![allow(unsafe_code)]
 
@@ -53,8 +50,6 @@ const EPOLL_CLOEXEC: i32 = 0o2000000;
 const EFD_NONBLOCK: i32 = 0o4000;
 const EFD_CLOEXEC: i32 = 0o2000000;
 const RLIMIT_NOFILE: i32 = 7;
-const PROT_READ: i32 = 0x1;
-const MAP_PRIVATE: i32 = 0x02;
 
 /// The kernel's epoll event record. On x86-64 the ABI packs the struct to
 /// 12 bytes (no padding between `events` and `data`); other architectures
@@ -103,8 +98,6 @@ extern "C" {
     fn listen(fd: i32, backlog: i32) -> i32;
     fn getrlimit(resource: i32, rlim: *mut Rlimit) -> i32;
     fn setrlimit(resource: i32, rlim: *const Rlimit) -> i32;
-    fn mmap(addr: *mut u8, length: usize, prot: i32, flags: i32, fd: i32, offset: i64) -> *mut u8;
-    fn munmap(addr: *mut u8, length: usize) -> i32;
 }
 
 fn cvt(ret: i32) -> io::Result<i32> {
@@ -250,72 +243,6 @@ pub fn raise_nofile_limit(want: u64) -> u64 {
     lim.rlim_cur
 }
 
-/// A read-only, private file mapping with RAII unmap. The kernel owns the
-/// mapped address for the mapping's whole lifetime, so the byte slice is
-/// stable even when the `Mmap` value itself moves — which is what makes the
-/// lifetime extension in `Mmap::extend_slice_lifetime` tenable.
-pub struct Mmap {
-    ptr: *mut u8,
-    len: usize,
-}
-
-// The mapping is PROT_READ/MAP_PRIVATE: no writers exist, so sharing the
-// slice across threads is as safe as sharing any `&[u8]`.
-unsafe impl Send for Mmap {}
-unsafe impl Sync for Mmap {}
-
-impl Mmap {
-    /// Map `path` read-only in its entirety. An empty file is an error
-    /// (`mmap` rejects zero-length mappings, and an empty snapshot is
-    /// invalid anyway).
-    pub fn map_file(path: &std::path::Path) -> io::Result<Mmap> {
-        use std::os::unix::io::AsRawFd;
-        let file = std::fs::File::open(path)?;
-        let len = file.metadata()?.len();
-        if len == 0 {
-            return Err(io::Error::new(io::ErrorKind::InvalidData, "cannot mmap an empty file"));
-        }
-        let len = usize::try_from(len)
-            .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "file too large to map"))?;
-        let ptr =
-            unsafe { mmap(std::ptr::null_mut(), len, PROT_READ, MAP_PRIVATE, file.as_raw_fd(), 0) };
-        // MAP_FAILED is (void*)-1 on every Linux ABI.
-        if ptr as isize == -1 {
-            return Err(io::Error::last_os_error());
-        }
-        Ok(Mmap { ptr, len })
-    }
-
-    /// The mapped bytes.
-    pub fn as_slice(&self) -> &[u8] {
-        unsafe { std::slice::from_raw_parts(self.ptr, self.len) }
-    }
-
-    /// The mapped bytes with the lifetime detached from `self`.
-    ///
-    /// Only sound while the mapping is alive: the caller must keep this
-    /// `Mmap` (behind its `Arc`) strictly outliving every use of the
-    /// returned slice, and must not let the slice escape the value that
-    /// owns the `Arc`. `crate::served::MappedSnapshot` is the one caller,
-    /// pairing the slice's parsed view with the owning `Arc` in a single
-    /// struct so they drop together.
-    pub(crate) fn extend_slice_lifetime(self: &std::sync::Arc<Self>) -> &'static [u8] {
-        unsafe { std::slice::from_raw_parts(self.ptr, self.len) }
-    }
-}
-
-impl Drop for Mmap {
-    fn drop(&mut self) {
-        unsafe { munmap(self.ptr, self.len) };
-    }
-}
-
-impl std::fmt::Debug for Mmap {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Mmap").field("len", &self.len).finish()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -379,19 +306,6 @@ mod tests {
         let before = raise_nofile_limit(0);
         let after = raise_nofile_limit(before.max(1024));
         assert!(after >= before.min(1024));
-    }
-
-    #[test]
-    fn mmap_reads_file_bytes_and_rejects_empty() {
-        let path = std::env::temp_dir().join(format!("psl-mmap-test-{}", std::process::id()));
-        std::fs::write(&path, b"hello mapping").unwrap();
-        let map = Mmap::map_file(&path).unwrap();
-        assert_eq!(map.as_slice(), b"hello mapping");
-        drop(map);
-
-        std::fs::write(&path, b"").unwrap();
-        assert!(Mmap::map_file(&path).is_err(), "empty file must not map");
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

@@ -38,17 +38,14 @@ const LISTEN_BACKLOG: i32 = 4096;
 pub struct ServerConfig {
     /// Bind address, e.g. `127.0.0.1:7378` (port 0 = ephemeral).
     pub addr: String,
-    /// Optional `.dat` file to watch: `(path, poll interval)`.
+    /// Optional list file to watch, `.dat` text or a compiled snapshot:
+    /// `(path, poll interval)`.
     pub watch: Option<(PathBuf, Duration)>,
-    /// Serve watched compiled snapshots via `mmap` instead of copying them
-    /// onto the heap ([`crate::served::MappedSnapshot`]). Text `.dat` files
-    /// still parse to an owned list.
-    pub mmap: bool,
 }
 
 impl Default for ServerConfig {
     fn default() -> Self {
-        ServerConfig { addr: "127.0.0.1:7378".to_string(), watch: None, mmap: false }
+        ServerConfig { addr: "127.0.0.1:7378".to_string(), watch: None }
     }
 }
 
@@ -154,9 +151,8 @@ impl Server {
             if let Some((path, interval)) = self.config.watch.clone() {
                 let engine = Arc::clone(&self.engine);
                 let stop = &*self.stop;
-                let mmap = self.config.mmap;
                 let baseline = self.watch_baseline;
-                scope.spawn(move |_| watch_loop(engine, path, interval, mmap, baseline, stop));
+                scope.spawn(move |_| watch_loop(engine, path, interval, baseline, stop));
             }
         })
         .map_err(|_| std::io::Error::other("a server worker panicked"))?;
@@ -188,32 +184,6 @@ pub fn load_list_file(path: &std::path::Path) -> Result<psl_core::List, String> 
     }
 }
 
-/// As [`load_list_file`], but producing the serving payload directly. With
-/// `mmap` set, a compiled snapshot is validated and served in place from a
-/// read-only mapping — no [`psl_core::FrozenList`] is materialised, and
-/// the heap cost of a reload is the sidecar label index alone. Text files
-/// (and `mmap: false`) take the owned path unchanged.
-pub fn load_served_file(
-    path: &std::path::Path,
-    mmap: bool,
-) -> Result<crate::served::ServedList, String> {
-    if mmap {
-        let magic = {
-            use std::io::Read as _;
-            let mut head = [0u8; psl_core::LIST_MAGIC.len()];
-            let mut f = std::fs::File::open(path)
-                .map_err(|e| format!("reading {}: {e}", path.display()))?;
-            f.read_exact(&mut head).map(|_| head == psl_core::LIST_MAGIC).unwrap_or(false)
-        };
-        if magic {
-            return Ok(crate::served::ServedList::Mapped(crate::served::MappedSnapshot::open(
-                path,
-            )?));
-        }
-    }
-    load_list_file(path).map(crate::served::ServedList::Owned)
-}
-
 /// Reload-relevant identity of the watched file: (mtime, length, inode).
 /// Compared for equality, not ordering, so an mtime that goes *backwards*
 /// (a restore from backup, a delete/re-create that lands on an older
@@ -234,7 +204,6 @@ fn watch_loop(
     engine: Arc<Engine>,
     path: PathBuf,
     interval: Duration,
-    mmap: bool,
     baseline: Option<FileSignature>,
     stop: &StopState,
 ) {
@@ -261,11 +230,10 @@ fn watch_loop(
                     baseline_recorded = true;
                     failures = 0;
                 } else if published != Some(sig) || saw_missing {
-                    match load_served_file(&path, mmap) {
-                        Ok(served) => {
-                            let rules = served.rules();
-                            let epoch =
-                                engine.publish_served(path.display().to_string(), None, served);
+                    match load_list_file(&path) {
+                        Ok(list) => {
+                            let rules = list.len();
+                            let epoch = engine.publish_list(path.display().to_string(), None, list);
                             eprintln!(
                                 "psl-service: reloaded {} (epoch {epoch}, {rules} rules)",
                                 path.display()

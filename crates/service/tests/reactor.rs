@@ -3,7 +3,7 @@
 //! must not wedge a worker, backpressure-driven disconnects, admission
 //! control, and bounded shutdown latency.
 
-use psl_core::MatchOpts;
+use psl_core::{DomainName, MatchOpts};
 use psl_history::GeneratorConfig;
 use psl_service::{Engine, EngineConfig, ReactorOptions, Server, ServerConfig, StopHandle};
 use std::io::{BufRead, BufReader, Write};
@@ -102,7 +102,8 @@ fn hundred_pipelined_batches_answer_in_order() {
     for host in &hosts {
         line.clear();
         reader.read_line(&mut line).unwrap();
-        let expected = format!("OK {}", snapshot.list.site_str(host, opts));
+        let expected =
+            format!("OK {}", snapshot.list.site(&DomainName::parse(host).unwrap(), opts));
         assert_eq!(line.trim_end(), expected, "answer for {host} out of order or wrong");
     }
 }

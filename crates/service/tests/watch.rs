@@ -25,25 +25,18 @@ struct WatchedServer {
 }
 
 impl WatchedServer {
-    /// Start a server watching `<tmp>/<name>/list.dat` seeded with `initial`.
+    /// Start a server watching `<tmp>/<name>/list.dat` seeded with
+    /// `initial`, its first list loaded through the server's own
+    /// `load_list_file`.
     fn spawn(name: &str, initial: &str) -> WatchedServer {
-        WatchedServer::spawn_with(name, initial.as_bytes(), false)
-    }
-
-    /// As [`WatchedServer::spawn`], but seeding the watched file with raw
-    /// bytes (text or compiled snapshot) and loading the initial payload
-    /// through the server's own `load_served_file` path, so `mmap: true`
-    /// serves from a live file mapping from the very first query.
-    fn spawn_with(name: &str, initial: &[u8], mmap: bool) -> WatchedServer {
         let dir = std::env::temp_dir().join(format!("psl-watch-{}-{name}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("list.dat");
         std::fs::write(&path, initial).unwrap();
 
-        let served = psl_service::load_served_file(&path, mmap).expect("load initial file");
-        let store =
-            Arc::new(psl_service::ServedStore::new(path.display().to_string(), None, served));
+        let list = psl_service::load_list_file(&path).expect("load initial file");
+        let store = psl_service::owned_store(path.display().to_string(), None, list);
         let engine = Engine::new(
             store,
             None,
@@ -52,11 +45,7 @@ impl WatchedServer {
         );
         let server = Server::bind(
             Arc::clone(&engine),
-            ServerConfig {
-                addr: "127.0.0.1:0".to_string(),
-                watch: Some((path.clone(), INTERVAL)),
-                mmap,
-            },
+            ServerConfig { addr: "127.0.0.1:0".to_string(), watch: Some((path.clone(), INTERVAL)) },
         )
         .expect("bind ephemeral port");
         let addr = server.local_addr().unwrap();
@@ -189,10 +178,18 @@ fn watcher_reloads_compiled_snapshots_and_switches_back_to_text() {
     assert_eq!(server.epoch(), 2, "corrupt snapshot must not publish");
     assert_eq!(roundtrip(&mut reader, &mut writer, "SUFFIX x.snap.alpha"), "OK snap.alpha");
 
+    // A snapshot replacing a snapshot publishes the new rules and drops
+    // the old ones.
+    let next = List::parse("alpha\nnext.alpha\n").write_snapshot();
+    write_atomic(&server.path, &next, None);
+    await_suffix(&mut reader, &mut writer, "x.next.alpha", "next.alpha");
+    assert_eq!(server.epoch(), 3);
+    assert_eq!(roundtrip(&mut reader, &mut writer, "SUFFIX x.snap.alpha"), "OK alpha");
+
     // And swapping back to plain `.dat` text keeps working.
     write_atomic(&server.path, "alpha\ntext.alpha\n", None);
     await_suffix(&mut reader, &mut writer, "x.text.alpha", "text.alpha");
-    assert_eq!(server.epoch(), 3);
+    assert_eq!(server.epoch(), 4);
 }
 
 #[test]
@@ -218,52 +215,4 @@ fn watcher_retries_after_transient_read_errors() {
 
     // And the server is still fully alive.
     assert_eq!(roundtrip(&mut reader, &mut writer, "PING"), "OK pong");
-}
-
-/// End-to-end `--mmap` reload: a server started in mmap mode over a
-/// compiled snapshot answers from the file mapping, survives an atomic
-/// replacement of the watched file (the old mapping keeps serving old
-/// bytes until the watcher republishes — MAP_PRIVATE semantics), and
-/// serves the new rules from a *fresh* mapping after the epoch bump.
-#[test]
-fn mmap_watcher_serves_and_hot_reloads_mapped_snapshots() {
-    let snap_v1 = List::parse("alpha\nv1.alpha\n").write_snapshot();
-    let server = WatchedServer::spawn_with("mmap", &snap_v1, true);
-    let (mut reader, mut writer) = server.connect();
-
-    // The initial payload really is the mapped arm, not a fallback parse.
-    {
-        let published = server.engine.store().load();
-        assert!(
-            matches!(published.list, psl_service::ServedList::Mapped(_)),
-            "mmap server must publish the mapped arm at startup"
-        );
-    }
-    assert_eq!(roundtrip(&mut reader, &mut writer, "SUFFIX x.v1.alpha"), "OK v1.alpha");
-    assert_eq!(roundtrip(&mut reader, &mut writer, "SITE a.b.v1.alpha"), "OK b.v1.alpha");
-    assert_eq!(server.epoch(), 1);
-
-    // Atomically replace the snapshot on disk; the watcher must republish
-    // a fresh mapping with the new rules.
-    let snap_v2 = List::parse("alpha\nv2.alpha\n").write_snapshot();
-    write_atomic(&server.path, &snap_v2, None);
-    await_suffix(&mut reader, &mut writer, "x.v2.alpha", "v2.alpha");
-    assert_eq!(server.epoch(), 2);
-    {
-        let published = server.engine.store().load();
-        assert!(
-            matches!(published.list, psl_service::ServedList::Mapped(_)),
-            "hot reload must stay on the mapped arm"
-        );
-    }
-    // The old rule is gone from the new mapping.
-    assert_eq!(roundtrip(&mut reader, &mut writer, "SUFFIX x.v1.alpha"), "OK alpha");
-
-    // Swapping the watched file back to *text* downgrades gracefully to
-    // the owned arm — mmap mode only maps compiled snapshots.
-    write_atomic(&server.path, "alpha\ntext.alpha\n", None);
-    await_suffix(&mut reader, &mut writer, "x.text.alpha", "text.alpha");
-    assert_eq!(server.epoch(), 3);
-    let published = server.engine.store().load();
-    assert!(matches!(published.list, psl_service::ServedList::Owned(_)));
 }

@@ -244,3 +244,50 @@ fn sweep_refuses_the_removed_sketch_flag() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("--sketch") && stderr.contains("exact"), "stderr: {stderr}");
 }
+
+/// `serve --reactor-workers 1` runs one reactor thread, and the engine
+/// sizes its metric and cache shards to match: `STATS` says one worker.
+#[test]
+fn serve_reports_its_reactor_worker_count() {
+    use std::io::{BufRead, BufReader, Write};
+    use std::process::Stdio;
+
+    let mut child = pslharm()
+        .args(["serve", "--addr", "127.0.0.1:0", "--reactor-workers", "1"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("binary runs");
+    let mut stdout = BufReader::new(child.stdout.take().expect("piped stdout"));
+    let mut line = String::new();
+    stdout.read_line(&mut line).expect("serve prints its listening line");
+    let Some(addr) = line.split("listening on ").nth(1).and_then(|s| s.split(' ').next()) else {
+        child.kill().ok();
+        panic!("no listening line: {line:?}");
+    };
+    assert!(line.contains("(1 workers,"), "{line}");
+
+    let stream = std::net::TcpStream::connect(addr).expect("connect");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone stream"));
+    let mut writer = stream;
+    let mut ask = |command: &str| {
+        writeln!(writer, "{command}").expect("send");
+        let mut answer = String::new();
+        reader.read_line(&mut answer).expect("answer");
+        answer
+    };
+    let stats = ask("STATS");
+    let shutdown = ask("SHUTDOWN");
+    let status = child.wait().expect("serve exits");
+    assert!(stats.starts_with("OK {") && stats.contains("\"workers\":1,"), "{stats}");
+    assert_eq!(shutdown, "OK shutting-down\n");
+    assert!(status.success(), "{status}");
+}
+
+#[test]
+fn serve_refuses_the_removed_mmap_flag() {
+    let out = pslharm().args(["serve", "--mmap", "unexpected"]).output().expect("binary runs");
+    assert!(!out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unknown flag \"--mmap\""), "stderr: {stderr}");
+}

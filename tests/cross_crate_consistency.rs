@@ -1,7 +1,7 @@
 //! Cross-crate invariants: the same question answered through different
 //! crates' code paths must agree.
 
-use psl_core::{DomainName, MatchOpts, SnapshotView};
+use psl_core::{DomainName, MatchOpts};
 use psl_history::{generate, GeneratorConfig};
 use psl_webcorpus::{generate_corpus, CorpusConfig};
 
@@ -23,13 +23,11 @@ fn trie_and_linear_matcher_agree_on_generated_lists() {
 }
 
 #[test]
-fn owned_and_mapped_walks_agree_with_linear_on_the_embedded_list() {
-    // The walk over the owned list and over its snapshot bytes (queried
-    // with the list's ids), against the linear reference scan, over
-    // hostnames derived from every rule in the shipped mini PSL.
+fn owned_walk_agrees_with_linear_on_the_embedded_list() {
+    // The walk over the owned list, by labels and by the list's ids (the
+    // service's path), against the linear reference scan, over hostnames
+    // derived from every rule in the shipped mini PSL.
     let list = psl_core::embedded_list();
-    let bytes = list.write_snapshot();
-    let view = SnapshotView::parse(&bytes).expect("own snapshot parses");
     let mut ids = Vec::new();
     let mut hosts: Vec<String> = Vec::new();
     for rule in list.rules() {
@@ -55,9 +53,9 @@ fn owned_and_mapped_walks_agree_with_linear_on_the_embedded_list() {
         for opts in opts_matrix {
             let linear = psl_core::trie::disposition_linear(list.rules(), &reversed, opts);
             let owned = list.disposition_reversed(&reversed, opts);
-            let mapped = view.disposition_by_ids(&ids, opts);
             assert_eq!(owned, linear, "owned vs linear on {host} ({opts:?})");
-            assert_eq!(mapped, linear, "mapped vs linear on {host} ({opts:?})");
+            let by_ids = list.disposition_ids(&ids, opts);
+            assert_eq!(by_ids, linear, "owned ids vs linear on {host} ({opts:?})");
         }
     }
 }
